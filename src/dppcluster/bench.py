@@ -192,10 +192,14 @@ def benchmark(
                 try:
                     mcfg = replace(cfg, method=method)
                     ens = ensemble_runs(artifacts, mcfg)
+                    # a checkpoint at ``runs`` already is the full selection
                     for r in marks:
-                        _, score = prefix_selection(artifacts, ens.partitions[:r], mcfg, truth)
-                        out.trajectory[r] = score
-                    k_hat, full_ari = prefix_selection(artifacts, ens.partitions, mcfg, truth)
+                        k_hat, full_ari = prefix_selection(
+                            artifacts, ens.partitions[:r], mcfg, truth
+                        )
+                        out.trajectory[r] = full_ari
+                    if runs not in marks:
+                        k_hat, full_ari = prefix_selection(artifacts, ens.partitions, mcfg, truth)
                     out.k_hat = k_hat
                     out.ari = full_ari
                     out.rn_abs = abs(rn(max(k_hat, 1), ds.k))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -18,6 +19,7 @@ from .bench import DEFAULT_CHECKPOINTS, benchmark, diversity_series
 from .consensus import ConsensusConfig
 from .errors import ConfigError, DataError, NoCandidates, NumericalError
 from .pipeline import PipelineConfig, run_pipeline
+from .preprocess import PREPROCESSORS
 from .rng import RngStream
 from .simgen import generate_mixture, parse_scenario_id, scenario_grid
 
@@ -81,7 +83,7 @@ def main():
               help="Cluster-count cap for the uniform/kmeans size draw "
                    "(default: 2*ceil(sqrt(n/2)) clipped to [2, n]).")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--preprocess", type=click.Choice(["none", "standardize", "boxcox"]),
+@click.option("--preprocess", type=click.Choice(list(PREPROCESSORS)),
               default="none", show_default=True)
 @click.option("--workers", default=1, show_default=True, help="Parallel run workers.")
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None,
@@ -130,14 +132,9 @@ def simulate(scenario_id, use_grid, replicas, max_overlap, seed, out_dir):
     if (scenario_id is None) == (not use_grid):
         raise ConfigError("choose exactly one of --scenario-id or --grid")
     if use_grid:
-        from dataclasses import replace as _replace
-
-        scenarios = [_replace(sp, max_pairwise_overlap=max_overlap) for sp in scenario_grid()]
+        scenarios = [replace(sp, max_pairwise_overlap=max_overlap) for sp in scenario_grid()]
     else:
-        base = parse_scenario_id(scenario_id)
-        from dataclasses import replace as _replace
-
-        scenarios = [_replace(base, max_pairwise_overlap=max_overlap)]
+        scenarios = [replace(parse_scenario_id(scenario_id), max_pairwise_overlap=max_overlap)]
     failures = []
     written = 0
     for s_idx, spec in enumerate(scenarios):

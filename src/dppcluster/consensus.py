@@ -26,6 +26,10 @@ __all__ = [
 ]
 
 
+# Most runs per one-hot block in co_membership_counts.
+_BATCH_RUNS = 16
+
+
 def default_threshold_grid(tau: float, step: float = 0.05, stop: float = 0.95) -> tuple[float, ...]:
     """Uniform grid of thresholds from tau (inclusive) in steps of ``step``
     (default 0.05) up to ``stop`` (default 0.95, inclusive), e.g.
@@ -99,7 +103,9 @@ class ConsensusMatrix:
         if e.min() < 0.0 or e.max() > 1.0:
             raise ConfigError("consensus entries must lie in [0, 1]")
         scaled = e * self.runs
-        if np.abs(scaled - np.rint(scaled)).max() > 1e-9:
+        off_grid = np.rint(scaled)
+        off_grid -= scaled
+        if np.abs(off_grid, out=off_grid).max() > 1e-9:
             raise ConfigError("consensus entries must be integer multiples of 1/runs")
         object.__setattr__(self, "entries", e)
         e.setflags(write=False)
@@ -166,17 +172,34 @@ class UnionFind:
 
 
 def co_membership_counts(partitions, n: int) -> np.ndarray:
-    """Integer matrix counting, per pair, the runs in which it co-clusters.
+    """Per-pair count of the runs in which the pair co-clusters.
 
-    Partial counts from disjoint batches of runs can be added together, so
-    accumulation parallelizes and is order-invariant.
+    A float64 matrix of exact integer counts, built as batched one-hot
+    products H Hᵀ: each batch of up to ``_BATCH_RUNS`` runs stacks one 0/1
+    indicator column per cluster into H, so an entry of one batch's product
+    is at most ``_BATCH_RUNS`` (exact even in float32) and the float64 sums
+    stay exact integers.  Fewer runs share a batch when they have many
+    clusters, so H never has more than n columns.  Partial counts from
+    disjoint batches of runs can be added together, so accumulation
+    parallelizes and is order-invariant.
     """
-    counts = np.zeros((n, n), dtype=np.int64)
+    compact, widths = [], []
     for part in partitions:
         lab = np.asarray(getattr(part, "labels", part))
         if lab.shape != (n,):
             raise ShapeMismatch(f"partition has {lab.shape} labels, expected ({n},)")
-        counts += lab[:, None] == lab[None, :]
+        ids, inverse = np.unique(lab, return_inverse=True)
+        compact.append(inverse.ravel())
+        widths.append(ids.size)
+    counts = np.zeros((n, n))
+    rows = np.arange(n)[:, None]
+    per_batch = min(_BATCH_RUNS, max(1, n // max(widths, default=1)))
+    for start in range(0, len(compact), per_batch):
+        stop = start + per_batch
+        offsets = np.cumsum([0] + widths[start:stop])
+        hot = np.zeros((n, offsets[-1]), dtype=np.float32)
+        hot[rows, np.column_stack(compact[start:stop]) + offsets[:-1]] = 1.0
+        counts += hot @ hot.T
     return counts
 
 
@@ -187,7 +210,8 @@ def accumulate(partitions, n: int) -> ConsensusMatrix:
         raise ConfigError("need at least one partition to accumulate")
     counts = co_membership_counts(partitions, n)
     runs = len(partitions)
-    return ConsensusMatrix(counts / runs, runs)
+    counts /= runs
+    return ConsensusMatrix(counts, runs)
 
 
 def threshold_components(C, theta: float) -> Partition:
@@ -210,31 +234,31 @@ def merge_small(components, C, min_size: int, threshold: float | None = None) ->
     whose smallest member index is lowest), find the largest consensus entry
     linking it to the outside (ties: lexicographically smallest index pair),
     and merge it into the component on the other end.  Stops when every
-    component reaches ``min_size`` or one component remains.
+    component reaches ``min_size`` or one component remains.  The surviving
+    components are numbered 0..k-1 in the order of their input ids.
     """
     if min_size < 1:
         raise ConfigError("min_size must be at least 1")
     m = np.asarray(C)
-    labels, k = compact_labels(np.asarray(getattr(components, "labels", components)))
+    labels, _ = compact_labels(np.asarray(getattr(components, "labels", components)))
     merged = False
-    while k > 1:
-        sizes = np.bincount(labels, minlength=k)
-        small = np.flatnonzero(sizes < min_size)
-        if small.size == 0:
+    while True:
+        _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
+        if sizes.size <= 1:
             break
-        min_sz = sizes[small].min()
-        tied = small[sizes[small] == min_sz]
-        first_member = [int(np.flatnonzero(labels == c)[0]) for c in tied]
-        target = int(tied[int(np.argmin(first_member))])
+        min_sz = sizes.min()
+        if min_sz >= min_size:
+            break
+        # every cluster of the smallest size is undersized; the lowest first
+        # member index picks one
+        target = labels[first[sizes == min_sz].min()]
         inside = np.flatnonzero(labels == target)
         outside = np.flatnonzero(labels != target)
         link = m[np.ix_(inside, outside)]
         flat = int(np.argmax(link))  # row-major argmax = lexicographic tie-break
-        j_star = int(outside[flat % outside.size])
-        labels = labels.copy()
-        labels[inside] = labels[j_star]
-        labels, k = compact_labels(labels)
+        labels[inside] = labels[outside[flat % outside.size]]
         merged = True
+    labels, k = compact_labels(labels)
     return Clustering(labels, k, threshold, merged)
 
 

@@ -37,7 +37,7 @@ from .kernel import (
 )
 from .metrics import ari, rn
 from .partition import Partition, lloyd_kmeans, voronoi_assign
-from .preprocess import apply_preprocessing
+from .preprocess import PREPROCESSORS, apply_preprocessing
 from .rng import RngStream
 from .sampling import (
     BaselineConfig,
@@ -75,12 +75,11 @@ class PipelineConfig:
     seed: int = 0
     preprocessing: str = "none"
     workers: int = 1
-    repetitions: int = 10
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.preprocessing not in ("none", "standardize", "boxcox"):
+        if self.preprocessing not in PREPROCESSORS:
             raise ConfigError(f"unknown preprocessing {self.preprocessing!r}")
         if not self.s > 0:
             raise ConfigError("bandwidth factor s must be positive")
@@ -88,8 +87,6 @@ class PipelineConfig:
             raise ConfigError("k_max must be at least 2")
         if int(self.workers) < 1:
             raise ConfigError("workers must be at least 1")
-        if int(self.repetitions) < 1:
-            raise ConfigError("repetitions must be at least 1")
 
 
 @dataclass(frozen=True)

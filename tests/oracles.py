@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here deliberately avoids the code paths under test: components
-via breadth-first search, the agreement index via raw pair counting with
+via breadth-first search, small-cluster merging as a pure-Python loop over
+member lists, the agreement index via raw pair counting with
 exact rationals, subset probabilities via dense determinant enumeration,
 and scatter statistics via explicit coordinates under a dot-product kernel.
 """
@@ -32,6 +33,42 @@ def bfs_components(adjacency: np.ndarray) -> np.ndarray:
                     queue.append(int(j))
         comp += 1
     return labels
+
+
+def merge_small_oracle(component_labels, consensus, min_size: int):
+    """The ``merge_small`` rule transcribed literally over member lists.
+
+    Returns (labels, k, merged).  While more than one cluster remains and
+    some cluster has fewer than ``min_size`` members: pick the smallest such
+    cluster, ties to the lowest smallest member; scan its members i and the
+    outside points j in ascending order for the largest C[i][j], ties to the
+    first pair seen; move the cluster into the cluster of that j, which keeps
+    its id.  Finally number the surviving ids 0..k-1 in ascending order.
+    """
+    c = np.asarray(consensus).tolist()
+    members: dict[int, list[int]] = {}
+    for i, cid in enumerate(np.asarray(component_labels).tolist()):
+        members.setdefault(cid, []).append(i)
+    owner = {i: cid for cid, idx in members.items() for i in idx}
+    merged = False
+    while len(members) > 1:
+        small = [cid for cid, idx in members.items() if len(idx) < min_size]
+        if not small:
+            break
+        target = min(small, key=lambda cid: (len(members[cid]), min(members[cid])))
+        best = None
+        for i in sorted(members[target]):
+            for j in range(len(owner)):
+                if owner[j] != target and (best is None or c[i][j] > best[0]):
+                    best = (c[i][j], j)
+        dest = owner[best[1]]
+        for i in members.pop(target):
+            owner[i] = dest
+            members[dest].append(i)
+        merged = True
+    new_id = {cid: new for new, cid in enumerate(sorted(members))}
+    labels = np.array([new_id[owner[i]] for i in range(len(owner))], dtype=np.int64)
+    return labels, len(members), merged
 
 
 def ari_pair_oracle(labels_a, labels_b) -> float:

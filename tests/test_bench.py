@@ -12,6 +12,7 @@ from dppcluster import (
     ensemble_runs,
     generate_mixture,
 )
+from dppcluster import bench
 from dppcluster.bench import benchmark, diversity_series, prefix_selection
 
 
@@ -71,6 +72,32 @@ class TestBenchmark:
         assert len(ok) == 1
         summary = result.summary_rows()
         assert summary[0]["replicas_failed"] == 1
+
+    @pytest.mark.parametrize("checkpoints", [(5, 10, 20), (5, 10)])
+    def test_one_selection_per_prefix(self, monkeypatch, mini_dataset, checkpoints):
+        # a checkpoint at R (= 20) doubles as the full selection; without
+        # one, the full run list costs one more selection
+        prefixes = []
+        real = bench.prefix_selection
+
+        def counted(artifacts, partitions, cfg, truth):
+            prefixes.append(len(partitions))
+            return real(artifacts, partitions, cfg, truth)
+
+        monkeypatch.setattr(bench, "prefix_selection", counted)
+        spec = ScenarioSpec(150, "low", "low")
+        cfg = PipelineConfig(seed=0, consensus=ConsensusConfig(runs=20))
+        result = benchmark([spec], ["dpp"], cfg, replicas=1, checkpoints=checkpoints)
+        (out,) = result.outcomes
+        assert out.error is None
+        assert prefixes == [5, 10, 20]
+        assert set(out.trajectory) == set(checkpoints)
+        # mini_dataset is the benchmark's first cell: stream (0, (0, 0))
+        arts = build_artifacts(mini_dataset.data)
+        full = real(arts, ensemble_runs(arts, cfg).partitions, cfg, mini_dataset.true_labels)
+        assert (out.k_hat, out.ari) == full
+        if 20 in checkpoints:
+            assert out.ari == out.trajectory[20]
 
 
 class TestDiversitySeries:

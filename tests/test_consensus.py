@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dppcluster import (
     Clustering,
@@ -15,8 +17,8 @@ from dppcluster import (
     merge_small,
     threshold_components,
 )
-from dppcluster.consensus import co_membership_counts, default_threshold_grid
-from oracles import bfs_components
+from dppcluster.consensus import _BATCH_RUNS, co_membership_counts, default_threshold_grid
+from oracles import bfs_components, merge_small_oracle
 
 
 def _p(labels):
@@ -173,6 +175,53 @@ class TestMergeSmall:
         c = ConsensusMatrix(entries, 1)
         out = merge_small(_p([0, 1]), c, min_size=1, threshold=0.7)
         assert out.threshold == 0.7
+
+
+@st.composite
+def _merge_inputs(draw):
+    # few runs of many-cluster partitions: coarse, heavily tied consensus
+    # entries and mostly singleton components of tied sizes
+    n = draw(st.integers(2, 24))
+    runs = draw(st.integers(1, 4))
+    ids = st.integers(0, n - 1)
+    parts = [np.array(draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(runs)]
+    c = accumulate(parts, n)
+    if draw(st.booleans()):
+        comp = threshold_components(c, draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))).labels
+    else:
+        comp = np.array(draw(st.lists(ids, min_size=n, max_size=n)))
+    return c, comp, draw(st.integers(1, n))
+
+
+class TestFastPathsAgainstOracles:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_merge_inputs())
+    def test_merge_small_matches_oracle(self, inputs):
+        c, comp, min_size = inputs
+        out = merge_small(comp, c, min_size)
+        labels, k, merged = merge_small_oracle(comp, c, min_size)
+        assert np.array_equal(out.labels, labels)
+        assert (out.k, out.merged) == (k, merged)
+
+    @pytest.mark.parametrize(
+        "runs", [1, _BATCH_RUNS - 1, _BATCH_RUNS, _BATCH_RUNS + 1, 2 * _BATCH_RUNS + 3]
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_counts_match_pair_counting(self, runs, data):
+        # raw ids: unordered, negative, gappy; few ids at large n fill whole
+        # batches, many ids at small n force one run per batch
+        n = data.draw(st.integers(1, 48))
+        low = data.draw(st.integers(-3, 3))
+        ids = st.integers(low, low + data.draw(st.integers(0, 8)))
+        parts = [np.array(data.draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(runs)]
+        brute = sum((p[:, None] == p[None, :]).astype(np.int64) for p in parts)
+        counts = co_membership_counts(parts, n)
+        assert counts.dtype == np.float64
+        assert np.array_equal(counts, brute)
+        cut = data.draw(st.integers(0, runs))
+        split = co_membership_counts(parts[:cut], n) + co_membership_counts(parts[cut:], n)
+        assert np.array_equal(split, brute)
 
 
 class TestCandidateClusterings:
