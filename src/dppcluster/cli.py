@@ -18,10 +18,10 @@ from . import io as pkgio
 from .bench import DEFAULT_CHECKPOINTS, benchmark, diversity_series
 from .consensus import ConsensusConfig
 from .errors import ConfigError, DataError, NoCandidates, NumericalError
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import METHODS, PipelineConfig, run_pipeline
 from .preprocess import PREPROCESSORS
 from .rng import RngStream
-from .simgen import generate_mixture, parse_scenario_id, scenario_grid
+from .simgen import ScenarioSpec, generate_mixture, parse_scenario_id, scenario_grid
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -70,7 +70,7 @@ def main():
 @click.argument("data_csv", type=click.Path(path_type=Path))
 @click.option("--labels", "labels_csv", type=click.Path(path_type=Path), default=None,
               help="Ground-truth labels CSV for ARI/RN scoring.")
-@click.option("--method", type=click.Choice(["dpp", "uniform", "kmeans"]), default="dpp",
+@click.option("--method", type=click.Choice(list(METHODS)), default="dpp",
               show_default=True)
 @click.option("--runs", default=200, show_default=True, help="Number of partition runs R.")
 @click.option("--tau", default=0.6, show_default=True, help="Minimum consensus threshold.")
@@ -170,6 +170,9 @@ def simulate(scenario_id, use_grid, replicas, max_overlap, seed, out_dir):
 @_mapped_errors
 def benchmark_cmd(scenarios_file, methods, runs, replicas, seed, workers, out_dir):
     """Benchmark methods over scenarios; writes tidy CSV tables."""
+    method_list = [m.strip() for m in methods.split(",") if m.strip()]
+    if not method_list or any(m not in METHODS for m in method_list):
+        raise ConfigError(f"--methods {methods!r}: each method must be one of {METHODS}")
     try:
         raw = json.loads(Path(scenarios_file).read_text())
     except json.JSONDecodeError as exc:
@@ -181,12 +184,12 @@ def benchmark_cmd(scenarios_file, methods, runs, replicas, seed, workers, out_di
         if isinstance(item, str):
             scenarios.append(parse_scenario_id(item))
         elif isinstance(item, dict):
-            from .simgen import ScenarioSpec
-
-            scenarios.append(ScenarioSpec(**item))
+            try:
+                scenarios.append(ScenarioSpec(**item))
+            except TypeError as exc:  # unknown or missing keys
+                raise DataError(f"{scenarios_file}: bad scenario entry {item!r} ({exc})") from exc
         else:
             raise DataError(f"{scenarios_file}: bad scenario entry {item!r}")
-    method_list = [m.strip() for m in methods.split(",") if m.strip()]
     cfg = PipelineConfig(
         consensus=ConsensusConfig(runs=runs), seed=seed, workers=workers
     )

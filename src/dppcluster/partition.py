@@ -47,7 +47,9 @@ def voronoi_assign(data, gens, sq_dists: np.ndarray | None = None) -> Partition:
 
     Ties go to the earliest generator in ``gens.indices``; cells emptied by
     ties are removed and labels compacted.  ``sq_dists`` may carry the shared
-    pairwise squared-distance matrix to avoid recomputing distances per run.
+    pairwise squared-distance matrix to avoid recomputing distances per run;
+    it must be exactly symmetric, as ``pairwise_sq_dists`` guarantees,
+    because the generators' rows are read in place of their columns.
     """
     idx = np.asarray(getattr(gens, "indices", gens), dtype=int)
     if idx.size == 0:
@@ -56,13 +58,13 @@ def voronoi_assign(data, gens, sq_dists: np.ndarray | None = None) -> Partition:
         d2 = np.asarray(sq_dists)
         if idx.max() >= d2.shape[0]:
             raise ShapeMismatch("generator index out of range")
-        d = d2[:, idx]
+        d = d2[idx]  # rows equal columns by symmetry and read contiguously
     else:
         x = as_data_matrix(data)
         if idx.max() >= x.shape[0]:
             raise ShapeMismatch("generator index out of range")
-        d = cdist(x, x[idx], metric="sqeuclidean")
-    raw = np.argmin(d, axis=1)  # first occurrence wins ties
+        d = cdist(x[idx], x, metric="sqeuclidean")
+    raw = np.argmin(d, axis=0)  # first occurrence wins ties
     labels, k = compact_labels(raw)
     return Partition(labels, k)
 

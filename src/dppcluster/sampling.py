@@ -67,32 +67,17 @@ def default_k_max(n: int) -> int:
     return int(min(max(2, 2 * math.ceil(math.sqrt(n / 2.0))), n))
 
 
+# Remaining chain-rule weight (size - picks in exact arithmetic) at or below
+# which the kept subspace counts as exhausted.
+_NULL_WEIGHT = 1e-10
+
+
 def _pick_index(g: np.random.Generator, weights: np.ndarray) -> int:
     # Inverse-CDF draw; weights need not be normalized (the cumulative sum
     # renormalizes, absorbing rounding from repeated basis updates).
     cdf = np.cumsum(weights)
     u = g.random() * cdf[-1]
     return min(int(np.searchsorted(cdf, u, side="right")), weights.size - 1)
-
-
-def _orthonormalize(V: np.ndarray) -> np.ndarray:
-    # Modified Gram-Schmidt with renormalization; numerically null columns
-    # are dropped rather than renormalized into noise.
-    V = np.ascontiguousarray(V)
-    kept: list[int] = []
-    for c in range(V.shape[1]):
-        v = V[:, c]
-        nrm = float(np.linalg.norm(v))
-        if nrm < 1e-12:
-            continue
-        v /= nrm
-        kept.append(c)
-        rest = V[:, c + 1 :]
-        if rest.size:
-            rest -= np.outer(v, v @ rest)
-    if len(kept) != V.shape[1]:
-        return V[:, kept]
-    return V
 
 
 def sample_dpp(
@@ -104,10 +89,18 @@ def sample_dpp(
     """Draw one generator set from the point process defined by ``spectral``.
 
     Phase 1 keeps eigenindex i independently with probability
-    lambda_i / (lambda_i + 1); phase 2 runs the projection sampler on the
-    kept eigenvectors, so the returned set has exactly as many points as
-    kept indices.  Draws smaller than ``min_size`` are rejected and redrawn
-    (a 0- or 1-generator run would produce a useless one-cell partition);
+    lambda_i / (lambda_i + 1).  Phase 2 draws from the projection process of
+    the k kept eigenvectors V by the chain rule (Kulesza & Taskar 2012,
+    Alg. 1, with the incremental Gram-Schmidt of Gautier et al. 2019): each
+    pick takes row i with probability proportional to its weight, the
+    squared norm of V[i] left after projecting out the rows already picked,
+    and one Gram-Schmidt step then lowers every weight.  That costs O(n k)
+    per pick and O(n k^2) per draw; the set has k points, fewer only when
+    the remaining weight becomes numerically null.  The stream is consumed
+    as one ``random(n)`` per phase-1 attempt and one ``random()`` per pick,
+    an inverse-CDF draw over all n rows.
+    Draws smaller than ``min_size`` are rejected and redrawn (a 0- or
+    1-generator run would produce a useless one-cell partition);
     ``min_size=0`` disables rejection for diagnostics and may return an
     empty set.
     """
@@ -123,25 +116,23 @@ def sample_dpp(
         raise ResampleExhausted(
             f"no eigenindex draw reached size {min_size} in {max_attempts} attempts"
         )
-    if size == 0:
-        return GeneratorSet((), "dpp")
 
-    V = spectral.eigenvectors[:, mask].copy()
+    V = spectral.eigenvectors[:, mask]
+    weights = np.einsum("ij,ij->i", V, V)
+    B = np.empty((size, V.shape[0]))  # row t: component along step t's direction
     chosen: list[int] = []
-    while V.shape[1] > 0:
-        weights = np.einsum("ij,ij->i", V, V)
+    for t in range(size):
+        if weights.sum() <= _NULL_WEIGHT:
+            break
         i = _pick_index(g, weights)
         chosen.append(i)
-        if V.shape[1] == 1:
+        if t == size - 1:
             break
-        # Project the basis onto the subspace orthogonal to coordinate i:
-        # eliminate row i using the best-conditioned column, drop it, and
-        # re-orthonormalize the remainder.
-        j = int(np.argmax(np.abs(V[i, :])))
-        pivot = V[:, j] / V[i, j]
-        V = np.delete(V, j, axis=1)
-        V -= np.outer(pivot, V[i, :])
-        V = _orthonormalize(V)
+        c = (V @ V[i] - B[:t, i] @ B[:t]) / math.sqrt(weights[i])
+        B[t] = c
+        weights -= c * c
+        np.clip(weights, 0.0, None, out=weights)
+        weights[chosen] = 0.0
     return GeneratorSet(tuple(chosen), "dpp")
 
 

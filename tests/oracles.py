@@ -4,6 +4,7 @@ Everything here deliberately avoids the code paths under test: components
 via breadth-first search, small-cluster merging as a pure-Python loop over
 member lists, the agreement index via raw pair counting with
 exact rationals, subset probabilities via dense determinant enumeration,
+exact DPP draws by re-orthonormalising the whole basis after every pick,
 and scatter statistics via explicit coordinates under a dot-product kernel.
 """
 
@@ -13,6 +14,9 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+
+from dppcluster.errors import ResampleExhausted
+from dppcluster.rng import as_generator
 
 
 def bfs_components(adjacency: np.ndarray) -> np.ndarray:
@@ -104,6 +108,78 @@ def enumerate_dpp_probs(L: np.ndarray) -> dict[frozenset, float]:
             det = np.linalg.det(L[np.ix_(sub, sub)]) if sub else 1.0
             probs[frozenset(sub)] = det / norm
     return probs
+
+
+def _oracle_pick_index(g: np.random.Generator, weights: np.ndarray) -> int:
+    # Inverse-CDF draw; weights need not be normalized (the cumulative sum
+    # renormalizes, absorbing rounding from repeated basis updates).
+    cdf = np.cumsum(weights)
+    u = g.random() * cdf[-1]
+    return min(int(np.searchsorted(cdf, u, side="right")), weights.size - 1)
+
+
+def _orthonormalize(V: np.ndarray) -> np.ndarray:
+    # Modified Gram-Schmidt with renormalization; numerically null columns
+    # are dropped rather than renormalized into noise.
+    V = np.ascontiguousarray(V)
+    kept: list[int] = []
+    for c in range(V.shape[1]):
+        v = V[:, c]
+        nrm = float(np.linalg.norm(v))
+        if nrm < 1e-12:
+            continue
+        v /= nrm
+        kept.append(c)
+        rest = V[:, c + 1 :]
+        if rest.size:
+            rest -= np.outer(v, v @ rest)
+    if len(kept) != V.shape[1]:
+        return V[:, kept]
+    return V
+
+
+def projection_dpp_oracle(spectral, rng, min_size: int = 2, max_attempts: int = 1000):
+    """Exact DPP draw as an ordered tuple of indices, consuming the stream
+    exactly like ``sample_dpp``.
+
+    Phase 1 keeps eigenindex i with probability lambda_i / (lambda_i + 1),
+    redrawing below ``min_size``; phase 2 picks a row with probability
+    proportional to its squared norm in the kept basis, eliminates that
+    coordinate with the best-conditioned column, drops the column and
+    re-orthonormalises the rest by modified Gram-Schmidt: O(n k^3) a draw.
+    """
+    g = as_generator(rng)
+    lam = spectral.eigenvalues
+    keep_probs = lam / (lam + 1.0)
+    for _ in range(max(1, max_attempts)):
+        mask = g.random(lam.size) < keep_probs
+        size = int(mask.sum())
+        if size >= min_size:
+            break
+    else:
+        raise ResampleExhausted(
+            f"no eigenindex draw reached size {min_size} in {max_attempts} attempts"
+        )
+    if size == 0:
+        return ()
+
+    V = spectral.eigenvectors[:, mask].copy()
+    chosen: list[int] = []
+    while V.shape[1] > 0:
+        weights = np.einsum("ij,ij->i", V, V)
+        i = _oracle_pick_index(g, weights)
+        chosen.append(i)
+        if V.shape[1] == 1:
+            break
+        # Project the basis onto the subspace orthogonal to coordinate i:
+        # eliminate row i using the best-conditioned column, drop it, and
+        # re-orthonormalize the remainder.
+        j = int(np.argmax(np.abs(V[i, :])))
+        pivot = V[:, j] / V[i, j]
+        V = np.delete(V, j, axis=1)
+        V -= np.outer(pivot, V[i, :])
+        V = _orthonormalize(V)
+    return tuple(chosen)
 
 
 def linear_kernel_scatter(x: np.ndarray, labels: np.ndarray):

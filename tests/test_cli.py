@@ -176,3 +176,22 @@ class TestBenchmarkCommand:
         f.write_text("{not json")
         result = runner.invoke(main, ["benchmark", "--scenarios", str(f), "--out", str(tmp_path / "o")])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("methods", ["dpp,dpx", " , "])
+    def test_unknown_method_exits_2_before_any_run(self, runner, tmp_path, methods):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(["n150-plow-klow"]))
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["benchmark", "--scenarios", str(f), "--methods", methods, "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "must be one of" in result.output
+        assert not out.exists()
+
+    def test_unknown_scenario_key_exits_3(self, runner, tmp_path):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps([{"n": 150, "bogus": 1}]))
+        result = runner.invoke(main, ["benchmark", "--scenarios", str(f), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 3
+        assert str(f) in result.output and "bogus" in result.output

@@ -10,6 +10,7 @@ from dppcluster import (
     voronoi_assign,
 )
 from dppcluster.kernel import pairwise_sq_dists
+from dppcluster.partition import compact_labels
 from oracles import wcss
 
 
@@ -44,6 +45,19 @@ class TestVoronoiAssign:
         a = voronoi_assign(x, gens)
         b = voronoi_assign(x, gens, sq_dists=d2)
         assert np.array_equal(a.labels, b.labels)
+
+    def test_grid_ties_match_first_nearest_loop(self):
+        # integer grid points tie constantly; both distance paths must give
+        # each point the first generator at its smallest distance
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 3, size=(60, 2)).astype(float)
+        d2 = pairwise_sq_dists(x)
+        for _ in range(20):
+            idx = rng.choice(60, size=6, replace=False)
+            first = [min(range(6), key=lambda g: (d2[i, idx[g]], g)) for i in range(60)]
+            expected, _ = compact_labels(first)
+            for part in (voronoi_assign(x, idx), voronoi_assign(x, idx, sq_dists=d2)):
+                assert np.array_equal(part.labels, expected)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)

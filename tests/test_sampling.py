@@ -2,6 +2,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from dppcluster import (
     BaselineConfig,
@@ -11,6 +14,7 @@ from dppcluster import (
     ResampleExhausted,
     RngStream,
     SpectralDecomposition,
+    build_artifacts,
     default_k_max,
     dpp_log_likelihood,
     kmeanspp_init,
@@ -18,7 +22,7 @@ from dppcluster import (
     sample_uniform,
 )
 from dppcluster.sampling import kmeanspp_indices
-from oracles import enumerate_dpp_probs
+from oracles import enumerate_dpp_probs, projection_dpp_oracle
 
 
 class TestSampleDpp:
@@ -44,6 +48,47 @@ class TestSampleDpp:
             counts[frozenset(sample_dpp(arts.spectral, stream, min_size=0).indices)] += 1
         tv = 0.5 * sum(abs(counts.get(s, 0) / n_draws - p) for s, p in probs.items())
         assert tv <= 0.02
+
+    def test_law_chi_square(self, small_kernel_artifacts):
+        # Pearson goodness of fit against the enumerated law, cells with an
+        # expected count below 5 pooled into one
+        arts = small_kernel_artifacts
+        probs = enumerate_dpp_probs(np.asarray(arts.kernel))
+        stream = RngStream(11, 0)
+        n_draws = 20_000
+        counts = Counter(
+            frozenset(sample_dpp(arts.spectral, stream, min_size=0).indices)
+            for _ in range(n_draws)
+        )
+        assert set(counts) <= set(probs)
+        observed, expected = [], []
+        pooled_obs = pooled_exp = 0.0
+        for subset, p in probs.items():
+            if p * n_draws >= 5:
+                observed.append(counts.get(subset, 0))
+                expected.append(p * n_draws)
+            else:
+                pooled_obs += counts.get(subset, 0)
+                pooled_exp += p * n_draws
+        observed.append(pooled_obs)
+        expected.append(pooled_exp)
+        observed, expected = np.array(observed), np.array(expected)
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2.sf(stat, df=observed.size - 1) > 1e-3
+
+    def test_rank_deficient_duplicates(self):
+        # 8 distinct points, each observed three times: L has rank <= 8 and
+        # equal rows, so no draw may hold two copies of one point
+        rng = np.random.default_rng(1)
+        x = np.repeat(rng.normal(size=(8, 2)), 3, axis=0)
+        spec = build_artifacts(x, s=0.3).spectral
+        keep_probs = spec.eigenvalues / (spec.eigenvalues + 1.0)
+        for r in range(400):
+            # with min_size=0 phase 1 is a single random(n) draw
+            kept = int((RngStream(2, r).generator.random(spec.n) < keep_probs).sum())
+            gens = sample_dpp(spec, RngStream(2, r), min_size=0)
+            assert len(set(gens.indices)) == len(gens) == kept
+            assert len({tuple(x[i]) for i in gens.indices}) == len(gens)
 
     def test_negative_association_exact(self, small_kernel_artifacts):
         # P({i,j} in Y) <= P(i in Y) P(j in Y), from the enumerated law
@@ -87,6 +132,35 @@ class TestSampleDpp:
             gens = sample_dpp(small_kernel_artifacts.spectral, stream, min_size=0)
             assert len(set(gens.indices)) == len(gens.indices)
             assert all(0 <= i < 5 for i in gens.indices)
+
+
+class TestChainRuleAgainstOracle:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 40),
+        p=st.integers(1, 4),
+        duplicates=st.booleans(),
+        s=st.floats(0.05, 4.0),
+        data_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
+        min_size=st.integers(0, 3),
+    )
+    def test_matches_projection_oracle(self, n, p, duplicates, s, data_seed, seed, min_size):
+        # same indices in the same order, and the same stream consumption:
+        # several draws in a row from one stream must all agree
+        x = np.random.default_rng(data_seed).normal(size=(n, p))
+        if duplicates:
+            x[n // 2 :] = x[: n - n // 2]
+        spec = build_artifacts(x, s=s).spectral
+        fast, slow = RngStream(seed, 0), RngStream(seed, 0)
+        for _ in range(4):
+            try:
+                expected = projection_dpp_oracle(spec, slow, min_size)
+            except ResampleExhausted:
+                with pytest.raises(ResampleExhausted):
+                    sample_dpp(spec, fast, min_size)
+                return
+            assert sample_dpp(spec, fast, min_size).indices == expected
 
 
 class TestLogLikelihood:
