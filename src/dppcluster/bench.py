@@ -20,6 +20,7 @@ from .pipeline import (
     KernelArtifacts,
     PipelineConfig,
     build_artifacts,
+    ensemble_draws,
     ensemble_runs,
     select_clustering,
 )
@@ -217,8 +218,8 @@ def diversity_series(data, cfg: PipelineConfig, methods: Sequence[str] = ("dpp",
     artifacts = build_artifacts(data, s=cfg.s, preprocessing=cfg.preprocessing)
     rows = []
     for method in methods:
-        ens = ensemble_runs(artifacts, replace(cfg, method=method))
-        for run, (ll, size) in enumerate(zip(ens.log_likelihoods, ens.subset_sizes)):
+        sizes, logliks = ensemble_draws(artifacts, replace(cfg, method=method))
+        for run, (ll, size) in enumerate(zip(logliks, sizes)):
             rows.append(
                 {
                     "method": method,

@@ -195,7 +195,12 @@ def eigendecompose(L) -> SpectralDecomposition:
     np.fill_diagonal(gram, gram.diagonal() - 1.0)
     if np.abs(gram).max() > 1e-8:
         raise NumericalFailure("eigenvectors lost orthonormality")
-    residual = np.abs((vec * lam) @ vec.T - mat).max()
+    # V diag(lam) V^T as W W^T with W = V sqrt(lam): one symmetric rank-k
+    # update instead of a general product, then the difference in place
+    w = vec * np.sqrt(lam)
+    recon = w @ w.T
+    recon -= mat
+    residual = np.abs(recon, out=recon).max()
     if residual > 1e-6:
         raise NumericalFailure(f"spectral reconstruction residual {residual:.3e} exceeds 1e-6")
     return SpectralDecomposition(lam, vec)

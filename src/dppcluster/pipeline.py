@@ -57,6 +57,7 @@ __all__ = [
     "RunReport",
     "build_artifacts",
     "ensemble_runs",
+    "ensemble_draws",
     "select_clustering",
     "run_pipeline",
 ]
@@ -125,43 +126,48 @@ class EnsembleResult:
     log_likelihoods: np.ndarray
 
 
-def _one_run(run_idx, method, seed, n, k_max, data, sq_dists, spectral, kernel, log_det_norm):
+def _one_draw(run_idx, method, seed, n, k_max, data, sq_dists, spectral, kernel, log_det_norm):
+    """Draw run ``run_idx``'s generators and their log-likelihood.  Only the
+    draw reads the run's stream, so skipping the partition moves no draw."""
     stream = RngStream(seed, run_idx)
     if method == "dpp":
         gens = sample_dpp(spectral, stream)
-        part = voronoi_assign(data, gens, sq_dists=sq_dists)
     elif method == "uniform":
         gens = sample_uniform(n, BaselineConfig(k_max), stream)
-        part = voronoi_assign(data, gens, sq_dists=sq_dists)
-    else:  # kmeans: uniform size draw, k-means++ seeding, Lloyd refinement
+    else:  # kmeans: uniform size draw, k-means++ seeding
         g = stream.generator
         k = int(g.integers(2, k_max + 1))
-        idx = kmeanspp_indices(data, k, g)
-        part = lloyd_kmeans(data, data[list(idx)])
-        gens = GeneratorSet(idx, "kmeanspp")
-    loglik = dpp_log_likelihood(kernel, gens, log_det_norm=log_det_norm)
+        gens = GeneratorSet(kmeanspp_indices(data, k, g), "kmeanspp")
+    return gens, dpp_log_likelihood(kernel, gens, log_det_norm=log_det_norm)
+
+
+def _one_run(run_idx, method, seed, n, k_max, data, sq_dists, spectral, kernel, log_det_norm):
+    gens, loglik = _one_draw(
+        run_idx, method, seed, n, k_max, data, sq_dists, spectral, kernel, log_det_norm
+    )
+    if method == "kmeans":  # Lloyd refinement from the k-means++ seeds
+        part = lloyd_kmeans(data, data[list(gens.indices)])
+    else:
+        part = voronoi_assign(data, gens, sq_dists=sq_dists)
     return part.labels, part.k, len(gens), loglik
 
 
-_WORKER_PAYLOAD = None
+_WORKER_TASK = None
 
 
-def _init_worker(payload):
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = payload
+def _init_worker(task):
+    global _WORKER_TASK
+    _WORKER_TASK = task
 
 
 def _run_by_index(run_idx):
-    return _one_run(run_idx, *_WORKER_PAYLOAD)
+    fn, payload = _WORKER_TASK
+    return fn(run_idx, *payload)
 
 
-def ensemble_runs(
-    artifacts: KernelArtifacts,
-    cfg: PipelineConfig,
-    method: str | None = None,
-    runs: int | None = None,
-) -> EnsembleResult:
-    """Execute R independent partition runs over the shared artifacts."""
+def _map_runs(fn, artifacts: KernelArtifacts, cfg: PipelineConfig, method, runs) -> list:
+    """``fn(r, *payload)`` for every run r, serially or on a process pool,
+    in run order."""
     method = method or cfg.method
     runs = runs or cfg.consensus.runs
     n = artifacts.n
@@ -180,17 +186,40 @@ def ensemble_runs(
         artifacts.log_det_norm,
     )
     if cfg.workers <= 1:
-        results = [_one_run(r, *payload) for r in range(runs)]
-    else:
-        chunk = max(1, runs // (cfg.workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_init_worker, initargs=(payload,)
-        ) as pool:
-            results = list(pool.map(_run_by_index, range(runs), chunksize=chunk))
+        return [fn(r, *payload) for r in range(runs)]
+    chunk = max(1, runs // (cfg.workers * 4))
+    with ProcessPoolExecutor(
+        max_workers=cfg.workers, initializer=_init_worker, initargs=((fn, payload),)
+    ) as pool:
+        return list(pool.map(_run_by_index, range(runs), chunksize=chunk))
+
+
+def ensemble_runs(
+    artifacts: KernelArtifacts,
+    cfg: PipelineConfig,
+    method: str | None = None,
+    runs: int | None = None,
+) -> EnsembleResult:
+    """Execute R independent partition runs over the shared artifacts."""
+    results = _map_runs(_one_run, artifacts, cfg, method, runs)
     partitions = [Partition(lab, k) for lab, k, _, _ in results]
     sizes = np.array([r[2] for r in results], dtype=np.int64)
     logliks = np.array([r[3] for r in results], dtype=float)
     return EnsembleResult(partitions, sizes, logliks)
+
+
+def ensemble_draws(
+    artifacts: KernelArtifacts,
+    cfg: PipelineConfig,
+    method: str | None = None,
+    runs: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Subset sizes and log-likelihoods of the R runs, equal to those of
+    ``ensemble_runs``, without building the partitions."""
+    results = _map_runs(_one_draw, artifacts, cfg, method, runs)
+    sizes = np.array([len(gens) for gens, _ in results], dtype=np.int64)
+    logliks = np.array([ll for _, ll in results], dtype=float)
+    return sizes, logliks
 
 
 def select_clustering(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.special import boxcox as _boxcox
-from scipy.stats import boxcox_llf
 
 from .errors import ConfigError, DegenerateData
 from .kernel import as_data_matrix
@@ -36,6 +35,8 @@ def boxcox_transform(data) -> np.ndarray:
     applied: (x^lam - 1) / lam, or log x when lam = 0.  Constant columns are
     rejected.
     """
+    from scipy.stats import boxcox_llf  # deferred: scipy.stats adds ~0.75 s to import
+
     x = as_data_matrix(data)
     out = np.empty_like(x)
     for j in range(x.shape[1]):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.stats import wishart
 
 from .errors import ConfigError, GenerationExhausted
 from .rng import as_generator
@@ -254,6 +253,8 @@ def _sample_points(model: MixtureModel, counts: np.ndarray, g: np.random.Generat
 
 
 def _wishart_standard(p: int, k: int, g: np.random.Generator) -> np.ndarray:
+    from scipy.stats import wishart  # deferred: scipy.stats adds ~0.75 s to import
+
     # standard Wishart, identity scale, p + 1 degrees of freedom
     draws = wishart.rvs(df=p + 1, scale=np.eye(p), size=k, random_state=g)
     return np.asarray(draws, dtype=float).reshape(k, p, p)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dppcluster import (
+    ConfigError,
     ConsensusConfig,
     GenerationExhausted,
     PipelineConfig,
@@ -12,7 +15,7 @@ from dppcluster import (
     ensemble_runs,
     generate_mixture,
 )
-from dppcluster import bench
+from dppcluster import bench, pipeline
 from dppcluster.bench import benchmark, diversity_series, prefix_selection
 
 
@@ -125,3 +128,27 @@ class TestDiversitySeries:
         uni_sd = uni.std() if np.isfinite(uni).all() else np.inf
         assert dpp.mean() > uni_mean
         assert dpp.std() < uni_sd
+
+    def test_rows_match_ensemble_runs_without_partitions(self, monkeypatch, mini_dataset):
+        # the rows are the ensemble's per-run sizes and log-likelihoods, but
+        # no partition is built for them
+        data = mini_dataset.data
+        cfg = PipelineConfig(seed=4, consensus=ConsensusConfig(runs=12))
+        methods = ("dpp", "uniform", "kmeans")
+        artifacts = build_artifacts(data)
+        expected = []
+        for method in methods:
+            ens = ensemble_runs(artifacts, replace(cfg, method=method))
+            expected += [
+                {"method": method, "run": r, "log_likelihood": float(ll), "subset_size": int(size)}
+                for r, (ll, size) in enumerate(zip(ens.log_likelihoods, ens.subset_sizes))
+            ]
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("diversity_series built a partition")
+
+        monkeypatch.setattr(pipeline, "voronoi_assign", forbidden)
+        monkeypatch.setattr(pipeline, "lloyd_kmeans", forbidden)
+        assert diversity_series(data, cfg, methods=methods) == expected
+        with pytest.raises(ConfigError, match="exceeds n"):
+            diversity_series(data, replace(cfg, k_max=151))

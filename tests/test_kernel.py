@@ -168,6 +168,31 @@ class TestEigendecompose:
         with pytest.raises(NumericalFailure, match="converge"):
             eigendecompose(np.eye(3))
 
+    @staticmethod
+    def _psd_matrix():
+        rng = np.random.default_rng(10)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        return (q * np.arange(1.0, 7.0)) @ q.T
+
+    def test_swapped_eigenvalues_fail_reconstruction(self, monkeypatch):
+        # an orthonormal basis passes the first check; only the
+        # reconstruction can see that two eigenvalues sit on the wrong vectors
+        mat = self._psd_matrix()
+        vals, vecs = np.linalg.eigh(mat)
+        vals[[1, 4]] = vals[[4, 1]]
+        monkeypatch.setattr(np.linalg, "eigh", lambda _: (vals, vecs))
+        with pytest.raises(NumericalFailure, match="reconstruction residual"):
+            eigendecompose(mat)
+
+    def test_non_orthonormal_basis_fails_orthonormality(self, monkeypatch):
+        mat = self._psd_matrix()
+        vals, vecs = np.linalg.eigh(mat)
+        vecs = vecs.copy()
+        vecs[:, 2] += 1e-3 * vecs[:, 3]
+        monkeypatch.setattr(np.linalg, "eigh", lambda _: (vals, vecs))
+        with pytest.raises(NumericalFailure, match="orthonormality"):
+            eigendecompose(mat)
+
 
 def test_pairwise_sq_dists_symmetric_zero_diag():
     rng = np.random.default_rng(9)
