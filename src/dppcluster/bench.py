@@ -20,7 +20,7 @@ from .pipeline import (
     KernelArtifacts,
     PipelineConfig,
     build_artifacts,
-    ensemble_draws,
+    _ensemble_draws,
     ensemble_runs,
     select_clustering,
 )
@@ -218,7 +218,7 @@ def diversity_series(data, cfg: PipelineConfig, methods: Sequence[str] = ("dpp",
     artifacts = build_artifacts(data, s=cfg.s, preprocessing=cfg.preprocessing)
     rows = []
     for method in methods:
-        sizes, logliks = ensemble_draws(artifacts, replace(cfg, method=method))
+        sizes, logliks = _ensemble_draws(artifacts, replace(cfg, method=method))
         for run, (ll, size) in enumerate(zip(logliks, sizes)):
             rows.append(
                 {

@@ -57,7 +57,6 @@ __all__ = [
     "RunReport",
     "build_artifacts",
     "ensemble_runs",
-    "ensemble_draws",
     "select_clustering",
     "run_pipeline",
 ]
@@ -128,7 +127,9 @@ class EnsembleResult:
 
 def _one_draw(run_idx, method, seed, n, k_max, data, sq_dists, spectral, kernel, log_det_norm):
     """Draw run ``run_idx``'s generators and their log-likelihood.  Only the
-    draw reads the run's stream, so skipping the partition moves no draw."""
+    draw reads the run's stream, so skipping the partition moves no draw.
+    ``sq_dists`` is unused here; it is in the signature because the draw and
+    the partition step share one payload."""
     stream = RngStream(seed, run_idx)
     if method == "dpp":
         gens = sample_dpp(spectral, stream)
@@ -208,15 +209,12 @@ def ensemble_runs(
     return EnsembleResult(partitions, sizes, logliks)
 
 
-def ensemble_draws(
-    artifacts: KernelArtifacts,
-    cfg: PipelineConfig,
-    method: str | None = None,
-    runs: int | None = None,
+def _ensemble_draws(
+    artifacts: KernelArtifacts, cfg: PipelineConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Subset sizes and log-likelihoods of the R runs, equal to those of
     ``ensemble_runs``, without building the partitions."""
-    results = _map_runs(_one_draw, artifacts, cfg, method, runs)
+    results = _map_runs(_one_draw, artifacts, cfg, None, None)
     sizes = np.array([len(gens) for gens, _ in results], dtype=np.int64)
     logliks = np.array([ll for _, ll in results], dtype=float)
     return sizes, logliks
