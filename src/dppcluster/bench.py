@@ -147,7 +147,7 @@ def prefix_selection(
     n = artifacts.n
     consensus_matrix = accumulate(partitions, n)
     try:
-        selection = select_clustering(artifacts.kernel, consensus_matrix, cfg.consensus, n)
+        selection = select_clustering(artifacts.kernel, consensus_matrix, cfg.consensus)
         labels = selection.chosen.labels
         k_hat = selection.chosen.k
     except NoCandidates:
@@ -193,14 +193,12 @@ def benchmark(
                 try:
                     mcfg = replace(cfg, method=method)
                     ens = ensemble_runs(artifacts, mcfg)
-                    # a checkpoint at ``runs`` already is the full selection
-                    for r in marks:
+                    for r in sorted({*marks, runs}):
                         k_hat, full_ari = prefix_selection(
                             artifacts, ens.partitions[:r], mcfg, truth
                         )
-                        out.trajectory[r] = full_ari
-                    if runs not in marks:
-                        k_hat, full_ari = prefix_selection(artifacts, ens.partitions, mcfg, truth)
+                        if r in marks:
+                            out.trajectory[r] = full_ari
                     out.k_hat = k_hat
                     out.ari = full_ari
                     out.rn_abs = abs(rn(max(k_hat, 1), ds.k))

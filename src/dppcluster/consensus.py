@@ -30,19 +30,18 @@ __all__ = [
 _BATCH_RUNS = 16
 
 
-def default_threshold_grid(tau: float, step: float = 0.05, stop: float = 0.95) -> tuple[float, ...]:
-    """Uniform grid of thresholds from tau (inclusive) in steps of ``step``
-    (default 0.05) up to ``stop`` (default 0.95, inclusive), e.g.
-    (0.6, 0.65, ..., 0.95) for tau = 0.6.
+def default_threshold_grid(tau: float) -> tuple[float, ...]:
+    """Uniform grid of thresholds from tau (inclusive) in steps of 0.05 up to
+    0.95 (inclusive), e.g. (0.6, 0.65, ..., 0.95) for tau = 0.6.
 
-    Empty when tau > ``stop``. Every threshold costs one components pass and
-    one merging pass in selection, so the grid size sets selection time.
+    Empty when tau > 0.95. Every threshold costs one components pass and one
+    merging pass in selection, so the grid size sets selection time.
     """
     vals = []
     t = float(tau)
-    while t <= stop + 1e-9:
+    while t <= 0.95 + 1e-9:
         vals.append(round(t, 10))
-        t += step
+        t += 0.05
     return tuple(vals)
 
 
@@ -119,29 +118,11 @@ class ConsensusMatrix:
 
 
 @dataclass(frozen=True)
-class Clustering:
+class Clustering(Partition):
     """A consolidated clustering: labels plus the threshold that produced it."""
 
-    labels: np.ndarray
-    k: int
     threshold: float | None = None
     merged: bool = False
-
-    def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.int64)
-        counts = np.bincount(lab, minlength=self.k)
-        if lab.ndim != 1 or lab.size == 0 or counts.size != self.k or (counts == 0).any():
-            raise ConfigError("labels must use contiguous ids 0..k-1 with no empty cluster")
-        object.__setattr__(self, "labels", lab)
-        lab.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.labels.size
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.k)
 
 
 class UnionFind:

@@ -40,10 +40,10 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def read_data_csv(path, header: str | bool = "auto", delimiter: str | None = None) -> np.ndarray:
+def read_data_csv(path, header: str | bool = "auto") -> np.ndarray:
     """Read a numeric matrix from CSV.
 
-    The delimiter is auto-detected among comma/semicolon/tab unless given;
+    The delimiter is auto-detected among comma/semicolon/tab;
     ``header="auto"`` treats the first row as a header iff any of its cells
     is non-numeric.  A non-numeric data cell is fatal, reported with its
     1-based row and column.
@@ -53,8 +53,7 @@ def read_data_csv(path, header: str | bool = "auto", delimiter: str | None = Non
     lines = [(i + 1, ln) for i, ln in enumerate(text) if ln.strip()]
     if not lines:
         raise CsvFormatError(f"{path}: file is empty")
-    if delimiter is None:
-        delimiter = _detect_delimiter(lines[0][1])
+    delimiter = _detect_delimiter(lines[0][1])
 
     reader = list(csv.reader((ln for _, ln in lines), delimiter=delimiter))
     first = [c.strip() for c in reader[0]]
@@ -86,7 +85,7 @@ def read_data_csv(path, header: str | bool = "auto", delimiter: str | None = Non
     return out
 
 
-def read_labels_csv(path, delimiter: str | None = None) -> np.ndarray:
+def read_labels_csv(path) -> np.ndarray:
     """Read ground-truth labels: one column, arbitrary tokens encoded to
     integer codes by first appearance."""
     path = Path(path)
@@ -95,11 +94,8 @@ def read_labels_csv(path, delimiter: str | None = None) -> np.ndarray:
         raw = raw.strip()
         if not raw:
             continue
-        if delimiter is None and any(d in raw for d in _DELIMITERS):
-            delim = _detect_delimiter(raw)
-            raw = raw.split(delim)[0].strip()
-        elif delimiter is not None:
-            raw = raw.split(delimiter)[0].strip()
+        if any(d in raw for d in _DELIMITERS):
+            raw = raw.split(_detect_delimiter(raw))[0].strip()
         tokens.append(raw)
     if not tokens:
         raise CsvFormatError(f"{path}: no labels found")

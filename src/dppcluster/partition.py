@@ -24,8 +24,8 @@ class Partition:
         lab = np.asarray(self.labels, dtype=np.int64)
         if lab.ndim != 1 or lab.size == 0:
             raise ShapeMismatch("labels must be a nonempty 1-d array")
-        counts = np.bincount(lab, minlength=self.k)
-        if lab.min() < 0 or lab.max() >= self.k or counts.size != self.k or (counts == 0).any():
+        in_range = lab.min() >= 0 and lab.max() < self.k  # bincount rejects negatives
+        if not in_range or (np.bincount(lab, minlength=self.k) == 0).any():
             raise ConfigError("labels must use contiguous ids 0..k-1 with no empty cluster")
         object.__setattr__(self, "labels", lab)
         lab.setflags(write=False)
@@ -33,6 +33,10 @@ class Partition:
     @property
     def n(self) -> int:
         return self.labels.size
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.bincount(self.labels, minlength=self.k)
 
 
 def compact_labels(raw) -> tuple[np.ndarray, int]:

@@ -125,31 +125,28 @@ class EnsembleResult:
     log_likelihoods: np.ndarray
 
 
-def _one_draw(run_idx, method, seed, n, k_max, data, sq_dists, spectral, kernel, log_det_norm):
+def _one_draw(run_idx, artifacts: KernelArtifacts, method, seed, k_max):
     """Draw run ``run_idx``'s generators and their log-likelihood.  Only the
-    draw reads the run's stream, so skipping the partition moves no draw.
-    ``sq_dists`` is unused here; it is in the signature because the draw and
-    the partition step share one payload."""
+    draw reads the run's stream, so skipping the partition moves no draw."""
     stream = RngStream(seed, run_idx)
     if method == "dpp":
-        gens = sample_dpp(spectral, stream)
+        gens = sample_dpp(artifacts.spectral, stream)
     elif method == "uniform":
-        gens = sample_uniform(n, BaselineConfig(k_max), stream)
+        gens = sample_uniform(artifacts.n, BaselineConfig(k_max), stream)
     else:  # kmeans: uniform size draw, k-means++ seeding
         g = stream.generator
         k = int(g.integers(2, k_max + 1))
-        gens = GeneratorSet(kmeanspp_indices(data, k, g), "kmeanspp")
-    return gens, dpp_log_likelihood(kernel, gens, log_det_norm=log_det_norm)
+        gens = GeneratorSet(kmeanspp_indices(artifacts.data, k, g), "kmeanspp")
+    return gens, dpp_log_likelihood(artifacts.kernel, gens, log_det_norm=artifacts.log_det_norm)
 
 
-def _one_run(run_idx, method, seed, n, k_max, data, sq_dists, spectral, kernel, log_det_norm):
-    gens, loglik = _one_draw(
-        run_idx, method, seed, n, k_max, data, sq_dists, spectral, kernel, log_det_norm
-    )
+def _one_run(run_idx, artifacts: KernelArtifacts, method, seed, k_max):
+    gens, loglik = _one_draw(run_idx, artifacts, method, seed, k_max)
+    data = artifacts.data
     if method == "kmeans":  # Lloyd refinement from the k-means++ seeds
         part = lloyd_kmeans(data, data[list(gens.indices)])
     else:
-        part = voronoi_assign(data, gens, sq_dists=sq_dists)
+        part = voronoi_assign(data, gens, sq_dists=artifacts.sq_dists)
     return part.labels, part.k, len(gens), loglik
 
 
@@ -166,26 +163,16 @@ def _run_by_index(run_idx):
     return fn(run_idx, *payload)
 
 
-def _map_runs(fn, artifacts: KernelArtifacts, cfg: PipelineConfig, method, runs) -> list:
+def _map_runs(fn, artifacts: KernelArtifacts, cfg: PipelineConfig) -> list:
     """``fn(r, *payload)`` for every run r, serially or on a process pool,
-    in run order."""
-    method = method or cfg.method
-    runs = runs or cfg.consensus.runs
+    in run order.  The pool's initializer sends the payload once per
+    worker."""
+    runs = cfg.consensus.runs
     n = artifacts.n
     k_max = cfg.k_max if cfg.k_max is not None else default_k_max(n)
     if k_max > n:
         raise ConfigError(f"k_max={k_max} exceeds n={n}")
-    payload = (
-        method,
-        cfg.seed,
-        n,
-        k_max,
-        artifacts.data,
-        artifacts.sq_dists,
-        artifacts.spectral,
-        artifacts.kernel,
-        artifacts.log_det_norm,
-    )
+    payload = (artifacts, cfg.method, cfg.seed, k_max)
     if cfg.workers <= 1:
         return [fn(r, *payload) for r in range(runs)]
     chunk = max(1, runs // (cfg.workers * 4))
@@ -195,14 +182,9 @@ def _map_runs(fn, artifacts: KernelArtifacts, cfg: PipelineConfig, method, runs)
         return list(pool.map(_run_by_index, range(runs), chunksize=chunk))
 
 
-def ensemble_runs(
-    artifacts: KernelArtifacts,
-    cfg: PipelineConfig,
-    method: str | None = None,
-    runs: int | None = None,
-) -> EnsembleResult:
+def ensemble_runs(artifacts: KernelArtifacts, cfg: PipelineConfig) -> EnsembleResult:
     """Execute R independent partition runs over the shared artifacts."""
-    results = _map_runs(_one_run, artifacts, cfg, method, runs)
+    results = _map_runs(_one_run, artifacts, cfg)
     partitions = [Partition(lab, k) for lab, k, _, _ in results]
     sizes = np.array([r[2] for r in results], dtype=np.int64)
     logliks = np.array([r[3] for r in results], dtype=float)
@@ -214,17 +196,17 @@ def _ensemble_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Subset sizes and log-likelihoods of the R runs, equal to those of
     ``ensemble_runs``, without building the partitions."""
-    results = _map_runs(_one_draw, artifacts, cfg, None, None)
+    results = _map_runs(_one_draw, artifacts, cfg)
     sizes = np.array([len(gens) for gens, _ in results], dtype=np.int64)
     logliks = np.array([ll for _, ll in results], dtype=float)
     return sizes, logliks
 
 
 def select_clustering(
-    kernel, consensus_matrix: ConsensusMatrix, cfg: ConsensusConfig, n: int
+    kernel, consensus_matrix: ConsensusMatrix, cfg: ConsensusConfig
 ) -> SelectionResult:
     """Thresholds -> merged candidates -> index-based choice."""
-    cands = candidate_clusterings(consensus_matrix, cfg, n)
+    cands = candidate_clusterings(consensus_matrix, cfg, consensus_matrix.n)
     return kvi([(c, scatter(kernel, c)) for c in cands])
 
 
@@ -257,7 +239,6 @@ class RunReport:
     subset_sizes: np.ndarray
     log_likelihoods: np.ndarray
     consensus: ConsensusMatrix
-    selection: SelectionResult
     timings: dict[str, float]
 
     def to_dict(self, include_timings: bool = False) -> dict:
@@ -339,7 +320,7 @@ def run_pipeline(data, cfg: PipelineConfig, truth: Sequence[int] | None = None) 
     timings["consensus"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    selection = select_clustering(artifacts.kernel, consensus_matrix, cfg.consensus, n)
+    selection = select_clustering(artifacts.kernel, consensus_matrix, cfg.consensus)
     timings["selection"] = time.perf_counter() - t0
 
     chosen: Clustering = selection.chosen
@@ -373,6 +354,5 @@ def run_pipeline(data, cfg: PipelineConfig, truth: Sequence[int] | None = None) 
         subset_sizes=ens.subset_sizes,
         log_likelihoods=ens.log_likelihoods,
         consensus=consensus_matrix,
-        selection=selection,
         timings=timings,
     )

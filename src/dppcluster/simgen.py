@@ -287,14 +287,14 @@ def _compact_covariances(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
 
 
 def _try_generate(
-    n: int, p: int, k: int, bound: float, m: int, g: np.random.Generator
+    n: int, p: int, k: int, bound: float, g: np.random.Generator
 ) -> LabeledDataset | None:
     means = g.random((k, p))
     covs = _compact_covariances(means, _wishart_standard(p, k, g))
     weights = g.dirichlet(np.ones(k))
     min_count = math.ceil(math.sqrt(n)) + 2 if k > 1 else 1
     for _ in range(_WEIGHT_ATTEMPTS):
-        model = _repair_overlap(MixtureModel(means, covs, weights), bound, m, g)
+        model = _repair_overlap(MixtureModel(means, covs, weights), bound, _OVERLAP_DRAWS, g)
         if model is None:
             return None
         counts = _draw_counts(n, model.weights, min_count, g)
@@ -308,19 +308,14 @@ def _try_generate(
 
 
 def generate_mixture_fixed(
-    n: int,
-    p: int,
-    k: int,
-    rng,
-    max_pairwise_overlap: float = 0.01,
-    overlap_draws: int = _OVERLAP_DRAWS,
+    n: int, p: int, k: int, rng, max_pairwise_overlap: float = 0.01
 ) -> LabeledDataset:
     """Generate one dataset with explicit dimension and component count."""
     if n < 2 or p < 1 or k < 1:
         raise ConfigError("need n >= 2, p >= 1, k >= 1")
     g = as_generator(rng)
     for _ in range(_MODEL_ATTEMPTS):
-        ds = _try_generate(n, p, k, max_pairwise_overlap, overlap_draws, g)
+        ds = _try_generate(n, p, k, max_pairwise_overlap, g)
         if ds is not None:
             return ds
     raise GenerationExhausted(
@@ -329,7 +324,7 @@ def generate_mixture_fixed(
     )
 
 
-def generate_mixture(spec: ScenarioSpec, rng, overlap_draws: int = _OVERLAP_DRAWS) -> LabeledDataset:
+def generate_mixture(spec: ScenarioSpec, rng) -> LabeledDataset:
     """Generate one dataset for a scenario, drawing the dimension and the
     component count uniformly within the scenario's level ranges.
 
@@ -342,7 +337,7 @@ def generate_mixture(spec: ScenarioSpec, rng, overlap_draws: int = _OVERLAP_DRAW
     for _ in range(_MODEL_ATTEMPTS):
         p = int(g.integers(plo, phi + 1))
         k = int(g.integers(klo, khi + 1))
-        ds = _try_generate(spec.n, p, k, spec.max_pairwise_overlap, overlap_draws, g)
+        ds = _try_generate(spec.n, p, k, spec.max_pairwise_overlap, g)
         if ds is not None:
             return ds
     raise GenerationExhausted(

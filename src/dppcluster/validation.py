@@ -103,10 +103,9 @@ def scatter(L, clustering) -> ScatterReport:
     return ScatterReport(v_s, w_per_cluster, w_v, b_pairwise, b_v, sizes, n)
 
 
-def similarity_ratio(report: ScatterReport, n: int | None = None) -> float:
+def similarity_ratio(report: ScatterReport) -> float:
     """Similarity ratio 1 - [n/(n-1)] * W / (W + B); larger is better."""
-    if n is None:
-        n = report.n
+    n = report.n
     denom = report.w_v + report.b_v
     if denom <= 0.0:
         raise DegenerateScatter("within plus between scattering is zero")

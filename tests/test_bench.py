@@ -152,3 +152,10 @@ class TestDiversitySeries:
         assert diversity_series(data, cfg, methods=methods) == expected
         with pytest.raises(ConfigError, match="exceeds n"):
             diversity_series(data, replace(cfg, k_max=151))
+
+    def test_pool_rows_match_serial(self, mini_dataset):
+        cfg = PipelineConfig(seed=8, consensus=ConsensusConfig(runs=12))
+        methods = ("dpp", "uniform", "kmeans")
+        serial = diversity_series(mini_dataset.data, cfg, methods=methods)
+        pooled = diversity_series(mini_dataset.data, replace(cfg, workers=2), methods=methods)
+        assert pooled == serial

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from dppcluster import (
+    Clustering,
     ConfigError,
     GeneratorSet,
     Partition,
+    ShapeMismatch,
     ari,
     lloyd_kmeans,
     voronoi_assign,
@@ -120,3 +122,18 @@ class TestPartitionType:
     def test_valid_partition(self):
         p = Partition(np.array([1, 0, 1]), 2)
         assert p.n == 3
+
+    @pytest.mark.parametrize("cls", [Partition, Clustering])
+    @pytest.mark.parametrize(
+        "labels, k, error",
+        [
+            ([0, -1, 1], 2, ConfigError),
+            ([0, 2, 1], 2, ConfigError),
+            ([0, 0], 2, ConfigError),
+            ([[0, 1], [1, 0]], 2, ShapeMismatch),
+        ],
+        ids=["negative-id", "id-not-below-k", "empty-id", "2-d"],
+    )
+    def test_bad_labels_raise_package_errors(self, cls, labels, k, error):
+        with pytest.raises(error):
+            cls(np.array(labels), k)

@@ -10,6 +10,7 @@ from dppcluster import (
     ensemble_runs,
     run_pipeline,
 )
+from dppcluster.pipeline import METHODS
 
 
 class TestConfig:
@@ -113,3 +114,18 @@ class TestEnsemble:
         long = ensemble_runs(arts, PipelineConfig(seed=4, consensus=ConsensusConfig(runs=15)))
         for a, b in zip(short.partitions, long.partitions[:5]):
             assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_pool_matches_serial(self, blob_data, method):
+        # every method's branch reads the payload the pool initializer sends
+        x, _ = blob_data
+        arts = build_artifacts(x)
+        base = dict(method=method, seed=6, k_max=5, consensus=ConsensusConfig(runs=12))
+        serial = ensemble_runs(arts, PipelineConfig(workers=1, **base))
+        pooled = ensemble_runs(arts, PipelineConfig(workers=2, **base))
+        assert [p.labels.tolist() for p in pooled.partitions] == [
+            p.labels.tolist() for p in serial.partitions
+        ]
+        assert [p.k for p in pooled.partitions] == [p.k for p in serial.partitions]
+        assert np.array_equal(pooled.subset_sizes, serial.subset_sizes)
+        assert np.array_equal(pooled.log_likelihoods, serial.log_likelihoods)
