@@ -15,6 +15,7 @@ from .consensus import (
     accumulate,
     candidate_clusterings,
     merge_small,
+    spanning_tree,
     threshold_components,
 )
 from .errors import (

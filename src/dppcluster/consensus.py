@@ -1,5 +1,5 @@
-"""Consensus accumulation across runs, threshold graphs, connected
-components, and small-cluster merging."""
+"""Consensus accumulation across runs, the maximum spanning tree whose cuts
+give every threshold graph's components, and small-cluster merging."""
 
 from __future__ import annotations
 
@@ -16,10 +16,10 @@ __all__ = [
     "ConsensusConfig",
     "ConsensusMatrix",
     "Clustering",
-    "UnionFind",
     "default_threshold_grid",
     "co_membership_counts",
     "accumulate",
+    "spanning_tree",
     "threshold_components",
     "merge_small",
     "candidate_clusterings",
@@ -34,8 +34,8 @@ def default_threshold_grid(tau: float) -> tuple[float, ...]:
     """Uniform grid of thresholds from tau (inclusive) in steps of 0.05 up to
     0.95 (inclusive), e.g. (0.6, 0.65, ..., 0.95) for tau = 0.6.
 
-    Empty when tau > 0.95. Every threshold costs one components pass and one
-    merging pass in selection, so the grid size sets selection time.
+    Empty when tau > 0.95. Every threshold costs one cut of the spanning
+    tree and one merging pass in selection.
     """
     vals = []
     t = float(tau)
@@ -79,7 +79,7 @@ class ConsensusConfig:
                 raise ConfigError("thresholds must be nonempty")
             if any(t2 <= t1 for t1, t2 in zip(grid, grid[1:])):
                 raise ConfigError("thresholds must be strictly ascending")
-            if grid[0] < self.tau or grid[-1] >= 1.0:
+            if not all(self.tau <= t < 1.0 for t in grid):
                 raise ConfigError("thresholds must lie in [tau, 1)")
         object.__setattr__(self, "thresholds", grid)
 
@@ -125,33 +125,6 @@ class Clustering(Partition):
     merged: bool = False
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra
-
-
 def co_membership_counts(partitions, n: int) -> np.ndarray:
     """Per-pair count of the runs in which the pair co-clusters.
 
@@ -195,17 +168,41 @@ def accumulate(partitions, n: int) -> ConsensusMatrix:
     return ConsensusMatrix(counts, runs)
 
 
-def threshold_components(C, theta: float) -> Partition:
-    """Connected components of the graph linking pairs with consensus >= theta."""
+def spanning_tree(C) -> tuple[np.ndarray, np.ndarray]:
+    """Prim's maximum spanning tree of the consensus graph from node 0, as
+    ``(order, link)``: the nodes in visiting order, and for each its largest
+    consensus with the nodes visited before it (-inf for node 0).  Single
+    linkage (Fred & Jain 2005): every threshold's components are its cuts.
+    """
     m = np.asarray(C)
-    n = m.shape[0]
-    uf = UnionFind(n)
-    rows, cols = np.nonzero(np.triu(m >= theta, k=1))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        uf.union(i, j)
-    roots = np.fromiter((uf.find(i) for i in range(n)), dtype=np.int64, count=n)
-    labels, k = compact_labels(roots)
-    return Partition(labels, k)
+    n = len(m)
+    order, link = np.empty(n, dtype=np.int64), np.empty(n)
+    key = np.full(n, -np.inf)  # best link of each unvisited node; -inf once visited
+    unvisited = np.ones(n, dtype=bool)
+    j = 0
+    for step in range(n):
+        order[step], link[step] = j, key[j]
+        key[j], unvisited[j] = -np.inf, False
+        np.maximum(key, m[j], out=key, where=unvisited)
+        j = int(np.argmax(key))
+    return order, link
+
+
+def threshold_components(tree, theta: float) -> Partition:
+    """Components of the graph linking pairs with consensus >= theta, cut
+    from ``spanning_tree(C)`` and numbered by their smallest member.
+
+    Prim visits each component as one contiguous run (while part of it is
+    unvisited, it holds the only links >= theta), which starts exactly where
+    ``link >= theta`` fails.
+    """
+    order, link = tree
+    starts = ~(link >= theta)
+    run = np.cumsum(starts) - 1
+    smallest = np.minimum.reduceat(order, np.flatnonzero(starts))
+    labels = np.empty_like(order)
+    labels[order] = smallest[run]
+    return Partition(*compact_labels(labels))
 
 
 def merge_small(components, C, min_size: int, threshold: float | None = None) -> Clustering:
@@ -243,19 +240,20 @@ def merge_small(components, C, min_size: int, threshold: float | None = None) ->
     return Clustering(labels, k, threshold, merged)
 
 
-def candidate_clusterings(C, cfg: ConsensusConfig, n: int) -> list[Clustering]:
-    """One merged clustering per threshold, deduplicated, single-cluster
-    results dropped.
+def candidate_clusterings(C, cfg: ConsensusConfig) -> list[Clustering]:
+    """One merged clustering per threshold, each cut from one spanning tree,
+    deduplicated, single-cluster results dropped.
 
     Duplicates (identical up to relabeling, i.e. pairwise ARI of exactly 1)
     keep the lowest threshold.  Raises NoCandidates with the per-threshold
     cluster-count table when nothing survives.
     """
-    min_size = math.ceil(n ** cfg.a)
+    tree = spanning_tree(C)
+    min_size = math.ceil(tree[0].size ** cfg.a)
     kept: list[Clustering] = []
     k_by_threshold: dict[float, int] = {}
     for theta in cfg.thresholds:
-        comp = threshold_components(C, theta)
+        comp = threshold_components(tree, theta)
         clus = merge_small(comp, C, min_size, threshold=theta)
         k_by_threshold[theta] = clus.k
         if clus.k <= 1:

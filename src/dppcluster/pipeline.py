@@ -206,7 +206,7 @@ def select_clustering(
     kernel, consensus_matrix: ConsensusMatrix, cfg: ConsensusConfig
 ) -> SelectionResult:
     """Thresholds -> merged candidates -> index-based choice."""
-    cands = candidate_clusterings(consensus_matrix, cfg, consensus_matrix.n)
+    cands = candidate_clusterings(consensus_matrix, cfg)
     return kvi([(c, scatter(kernel, c)) for c in cands])
 
 

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the code paths under test: components
 via breadth-first search, small-cluster merging as a pure-Python loop over
-member lists, the agreement index via raw pair counting with
-exact rationals, subset probabilities via dense determinant enumeration,
-exact DPP draws by re-orthonormalising the whole basis after every pick,
-and scatter statistics via explicit coordinates under a dot-product kernel.
+member lists, candidate clusterings from both at every threshold, the
+agreement index via raw pair counting with exact rationals, subset
+probabilities via dense determinant enumeration, exact DPP draws by
+re-orthonormalising the whole basis after every pick, and scatter
+statistics via explicit coordinates under a dot-product kernel.
 """
 
 from __future__ import annotations
@@ -73,6 +74,29 @@ def merge_small_oracle(component_labels, consensus, min_size: int):
     new_id = {cid: new for new, cid in enumerate(sorted(members))}
     labels = np.array([new_id[owner[i]] for i in range(len(owner))], dtype=np.int64)
     return labels, len(members), merged
+
+
+def candidate_clusterings_oracle(consensus, thresholds, min_size: int):
+    """Candidates rebuilt at each threshold from breadth-first components
+    and ``merge_small_oracle``.
+
+    Returns ([(threshold, k, merged, labels)], {threshold: k}): a threshold's
+    result is kept when it has more than one cluster and no earlier kept
+    result has the same clusters (compared by first-appearance numbering).
+    """
+    c = np.asarray(consensus)
+    off_diagonal = ~np.eye(c.shape[0], dtype=bool)
+    kept, k_by_threshold, seen = [], {}, set()
+    for theta in thresholds:
+        comp = bfs_components((c >= theta) & off_diagonal)
+        labels, k, merged = merge_small_oracle(comp, c, min_size)
+        k_by_threshold[theta] = k
+        first: dict[int, int] = {}
+        canonical = tuple(first.setdefault(v, len(first)) for v in labels.tolist())
+        if k > 1 and canonical not in seen:
+            seen.add(canonical)
+            kept.append((theta, k, merged, labels))
+    return kept, k_by_threshold
 
 
 def ari_pair_oracle(labels_a, labels_b) -> float:

@@ -73,6 +73,14 @@ class TestClusterCommand:
         assert result.exit_code == 2
         assert "threshold grid" in result.output
 
+    def test_nan_threshold_exits_2(self, runner, blob_csv):
+        data_path, _ = blob_csv
+        result = runner.invoke(
+            main, ["cluster", str(data_path), "--runs", "20", "--thresholds", "nan"]
+        )
+        assert result.exit_code == 2
+        assert "thresholds must lie in [tau, 1)" in result.output
+
     def test_non_numeric_csv_exits_3(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3,oops\n")

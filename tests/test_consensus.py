@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,13 @@ from dppcluster import (
     Partition,
     ShapeMismatch,
     accumulate,
-    ari,
     candidate_clusterings,
     merge_small,
+    spanning_tree,
     threshold_components,
 )
 from dppcluster.consensus import _BATCH_RUNS, co_membership_counts, default_threshold_grid
-from oracles import bfs_components, merge_small_oracle
+from oracles import bfs_components, candidate_clusterings_oracle, merge_small_oracle
 
 
 def _p(labels):
@@ -83,44 +85,54 @@ class TestAccumulate:
         assert np.abs(scaled - np.rint(scaled)).max() <= 1e-9
 
 
+@st.composite
+def _tied_consensus(draw, max_n=40):
+    # one to five runs of partitions with few to many ids: consensus entries
+    # on a coarse grid, so links tie often
+    n = draw(st.integers(1, max_n))
+    runs = draw(st.integers(1, 5))
+    ids = st.integers(0, draw(st.integers(0, n - 1)))
+    parts = [np.array(draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(runs)]
+    return accumulate(parts, n)
+
+
 class TestThresholdComponents:
     def test_theta_zero_single_component(self):
         rng = np.random.default_rng(2)
         c = _random_consensus(rng, 10)
-        part = threshold_components(c, 0.0)
+        part = threshold_components(spanning_tree(c), 0.0)
         assert part.k == 1
 
     def test_theta_above_everything_gives_singletons(self):
         rng = np.random.default_rng(3)
         c = _random_consensus(rng, 10)
         off = c.entries[~np.eye(10, dtype=bool)]
-        part = threshold_components(c, off.max() + 1e-9)
+        part = threshold_components(spanning_tree(c), off.max() + 1e-9)
         assert part.k == 10
 
     def test_block_fixture(self):
         entries = np.array([[1.0, 0.8, 0.0], [0.8, 1.0, 0.0], [0.0, 0.0, 1.0]])
         c = ConsensusMatrix(entries, 10)
-        part = threshold_components(c, 0.6)
+        part = threshold_components(spanning_tree(c), 0.6)
         assert part.labels[0] == part.labels[1] != part.labels[2]
         assert part.k == 2
 
-    def test_agrees_with_bfs_oracle(self):
-        rng = np.random.default_rng(4)
-        for trial in range(10):
-            n = int(rng.integers(5, 60))
-            c = _random_consensus(rng, n, runs=5)
-            theta = float(rng.choice([0.2, 0.4, 0.6, 0.8]))
-            part = threshold_components(c, theta)
-            adjacency = (c.entries >= theta) & ~np.eye(n, dtype=bool)
-            expected = bfs_components(adjacency)
-            assert ari(part.labels, expected) == 1.0
-            assert part.k == expected.max() + 1
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_tied_consensus(), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+    def test_agrees_with_bfs_oracle(self, c, theta):
+        # same labels, not just the same partition: both number components
+        # by their smallest member
+        part = threshold_components(spanning_tree(c), theta)
+        expected = bfs_components((c.entries >= theta) & ~np.eye(c.n, dtype=bool))
+        assert np.array_equal(part.labels, expected)
+        assert part.k == expected.max() + 1
 
     def test_refinement_monotonicity(self):
         rng = np.random.default_rng(5)
         c = _random_consensus(rng, 25)
-        coarse = threshold_components(c, 0.3)
-        fine = threshold_components(c, 0.7)
+        tree = spanning_tree(c)
+        coarse = threshold_components(tree, 0.3)
+        fine = threshold_components(tree, 0.7)
         # each fine component must live inside one coarse component
         for cid in range(fine.k):
             members = np.flatnonzero(fine.labels == cid)
@@ -163,7 +175,7 @@ class TestMergeSmall:
         for _ in range(10):
             n = int(rng.integers(6, 40))
             c = _random_consensus(rng, n)
-            comp = threshold_components(c, 0.5)
+            comp = threshold_components(spanning_tree(c), 0.5)
             min_size = int(rng.integers(2, 6))
             out = merge_small(comp, c, min_size)
             assert out.k <= comp.k
@@ -187,7 +199,8 @@ def _merge_inputs(draw):
     parts = [np.array(draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(runs)]
     c = accumulate(parts, n)
     if draw(st.booleans()):
-        comp = threshold_components(c, draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))).labels
+        theta = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+        comp = threshold_components(spanning_tree(c), theta).labels
     else:
         comp = np.array(draw(st.lists(ids, min_size=n, max_size=n)))
     return c, comp, draw(st.integers(1, n))
@@ -236,18 +249,17 @@ class TestCandidateClusterings:
         )
         c = ConsensusMatrix(entries, 10)
         cfg = ConsensusConfig(runs=10, tau=0.6, thresholds=(0.6, 0.7), a=0.2)
-        cands = candidate_clusterings(c, cfg, 4)
+        cands = candidate_clusterings(c, cfg)
         assert len(cands) == 1
         assert cands[0].threshold == 0.6
         assert cands[0].k == 2
 
     def test_perfect_blocks_survive_any_threshold(self):
-        n = 9
         labels = np.repeat([0, 1, 2], 3)
         entries = (labels[:, None] == labels[None, :]).astype(float)
         c = ConsensusMatrix(entries, 5)
         cfg = ConsensusConfig(runs=5, thresholds=(0.6, 0.8, 0.95), a=0.4)
-        cands = candidate_clusterings(c, cfg, n)
+        cands = candidate_clusterings(c, cfg)
         assert len(cands) == 1
         assert cands[0].k == 3
 
@@ -255,7 +267,7 @@ class TestCandidateClusterings:
         c = ConsensusMatrix(np.eye(6), 3)  # all singletons at any threshold
         cfg = ConsensusConfig(runs=3, thresholds=(0.6, 0.9), a=0.5)
         with pytest.raises(NoCandidates) as err:
-            candidate_clusterings(c, cfg, 6)
+            candidate_clusterings(c, cfg)
         assert err.value.k_by_threshold == {0.6: 1, 0.9: 1}
 
     def test_k_one_discarded_but_others_kept(self):
@@ -270,9 +282,31 @@ class TestCandidateClusterings:
         )
         c = ConsensusMatrix(entries, 10)
         cfg = ConsensusConfig(runs=10, tau=0.4, thresholds=(0.4, 0.8), a=0.2)
-        cands = candidate_clusterings(c, cfg, 4)
+        cands = candidate_clusterings(c, cfg)
         assert [cand.k for cand in cands] == [2]
         assert cands[0].threshold == 0.8
+
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        _tied_consensus(max_n=30),
+        st.sets(st.sampled_from([0.05, 0.25, 0.5, 0.75, 0.95]), min_size=1),
+        st.sampled_from([0.2, 0.5, 0.8]),
+    )
+    def test_matches_oracle(self, c, thresholds, a):
+        cfg = ConsensusConfig(runs=c.runs, tau=0.05, thresholds=tuple(sorted(thresholds)), a=a)
+        expected, k_by_threshold = candidate_clusterings_oracle(
+            c.entries, cfg.thresholds, math.ceil(c.n**a)
+        )
+        if not expected:
+            with pytest.raises(NoCandidates) as err:
+                candidate_clusterings(c, cfg)
+            assert err.value.k_by_threshold == k_by_threshold
+            return
+        cands = candidate_clusterings(c, cfg)
+        assert [(x.threshold, x.k, x.merged) for x in cands] == [e[:3] for e in expected]
+        for cand, (*_, labels) in zip(cands, expected):
+            assert np.array_equal(cand.labels, labels)
 
 
 class TestConfig:
@@ -291,6 +325,10 @@ class TestConfig:
             ConsensusConfig(tau=0.6, thresholds=(0.5,))
         with pytest.raises(ConfigError):
             ConsensusConfig(tau=0.97)  # default grid tau..0.95 would be empty
+        with pytest.raises(ConfigError):
+            ConsensusConfig(thresholds=(float("nan"),))  # every comparison with nan is false
+        with pytest.raises(ConfigError):
+            ConsensusConfig(thresholds=(0.7, float("nan")))
 
     def test_consensus_matrix_validation(self):
         with pytest.raises(ConfigError):

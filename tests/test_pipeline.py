@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from dppcluster import (
     ensemble_runs,
     run_pipeline,
 )
+from dppcluster.io import read_data_csv, read_labels_csv
 from dppcluster.pipeline import METHODS
 
 
@@ -35,7 +38,19 @@ class TestConfig:
             PipelineConfig(k_max=1)
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
 class TestRunPipeline:
+    def test_iris_result_pinned(self):
+        x = read_data_csv(DATA / "iris.csv")
+        truth = read_labels_csv(DATA / "iris_labels.csv")
+        report = run_pipeline(x, PipelineConfig(), truth=truth)
+        assert (report.k_hat, report.threshold) == (4, 0.9)
+        assert report.ari == pytest.approx(0.6855, abs=1e-4)
+        table = [(c.threshold, c.k) for c in report.candidates]
+        assert table == [(0.6, 2), (0.85, 3), (0.9, 4), (0.95, 6)]
+
     def test_two_blobs_recovered_exactly(self, blob_data):
         x, truth = blob_data
         report = run_pipeline(x, PipelineConfig(seed=7), truth=truth)
