@@ -89,16 +89,19 @@ def sample_dpp(
     """Draw one generator set from the point process defined by ``spectral``.
 
     Phase 1 keeps eigenindex i independently with probability
-    lambda_i / (lambda_i + 1).  Phase 2 draws from the projection process of
-    the k kept eigenvectors V by the chain rule (Kulesza & Taskar 2012,
-    Alg. 1, with the incremental Gram-Schmidt of Gautier et al. 2019): each
-    pick takes row i with probability proportional to its weight, the
-    squared norm of V[i] left after projecting out the rows already picked,
-    and one Gram-Schmidt step then lowers every weight.  That costs O(n k)
-    per pick and O(n k^2) per draw; the set has k points, fewer only when
-    the remaining weight becomes numerically null.  The stream is consumed
-    as one ``random(n)`` per phase-1 attempt and one ``random()`` per pick,
-    an inverse-CDF draw over all n rows.
+    lambda_i / (lambda_i + 1), over all n eigenvalues; those past the r
+    stored eigenvectors are exactly 0 and never kept, so every kept index
+    is a column position of ``spectral.eigenvectors``.  Phase 2 draws from
+    the projection process of the k kept eigenvectors V by the chain rule
+    (Kulesza & Taskar 2012, Alg. 1, with the incremental Gram-Schmidt of
+    Gautier et al. 2019): each pick takes row i with probability
+    proportional to its weight, the squared norm of V[i] left after
+    projecting out the rows already picked, and one Gram-Schmidt step then
+    lowers every weight.  That costs O(n k) per pick and O(n k^2) per
+    draw; the set has k points, fewer only when the remaining weight becomes
+    numerically null.  The stream is consumed as one ``random(n)`` per
+    phase-1 attempt, whatever the rank r, and one ``random()`` per pick, an
+    inverse-CDF draw over all n rows.
     Draws smaller than ``min_size`` are rejected and redrawn (a 0- or
     1-generator run would produce a useless one-cell partition);
     ``min_size=0`` disables rejection for diagnostics and may return an
@@ -117,7 +120,7 @@ def sample_dpp(
             f"no eigenindex draw reached size {min_size} in {max_attempts} attempts"
         )
 
-    V = spectral.eigenvectors[:, mask]
+    V = spectral.eigenvectors[:, np.flatnonzero(mask)]
     weights = np.einsum("ij,ij->i", V, V)
     B = np.empty((size, V.shape[0]))  # row t: component along step t's direction
     chosen: list[int] = []

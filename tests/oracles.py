@@ -187,7 +187,7 @@ def projection_dpp_oracle(spectral, rng, min_size: int = 2, max_attempts: int = 
     if size == 0:
         return ()
 
-    V = spectral.eigenvectors[:, mask].copy()
+    V = spectral.eigenvectors[:, np.flatnonzero(mask)].copy()
     chosen: list[int] = []
     while V.shape[1] > 0:
         weights = np.einsum("ij,ij->i", V, V)

@@ -98,6 +98,13 @@ class TestClusterCommand:
         result = runner.invoke(main, ["cluster", str(f)])
         assert result.exit_code == 3
 
+    def test_overflowing_distances_exit_3(self, runner, tmp_path):
+        f = tmp_path / "big.csv"
+        np.savetxt(f, 1e160 * np.random.default_rng(0).normal(size=(20, 2)), delimiter=",")
+        result = runner.invoke(main, ["cluster", str(f)])
+        assert result.exit_code == 3
+        assert "overflow" in result.output
+
     def test_label_length_mismatch_exits_3(self, runner, blob_csv, tmp_path):
         data_path, _ = blob_csv
         short = tmp_path / "short.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dppcluster import (
     BandwidthConfig,
@@ -7,12 +9,13 @@ from dppcluster import (
     KernelMatrix,
     NumericalFailure,
     ShapeMismatch,
+    SpectralDecomposition,
     build_rbf_kernel,
     eigendecompose,
     estimate_bandwidth,
     pairwise_sq_dists,
 )
-from dppcluster.kernel import as_data_matrix
+from dppcluster.kernel import PIVOT_TOL, as_data_matrix
 
 
 class TestDataValidation:
@@ -59,6 +62,21 @@ class TestBandwidth:
         x = rng.normal(size=(8, 2))
         d2 = pairwise_sq_dists(x)
         assert estimate_bandwidth(x) == pytest.approx(estimate_bandwidth(x, sq_dists=d2))
+
+    def test_shared_distance_matrix_path_bit_equal(self):
+        # the upper triangle is read in pdist's order, so the means agree
+        # to the last bit
+        x = np.random.default_rng(11).normal(size=(300, 4))
+        d2 = pairwise_sq_dists(x)
+        assert estimate_bandwidth(x, sq_dists=d2) == estimate_bandwidth(x)
+
+    def test_overflowing_distances_rejected(self):
+        # squared distances near 1e320 overflow to inf
+        x = 1e160 * np.random.default_rng(12).normal(size=(10, 2))
+        with pytest.raises(DegenerateData, match="overflow"):
+            estimate_bandwidth(x)
+        with pytest.raises(DegenerateData, match="overflow"):
+            estimate_bandwidth(x, sq_dists=pairwise_sq_dists(x))
 
 
 class TestRbfKernel:
@@ -192,6 +210,91 @@ class TestEigendecompose:
         monkeypatch.setattr(np.linalg, "eigh", lambda _: (vals, vecs))
         with pytest.raises(NumericalFailure, match="orthonormality"):
             eigendecompose(mat)
+
+
+def _line_kernel(points) -> np.ndarray:
+    # points 3 apart on a line: distinct points give a well-conditioned
+    # kernel, so the numerical rank is the number of distinct points
+    x = 3.0 * np.asarray(points, dtype=float)
+    return build_rbf_kernel(x, BandwidthConfig(1.0)).entries
+
+
+class TestLowRankEigendecompose:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 60),
+        p=st.integers(1, 4),
+        s=st.floats(0.05, 4.0),
+        duplicates=st.booleans(),
+        data_seed=st.integers(0, 2**16),
+    )
+    def test_spectrum_within_trace_residual(self, n, p, s, duplicates, data_seed):
+        x = np.random.default_rng(data_seed).normal(size=(n, p))
+        if duplicates:
+            x[n // 2 :] = x[: n - n // 2]
+        mat = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x), s)).entries
+        spec = eigendecompose(mat)
+        lam, vec = spec.eigenvalues, spec.eigenvectors
+        r = vec.shape[1]
+        # L = V diag(lam) V^T + R with R PSD, so by Weyl every eigenvalue
+        # moves by at most ||R|| <= trace R, which is at most n * PIVOT_TOL
+        trace_residual = np.trace(mat) - lam.sum()
+        assert -1e-9 <= trace_residual <= n * PIVOT_TOL + 1e-9
+        dense = np.linalg.eigvalsh(mat)[::-1]
+        assert np.abs(lam - dense).max() <= trace_residual + 1e-9
+        assert np.all(lam[r:] == 0.0)
+        gram = vec.T @ vec - np.eye(r)
+        assert np.abs(gram).max(initial=0.0) <= 1e-8
+        assert np.abs((vec * lam[:r]) @ vec.T - mat).max() <= 1e-6
+
+    def test_rank_at_switch_takes_low_rank_side(self):
+        # 6 distinct points of 9: rank 6 = 2n/3, so the r x r problem runs
+        mat = _line_kernel([0, 1, 2, 3, 4, 5, 0, 1, 2])
+        spec = eigendecompose(mat)
+        assert spec.eigenvectors.shape == (9, 6)
+        assert np.all(spec.eigenvalues[6:] == 0.0)
+        dense = np.linalg.eigvalsh(mat)[::-1]
+        assert np.abs(spec.eigenvalues - dense).max() <= 1e-12
+
+    def test_rank_past_switch_takes_full_eigh(self):
+        # 7 distinct points of 9: rank 7 > 2n/3, so the full eigh runs
+        mat = _line_kernel([0, 1, 2, 3, 4, 5, 6, 0, 1])
+        spec = eigendecompose(mat)
+        assert spec.eigenvectors.shape == (9, 9)
+        assert spec.eigenvalues[7:] == pytest.approx([0.0, 0.0], abs=1e-12)
+
+    def test_zero_matrix_has_rank_zero(self):
+        spec = eigendecompose(np.zeros((4, 4)))
+        assert spec.eigenvectors.shape == (4, 0)
+        assert np.array_equal(spec.eigenvalues, np.zeros(4))
+        assert spec.log_det_plus_identity() == 0.0
+
+    @pytest.mark.parametrize(
+        "mat",
+        [np.diag([1.0, 1.0, 1.0, -1.0]), -np.eye(3), np.full((3, 3), np.nan)],
+        ids=["negative-pivot", "negative-diagonal", "nan"],
+    )
+    def test_non_psd_rejected(self, mat):
+        with pytest.raises(NumericalFailure, match="not PSD"):
+            eigendecompose(mat)
+
+    def test_small_solver_failure_reported(self, monkeypatch):
+        def boom(_):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        with pytest.raises(NumericalFailure, match="converge"):
+            eigendecompose(np.ones((3, 3)))  # rank 1: the r x r problem
+
+    def test_decomposition_validates_zero_tail(self):
+        v = np.ones((2, 1)) / np.sqrt(2.0)
+        SpectralDecomposition(np.array([2.0, 0.0]), v)
+        with pytest.raises(NumericalFailure, match="exactly 0"):
+            SpectralDecomposition(np.array([2.0, 0.5]), v)
+        with pytest.raises(NumericalFailure, match="finite"):
+            SpectralDecomposition(np.array([np.nan, 0.0]), v)
+        with pytest.raises(ShapeMismatch):
+            SpectralDecomposition(np.array([1.0]), np.ones((1, 2)))
 
 
 def test_pairwise_sq_dists_symmetric_zero_diag():

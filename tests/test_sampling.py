@@ -25,6 +25,21 @@ from dppcluster.sampling import kmeanspp_indices
 from oracles import enumerate_dpp_probs, projection_dpp_oracle
 
 
+def _pooled_chi_square_p(counts, probs, n_draws) -> float:
+    # Pearson goodness of fit, cells with an expected count below 5 pooled
+    observed, expected = [0.0], [0.0]
+    for subset, p in probs.items():
+        if p * n_draws >= 5:
+            observed.append(counts.get(subset, 0))
+            expected.append(p * n_draws)
+        else:
+            observed[0] += counts.get(subset, 0)
+            expected[0] += p * n_draws
+    observed, expected = np.array(observed), np.array(expected)
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    return float(chi2.sf(stat, df=observed.size - 1))
+
+
 class TestSampleDpp:
     def test_identity_kernel_uniform_over_subsets(self):
         # L = I: every point enters independently with probability 1/2
@@ -75,6 +90,21 @@ class TestSampleDpp:
         observed, expected = np.array(observed), np.array(expected)
         stat = float(((observed - expected) ** 2 / expected).sum())
         assert chi2.sf(stat, df=observed.size - 1) > 1e-3
+
+    def test_low_rank_law_chi_square(self):
+        # a smooth 1-d kernel of numerical rank 6 of 10 takes the low-rank
+        # path; its law must still match the enumerated dense kernel
+        x = np.random.default_rng(0).normal(size=(10, 1))
+        arts = build_artifacts(x, s=2.0)
+        assert arts.spectral.eigenvectors.shape[1] < 10
+        probs = enumerate_dpp_probs(np.asarray(arts.kernel))
+        stream = RngStream(13, 0)
+        n_draws = 20_000
+        counts = Counter(
+            frozenset(sample_dpp(arts.spectral, stream, min_size=0).indices)
+            for _ in range(n_draws)
+        )
+        assert _pooled_chi_square_p(counts, probs, n_draws) > 1e-3
 
     def test_rank_deficient_duplicates(self):
         # 8 distinct points, each observed three times: L has rank <= 8 and
