@@ -31,6 +31,7 @@ __all__ = [
     "DEFAULT_CHECKPOINTS",
     "ReplicaOutcome",
     "BenchmarkResult",
+    "prefix_consensus",
     "prefix_selection",
     "benchmark",
     "diversity_series",
@@ -132,27 +133,39 @@ class BenchmarkResult:
         return rows
 
 
+def prefix_consensus(
+    artifacts: KernelArtifacts,
+    partitions,
+    cfg: PipelineConfig,
+):
+    """Consensus over a prefix of the run list, then selection.
+
+    Returns ``(labels, k_hat, selection)``.  When every threshold collapses
+    to one cluster the prefix is taken as the trivial single-cluster
+    configuration and ``selection`` is None, so early checkpoints remain
+    comparable.
+    """
+    n = artifacts.n
+    consensus_matrix = accumulate(partitions, n)
+    try:
+        selection = select_clustering(artifacts.kernel, consensus_matrix, cfg.consensus)
+    except NoCandidates:
+        return np.zeros(n, dtype=np.int64), 1, None
+    return selection.chosen.labels, selection.chosen.k, selection
+
+
 def prefix_selection(
     artifacts: KernelArtifacts,
     partitions,
     cfg: PipelineConfig,
     truth: np.ndarray,
 ) -> tuple[int, float]:
-    """Consensus over a prefix of the run list, then selection and scoring.
+    """``prefix_consensus`` scored against ``truth``: ``(k_hat, ARI)``.
 
-    When every threshold collapses to one cluster the prefix is scored as the
-    trivial single-cluster configuration (its ARI against any non-trivial
-    truth is 0), so early checkpoints remain comparable.
+    The trivial single-cluster configuration scores an ARI of 0 against any
+    non-trivial truth.
     """
-    n = artifacts.n
-    consensus_matrix = accumulate(partitions, n)
-    try:
-        selection = select_clustering(artifacts.kernel, consensus_matrix, cfg.consensus)
-        labels = selection.chosen.labels
-        k_hat = selection.chosen.k
-    except NoCandidates:
-        labels = np.zeros(n, dtype=np.int64)
-        k_hat = 1
+    labels, k_hat, _ = prefix_consensus(artifacts, partitions, cfg)
     return k_hat, float(ari(labels, truth))
 
 

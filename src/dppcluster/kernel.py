@@ -48,14 +48,6 @@ RECONSTRUCTION_TOL = 1e-6
 # 4.95e-7 at this tolerance (n = 1500, rank 369).
 PIVOT_TOL = 5e-7
 
-# Above this share of n, the full eigh is cheaper than QR plus the r x r
-# eigh.  Kernels of n1500-pmedium-kmedium at narrow bandwidths, one BLAS
-# thread, the factor's 0.04-0.05 s counted on both sides: rank 810 (s = 0.3,
-# 0.54 n) 0.35 s against 0.70 s for the full eigh, 1005 (s = 0.2, 0.67 n)
-# 0.57 against 0.72, 1082 (0.72 n) 0.68 against 0.73, 1211 (0.81 n) 0.81
-# against 0.62.  At s = 1 the rank is 369.
-LOW_RANK_MAX_SHARE = 2.0 / 3.0
-
 
 def as_data_matrix(values) -> np.ndarray:
     """Validate and return the data as an (n, p) float array.
@@ -245,18 +237,17 @@ def eigendecompose(L) -> SpectralDecomposition:
     The (n, r) factor F is orthonormalised by one QR, F = Q R, and the
     spectrum comes from the r x r matrix R R^T = U diag(lambda) U^T, giving
     V = Q U (the dual representation of Kulesza & Taskar 2012, sec. 3.3).
-    The eigenvalues past r are exactly 0.  When r exceeds
-    LOW_RANK_MAX_SHARE * n the full symmetric eigensolver runs instead, and
-    r = n.
+    The eigenvalues past r are exactly 0.  The path is the same at every
+    rank; a full-rank kernel (a narrow bandwidth) pays the factor, an n x n
+    QR and the product Q U on top of the n x n eigh.
 
     Eigenvalues in [-PSD_TOL * n, 0) are clamped to zero; anything more
     negative aborts with NumericalFailure, as do a residual diagonal entry
     of the factor below -PSD_TOL * n, a non-convergent solver, loss of
     orthonormality, or a reconstruction residual against L above
-    RECONSTRUCTION_TOL.  On the low-rank side the decomposed matrix F F^T
-    is PSD by construction, and what it leaves out of L is bounded only by
-    that residual: an indefinite L within RECONSTRUCTION_TOL of F F^T
-    passes.
+    RECONSTRUCTION_TOL.  The decomposed matrix F F^T is PSD by
+    construction, and what it leaves out of L is bounded only by that
+    residual: an indefinite L within RECONSTRUCTION_TOL of F F^T passes.
     """
     mat = np.asarray(L, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -264,18 +255,14 @@ def eigendecompose(L) -> SpectralDecomposition:
     n = mat.shape[0]
     factor, order = _pivoted_cholesky(mat)
     rank = factor.shape[1]
+    q, r = linalg.qr(factor, mode="economic", overwrite_a=True, check_finite=False)
+    del factor
     try:
-        if rank > LOW_RANK_MAX_SHARE * n:
-            del factor
-            vals, vecs = np.linalg.eigh(mat)
-        else:
-            q, r = linalg.qr(factor, mode="economic", overwrite_a=True, check_finite=False)
-            del factor
-            vals, u = np.linalg.eigh(r @ r.T)
-            vecs = np.empty((n, rank))
-            vecs[order] = q @ u  # back from pivot order
+        vals, u = np.linalg.eigh(r @ r.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"symmetric eigensolver did not converge: {exc}") from exc
+    vecs = np.empty((n, rank))
+    vecs[order] = q @ u  # back from pivot order
     if vals.size and vals[0] < -PSD_TOL * n:
         raise NumericalFailure(
             f"matrix is not PSD within tolerance: min eigenvalue {vals[0]:.3e}"

@@ -247,8 +247,8 @@ class TestLowRankEigendecompose:
         assert np.abs(gram).max(initial=0.0) <= 1e-8
         assert np.abs((vec * lam[:r]) @ vec.T - mat).max() <= 1e-6
 
-    def test_rank_at_switch_takes_low_rank_side(self):
-        # 6 distinct points of 9: rank 6 = 2n/3, so the r x r problem runs
+    def test_duplicated_points_give_rank_of_distinct_points(self):
+        # 6 distinct points of 9: the factor stops at rank 6
         mat = _line_kernel([0, 1, 2, 3, 4, 5, 0, 1, 2])
         spec = eigendecompose(mat)
         assert spec.eigenvectors.shape == (9, 6)
@@ -256,12 +256,22 @@ class TestLowRankEigendecompose:
         dense = np.linalg.eigvalsh(mat)[::-1]
         assert np.abs(spec.eigenvalues - dense).max() <= 1e-12
 
-    def test_rank_past_switch_takes_full_eigh(self):
-        # 7 distinct points of 9: rank 7 > 2n/3, so the full eigh runs
-        mat = _line_kernel([0, 1, 2, 3, 4, 5, 6, 0, 1])
+    @pytest.mark.parametrize("n, s", [(9, 1.0), (300, 0.02)])
+    def test_full_rank_kernel(self, n, s):
+        # distinct points, or a narrow bandwidth: r = n, and the factor, the
+        # n x n QR and the n x n eigh still give the exact eigensystem
+        if n == 9:
+            mat = _line_kernel(range(9))
+        else:
+            x = np.random.default_rng(5).normal(size=(n, 3))
+            mat = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x), s)).entries
         spec = eigendecompose(mat)
-        assert spec.eigenvectors.shape == (9, 9)
-        assert spec.eigenvalues[7:] == pytest.approx([0.0, 0.0], abs=1e-12)
+        vec = spec.eigenvectors
+        assert vec.shape == (n, n)
+        dense = np.linalg.eigvalsh(mat)[::-1]
+        assert np.abs(spec.eigenvalues - dense).max() <= 1e-12
+        assert np.abs(vec.T @ vec - np.eye(n)).max() <= 1e-8
+        assert np.abs((vec * spec.eigenvalues) @ vec.T - mat).max() <= 1e-6
 
     def test_zero_matrix_has_rank_zero(self):
         spec = eigendecompose(np.zeros((4, 4)))

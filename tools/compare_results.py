@@ -17,8 +17,8 @@ Cases:
 - ``n1500/seed<s>``: ``run_pipeline`` on ``n1500-pmedium-kmedium``, seeds 0-9;
 - ``n500/<method>/seed<s>/R<r>``: consensus over the first r runs of
   ``n500-pmedium-kmedium``, r in 10/50/100/200, for ``dpp``, ``uniform``
-  and ``kmeans``, seeds 0-9, selected and scored as ``bench.benchmark``
-  does.
+  and ``kmeans``, seeds 0-9, selected by ``bench.prefix_consensus`` as
+  ``bench.benchmark`` does.
 
 Both simulated datasets come from the stream (0, (0, 0)), the one the
 benchmark draws them from.
@@ -102,17 +102,9 @@ def _pipeline_case(dc, x, truth, seed: int) -> dict:
 
 
 def _prefix_case(dc, artifacts, partitions, cfg, truth, k_true: int) -> dict:
-    import numpy as np
-
-    consensus = dc.accumulate(partitions, artifacts.n)
-    try:
-        sel = dc.select_clustering(artifacts.kernel, consensus, cfg.consensus)
-    except dc.NoCandidates:  # scored as one cluster, as bench.prefix_selection does
-        labels = np.zeros(artifacts.n, dtype=np.int64)
-        return _case(labels, 1, None, dc.ari(labels, truth), abs(dc.rn(1, k_true)), ())
-    chosen = sel.chosen
-    return _case(chosen.labels, chosen.k, chosen.threshold, dc.ari(chosen.labels, truth),
-                 abs(dc.rn(chosen.k, k_true)), sel.scores)
+    labels, k, sel = dc.bench.prefix_consensus(artifacts, partitions, cfg)
+    threshold, scores = (None, ()) if sel is None else (sel.chosen.threshold, sel.scores)
+    return _case(labels, k, threshold, dc.ari(labels, truth), abs(dc.rn(k, k_true)), scores)
 
 
 def collect() -> dict:
