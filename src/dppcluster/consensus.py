@@ -3,6 +3,7 @@ give every threshold graph's components, and small-cluster merging."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -26,8 +27,15 @@ __all__ = [
 ]
 
 
-# Most runs per one-hot block in co_membership_counts.
-_BATCH_RUNS = 16
+# Entries per row block of the ConsensusMatrix checks, which bounds their
+# temporaries to a few hundred kilobytes at any n.
+_CHECK_ENTRIES = 1 << 16
+
+
+def _row_blocks(n: int):
+    """Consecutive row slices of an n x n matrix, about _CHECK_ENTRIES each."""
+    step = max(1, _CHECK_ENTRIES // max(n, 1))
+    return (slice(r, r + step) for r in range(0, n, step))
 
 
 def default_threshold_grid(tau: float) -> tuple[float, ...]:
@@ -95,17 +103,19 @@ class ConsensusMatrix:
         e = np.asarray(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ShapeMismatch(f"consensus matrix must be square, got {e.shape}")
-        if not np.array_equal(e, e.T):
+        n = e.shape[0]
+        if not all(np.array_equal(e[rows], e[:, rows].T) for rows in _row_blocks(n)):
             raise ConfigError("consensus matrix must be exactly symmetric")
         if not np.all(np.diag(e) == 1.0):
             raise ConfigError("consensus diagonal must be exactly 1")
         if e.min() < 0.0 or e.max() > 1.0:
             raise ConfigError("consensus entries must lie in [0, 1]")
-        scaled = e * self.runs
-        off_grid = np.rint(scaled)
-        off_grid -= scaled
-        if np.abs(off_grid, out=off_grid).max() > 1e-9:
-            raise ConfigError("consensus entries must be integer multiples of 1/runs")
+        for rows in _row_blocks(n):
+            scaled = e[rows] * self.runs
+            off_grid = np.rint(scaled)
+            off_grid -= scaled
+            if np.abs(off_grid, out=off_grid).max() > 1e-9:
+                raise ConfigError("consensus entries must be integer multiples of 1/runs")
         object.__setattr__(self, "entries", e)
         e.setflags(write=False)
 
@@ -129,30 +139,32 @@ def co_membership_counts(partitions, n: int) -> np.ndarray:
     """Per-pair count of the runs in which the pair co-clusters.
 
     A float64 matrix of exact integer counts, built as batched one-hot
-    products H Hᵀ: each batch of up to ``_BATCH_RUNS`` runs stacks one 0/1
-    indicator column per cluster into H, so an entry of one batch's product
-    is at most ``_BATCH_RUNS`` (exact even in float32) and the float64 sums
-    stay exact integers.  Fewer runs share a batch when they have many
-    clusters, so H never has more than n columns.  Partial counts from
+    products H Hᵀ.  Each batch stacks one float32 0/1 indicator column per
+    cluster into H, taking consecutive runs while their clusters fit in a
+    budget of n columns (always at least one run).  A run has at least one
+    cluster, so a batch holds at most n runs and an entry of its product is
+    at most n: exact in float32 for n < 2²⁴, and the float64 sums stay
+    exact integers.  Partial counts from
     disjoint batches of runs can be added together, so accumulation
     parallelizes and is order-invariant.
     """
-    compact, widths = [], []
+    batches, used = [], n
     for part in partitions:
         lab = np.asarray(getattr(part, "labels", part))
         if lab.shape != (n,):
             raise ShapeMismatch(f"partition has {lab.shape} labels, expected ({n},)")
         ids, inverse = np.unique(lab, return_inverse=True)
-        compact.append(inverse.ravel())
-        widths.append(ids.size)
+        if used + ids.size > n:  # over the column budget: start a new batch
+            batches.append([])
+            used = 0
+        batches[-1].append((inverse.ravel(), ids.size))
+        used += ids.size
     counts = np.zeros((n, n))
     rows = np.arange(n)[:, None]
-    per_batch = min(_BATCH_RUNS, max(1, n // max(widths, default=1)))
-    for start in range(0, len(compact), per_batch):
-        stop = start + per_batch
-        offsets = np.cumsum([0] + widths[start:stop])
+    for batch in batches:
+        offsets = np.cumsum([0] + [width for _, width in batch])
         hot = np.zeros((n, offsets[-1]), dtype=np.float32)
-        hot[rows, np.column_stack(compact[start:stop]) + offsets[:-1]] = 1.0
+        hot[rows, np.column_stack([lab for lab, _ in batch]) + offsets[:-1]] = 1.0
         counts += hot @ hot.T
     return counts
 
@@ -211,30 +223,46 @@ def merge_small(components, C, min_size: int, threshold: float | None = None) ->
     Repeatedly: take the smallest component below ``min_size`` (ties: the one
     whose smallest member index is lowest), find the largest consensus entry
     linking it to the outside (ties: lexicographically smallest index pair),
-    and merge it into the component on the other end.  Stops when every
-    component reaches ``min_size`` or one component remains.  The surviving
-    components are numbered 0..k-1 in the order of their input ids.
+    and merge it into the component on the other end, which keeps its id.
+    Stops when every component reaches ``min_size`` or one component
+    remains.  The surviving components are numbered 0..k-1 in the order of
+    their input ids.
+
+    Cost per merge: one step of a heap of the undersized components and one
+    |inside| x n row block of ``C``.  The spanning tree's heaviest crossing
+    edge gives the strongest link's value but not the lexicographically
+    smallest pair reaching it, and entries on the 1/runs grid tie often, so
+    the rows are scanned.
     """
     if min_size < 1:
         raise ConfigError("min_size must be at least 1")
-    m = np.asarray(C)
-    labels, _ = compact_labels(np.asarray(getattr(components, "labels", components)))
+    m = np.asarray(C, dtype=float)
+    labels, k = compact_labels(np.asarray(getattr(components, "labels", components)))
+    # sorted members of each component, from one stable sort of the labels
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    sizes = [len(idx) for idx in members]
+    # (size, smallest member, id) of the undersized components; an entry is
+    # stale once its component's size has changed (absorbed ones read 0)
+    heap = [(size, int(idx[0]), cid) for cid, (size, idx) in enumerate(zip(sizes, members))
+            if size < min_size]
+    heapq.heapify(heap)
     merged = False
-    while True:
-        _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
-        if sizes.size <= 1:
-            break
-        min_sz = sizes.min()
-        if min_sz >= min_size:
-            break
-        # every cluster of the smallest size is undersized; the lowest first
-        # member index picks one
-        target = labels[first[sizes == min_sz].min()]
-        inside = np.flatnonzero(labels == target)
-        outside = np.flatnonzero(labels != target)
-        link = m[np.ix_(inside, outside)]
+    while heap and k > 1:
+        size, _, target = heapq.heappop(heap)
+        if size != sizes[target]:
+            continue
+        inside = members[target]
+        link = m[inside]
+        link[:, inside] = -np.inf
         flat = int(np.argmax(link))  # row-major argmax = lexicographic tie-break
-        labels[inside] = labels[outside[flat % outside.size]]
+        dest = int(labels[flat % labels.size])
+        labels[inside] = dest
+        sizes[dest] += size
+        sizes[target] = 0
+        if sizes[dest] < min_size:
+            members[dest] = np.sort(np.concatenate((members[dest], inside)))
+            heapq.heappush(heap, (sizes[dest], int(members[dest][0]), dest))
+        k -= 1
         merged = True
     labels, k = compact_labels(labels)
     return Clustering(labels, k, threshold, merged)

@@ -1,6 +1,7 @@
 """The diff side of ``tools/compare_results.py`` on hand-built records."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -51,3 +52,20 @@ def test_diff_reports_labels_digests_and_draws(tool):
     assert "chosen labels identical in 0 of 1 cases" in lines
     assert "report digests moved (1): c" in lines
     assert "dpp draws identical on d: 1 of 2" in lines
+
+
+def test_diff_exit_status(tool, tmp_path, capsys):
+    def status(old, new):
+        (tmp_path / "old.json").write_text(json.dumps(old))
+        (tmp_path / "new.json").write_text(json.dumps(new))
+        return tool.main(["diff", str(tmp_path / "old.json"), str(tmp_path / "new.json")])
+
+    old = _result("aa", 4.0, [[1, 2]], 2.5)
+    assert status(old, old) == 0
+    # draws and spectra may move without a case moving
+    assert status(old, _result("aa", 4.0, [[2, 1]], 2.6)) == 0
+    assert status(old, _result("bb", 4.0, [[1, 2]], 2.5)) == 1
+    digest_only = _result("aa", 4.0, [[1, 2]], 2.5)
+    digest_only["cases"]["c"]["report_sha256"] = "other"
+    assert status(old, digest_only) == 1
+    assert "report digests moved (1): c" in capsys.readouterr().out

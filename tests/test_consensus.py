@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +14,25 @@ from dppcluster import (
     ConsensusMatrix,
     NoCandidates,
     Partition,
+    PipelineConfig,
     ShapeMismatch,
     accumulate,
+    build_artifacts,
     candidate_clusterings,
+    ensemble_runs,
     merge_small,
     spanning_tree,
     threshold_components,
 )
-from dppcluster.consensus import _BATCH_RUNS, co_membership_counts, default_threshold_grid
+from dppcluster.consensus import (
+    _CHECK_ENTRIES,
+    co_membership_counts,
+    default_threshold_grid,
+)
+from dppcluster.io import read_data_csv
 from oracles import bfs_components, candidate_clusterings_oracle, merge_small_oracle
+
+DATA = Path(__file__).parent / "data"
 
 
 def _p(labels):
@@ -192,17 +204,25 @@ class TestMergeSmall:
 @st.composite
 def _merge_inputs(draw):
     # few runs of many-cluster partitions: coarse, heavily tied consensus
-    # entries and mostly singleton components of tied sizes
-    n = draw(st.integers(2, 24))
+    # entries and mostly singleton components of tied sizes.  Shuffled
+    # components of one size make absorbers grow past components they tied
+    # with and take an earlier smallest member, which leaves stale heap
+    # entries behind.
+    n = draw(st.integers(2, 64))
     runs = draw(st.integers(1, 4))
     ids = st.integers(0, n - 1)
     parts = [np.array(draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(runs)]
     c = accumulate(parts, n)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["threshold", "random", "equal"]))
+    if kind == "threshold":
         theta = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
         comp = threshold_components(spanning_tree(c), theta).labels
-    else:
+    elif kind == "random":
         comp = np.array(draw(st.lists(ids, min_size=n, max_size=n)))
+    else:
+        size = draw(st.integers(1, max(1, n // 3)))
+        comp = np.arange(n) // size
+        comp[draw(st.permutations(range(n)))] = comp.copy()
     return c, comp, draw(st.integers(1, n))
 
 
@@ -216,14 +236,28 @@ class TestFastPathsAgainstOracles:
         assert np.array_equal(out.labels, labels)
         assert (out.k, out.merged) == (k, merged)
 
-    @pytest.mark.parametrize(
-        "runs", [1, _BATCH_RUNS - 1, _BATCH_RUNS, _BATCH_RUNS + 1, 2 * _BATCH_RUNS + 3]
-    )
+    def test_merge_small_matches_oracle_on_iris(self):
+        x = read_data_csv(DATA / "iris.csv")
+        cfg = PipelineConfig(consensus=ConsensusConfig(runs=10))
+        c = accumulate(ensemble_runs(build_artifacts(x), cfg).partitions, len(x))
+        tree = spanning_tree(c)
+        min_size = math.ceil(c.n**cfg.consensus.a)
+        merges = 0
+        for theta in cfg.consensus.thresholds:
+            comp = threshold_components(tree, theta)
+            out = merge_small(comp, c, min_size, threshold=theta)
+            labels, k, merged = merge_small_oracle(comp.labels, c, min_size)
+            assert np.array_equal(out.labels, labels), theta
+            assert (out.k, out.merged) == (k, merged)
+            merges += comp.k - k
+        assert merges > 0
+
+    @pytest.mark.parametrize("runs", [1, 15, 16, 17, 35])
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_counts_match_pair_counting(self, runs, data):
-        # raw ids: unordered, negative, gappy; few ids at large n fill whole
-        # batches, many ids at small n force one run per batch
+        # raw ids: unordered, negative, gappy; few ids at large n put many
+        # runs in one batch, many ids at small n one run per batch
         n = data.draw(st.integers(1, 48))
         low = data.draw(st.integers(-3, 3))
         ids = st.integers(low, low + data.draw(st.integers(0, 8)))
@@ -235,6 +269,32 @@ class TestFastPathsAgainstOracles:
         cut = data.draw(st.integers(0, runs))
         split = co_membership_counts(parts[:cut], n) + co_membership_counts(parts[cut:], n)
         assert np.array_equal(split, brute)
+
+    @pytest.mark.parametrize(
+        "widths",
+        [
+            [4, 3, 5],  # sum to exactly n: one batch
+            [4, 3, 6],  # n + 1: the last run opens a second batch
+            [5, 7, 1],  # exactly n, then a one-cluster run opens a second batch
+            [12],  # a single run with k = n
+            [12, 12, 1, 12],  # full runs around a one-cluster run
+            [1] * 30,  # many one-cluster runs, all in one batch
+        ],
+    )
+    def test_counts_at_column_budget_edges(self, widths):
+        n = 12
+        rng = np.random.default_rng(len(widths))
+        parts = []
+        for k in widths:
+            raw = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+            parts.append(3 * rng.permutation(raw) - 7)  # gappy, negative raw ids
+        brute = sum((p[:, None] == p[None, :]).astype(np.int64) for p in parts)
+        counts = co_membership_counts(parts, n)
+        assert counts.dtype == np.float64
+        assert np.array_equal(counts, brute)
+        for cut in range(len(parts) + 1):
+            split = co_membership_counts(parts[:cut], n) + co_membership_counts(parts[cut:], n)
+            assert np.array_equal(split, brute)
 
 
 class TestCandidateClusterings:
@@ -335,6 +395,48 @@ class TestConfig:
             ConsensusMatrix(np.array([[1.0, 0.3], [0.3, 0.9]]), 10)  # bad diagonal
         with pytest.raises(ConfigError):
             ConsensusMatrix(np.array([[1.0, 0.33], [0.33, 1.0]]), 10)  # not k/10
+
+
+class TestBlockedChecks:
+    # n rows in blocks of `step` rows, the last block partial; each pair
+    # lies in the last block alone, or on either side of the first edge
+    n = 700
+    step = _CHECK_ENTRIES // n
+    pairs = [(n - 1, n - 2), (n - 1, n - n % step), (step - 1, step), (step, step + 1)]
+
+    def _valid(self):
+        labels = np.arange(self.n) % 7
+        entries = (labels[:, None] == labels[None, :]).astype(float)
+        entries[entries == 0] = 0.4
+        return entries
+
+    def test_layout(self):
+        assert self.n % self.step != 0 and self.n > 2 * self.step
+
+    @pytest.mark.parametrize("i,j", pairs)
+    def test_off_grid_entry(self, i, j):
+        entries = self._valid()
+        entries[i, j] = entries[j, i] = 0.33
+        with pytest.raises(ConfigError, match="integer multiples"):
+            ConsensusMatrix(entries, 10)
+
+    @pytest.mark.parametrize("i,j", pairs)
+    def test_asymmetric_pair(self, i, j):
+        entries = self._valid()
+        entries[i, j], entries[j, i] = 0.3, 0.5
+        with pytest.raises(ConfigError, match="symmetric"):
+            ConsensusMatrix(entries, 10)
+
+    def test_valid_matrix_allocates_little(self):
+        labels = np.arange(1000) % 9
+        entries = (labels[:, None] == labels[None, :]).astype(float)
+        tracemalloc.start()
+        try:
+            ConsensusMatrix(entries, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def test_clustering_sizes_property():

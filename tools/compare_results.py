@@ -11,6 +11,8 @@ equal; K, threshold, ARI and |RN| (``old>new`` where they differ); the
 largest relative change in any candidate float; and whether the report
 digest moved.  It also reports, per dataset, the share of DPP draws that
 are identical and the change in E|Y| against trace R = trace L - sum(lambda).
+Like diff(1), ``diff`` exits 1 when any case's labels or report digest
+moved and 0 when none did.
 
 Cases:
 - ``iris``: ``run_pipeline`` on ``tests/data/iris.csv`` with the defaults;
@@ -190,6 +192,15 @@ def _cell(a, b) -> str:
     return f"{a}" if a == b else f"{a}>{b}"
 
 
+def any_case_moved(old: dict, new: dict) -> bool:
+    """Whether any case's chosen labels or report digest differ."""
+    return any(
+        a[key] != new["cases"][name][key]
+        for name, a in old["cases"].items()
+        for key in ("labels_sha256", "report_sha256")
+    )
+
+
 def diff(old: dict, new: dict) -> list[str]:
     """One line per case, then the dataset and draw summaries."""
     lines = [f"{'case':<26} {'labels':<7} {'K':<6} {'threshold':<10} {'ARI':<22} "
@@ -234,7 +245,8 @@ def diff(old: dict, new: dict) -> list[str]:
     return lines
 
 
-def main(argv: list[str]) -> None:
+def main(argv: list[str]) -> int:
+    """Run a command; the exit status is 1 when ``diff`` saw a case move."""
     if len(argv) == 3 and argv[0] == "run":
         run(Path(argv[1]), Path(argv[2]))
     elif len(argv) == 3 and argv[0] == "_collect":
@@ -247,9 +259,11 @@ def main(argv: list[str]) -> None:
     elif len(argv) == 3 and argv[0] == "diff":
         old, new = (json.loads(Path(p).read_text()) for p in argv[1:])
         print("\n".join(diff(old, new)))
+        return int(any_case_moved(old, new))
     else:
         raise SystemExit(__doc__)
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
