@@ -31,6 +31,10 @@ __all__ = [
 # temporaries to a few hundred kilobytes at any n.
 _CHECK_ENTRIES = 1 << 16
 
+# Rows per block of a one-hot product: tall enough that the blocks together
+# run as fast as one symmetric product (measured at n = 1500 and 5000).
+_PRODUCT_ROWS = 256
+
 
 def _row_blocks(n: int):
     """Consecutive row slices of an n x n matrix, about _CHECK_ENTRIES each."""
@@ -94,37 +98,81 @@ class ConsensusConfig:
 
 @dataclass(frozen=True)
 class ConsensusMatrix:
-    """n x n matrix of co-clustering proportions over ``runs`` runs."""
+    """n x n co-membership counts over ``runs`` runs: entry (i, j) is the
+    number of runs that put i and j in one cluster, the co-association
+    matrix of evidence accumulation (Fred & Jain 2005).
 
-    entries: np.ndarray
+    The counts live in the smallest unsigned type that holds ``runs``
+    (uint8 up to 255 runs, then uint16, then uint32), in a read-only array
+    the matrix owns: the caller's array is copied, never frozen.  The
+    consensus of a pair is the proportion count / runs.  c / runs is
+    strictly increasing in c, and the float64 quotients of distinct counts
+    stay distinct (they differ by at least 1/runs, far above their
+    rounding), so every comparison, maximum and tie over the counts is the
+    one over the proportions.  Selection reads the counts and converts only
+    the values it compares with thresholds; ``entries`` builds the
+    proportions as a new n x n float64 array, for tests and export.
+    """
+
+    counts: np.ndarray
     runs: int
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
+        runs = int(self.runs)
+        if runs < 1:
+            raise ConfigError(f"runs must be at least 1, got {self.runs}")
+        c = np.asarray(self.counts)
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise ShapeMismatch(f"consensus matrix must be square, got {c.shape}")
+        if c.dtype.kind not in "ui":
+            raise ConfigError(f"consensus counts must be integers, got dtype {c.dtype}")
+        if not all(np.array_equal(c[rows], c[:, rows].T) for rows in _row_blocks(c.shape[0])):
+            raise ConfigError("consensus matrix must be exactly symmetric")
+        if not np.all(c.diagonal() == runs):
+            raise ConfigError(f"consensus diagonal must equal runs={runs}")
+        if c.min() < 0 or c.max() > runs:
+            raise ConfigError(f"consensus counts must lie in [0, runs={runs}]")
+        owned = c.astype(np.min_scalar_type(runs))
+        owned.setflags(write=False)
+        object.__setattr__(self, "counts", owned)
+        object.__setattr__(self, "runs", runs)
+
+    @classmethod
+    def from_proportions(cls, entries, runs: int) -> ConsensusMatrix:
+        """The matrix whose proportions are ``entries``: each must lie in
+        [0, 1] and within 1e-9 of an integer multiple of 1/runs."""
+        e = np.asarray(entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ShapeMismatch(f"consensus matrix must be square, got {e.shape}")
-        n = e.shape[0]
-        if not all(np.array_equal(e[rows], e[:, rows].T) for rows in _row_blocks(n)):
-            raise ConfigError("consensus matrix must be exactly symmetric")
-        if not np.all(np.diag(e) == 1.0):
-            raise ConfigError("consensus diagonal must be exactly 1")
-        if e.min() < 0.0 or e.max() > 1.0:
+        if not (e.min() >= 0.0 and e.max() <= 1.0):
             raise ConfigError("consensus entries must lie in [0, 1]")
-        for rows in _row_blocks(n):
-            scaled = e[rows] * self.runs
-            off_grid = np.rint(scaled)
-            off_grid -= scaled
-            if np.abs(off_grid, out=off_grid).max() > 1e-9:
+        counts = np.empty(e.shape, dtype=np.min_scalar_type(int(runs)))
+        for rows in _row_blocks(e.shape[0]):
+            scaled = e[rows] * runs
+            on_grid = np.rint(scaled)
+            scaled -= on_grid
+            if np.abs(scaled, out=scaled).max() > 1e-9:
                 raise ConfigError("consensus entries must be integer multiples of 1/runs")
-        object.__setattr__(self, "entries", e)
-        e.setflags(write=False)
+            counts[rows] = on_grid
+        return cls(counts, runs)
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.counts.shape[0]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The proportions counts / runs, the floats of dividing each count
+        by ``runs`` in float64, as a new n x n array."""
+        return self.counts / self.runs
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
+
+
+def _signed(counts_dtype) -> np.dtype:
+    """The smallest signed type that holds every count and the marker -1."""
+    return np.promote_types(counts_dtype, np.int8)
 
 
 @dataclass(frozen=True)
@@ -136,19 +184,24 @@ class Clustering(Partition):
 
 
 def co_membership_counts(partitions, n: int) -> np.ndarray:
-    """Per-pair count of the runs in which the pair co-clusters.
+    """Per-pair count of the runs in which the pair co-clusters, in the
+    smallest unsigned type that holds the number of runs R (uint8 for
+    R <= 255, uint16 for R <= 65 535, then uint32).
 
-    A float64 matrix of exact integer counts, built as batched one-hot
-    products H Hᵀ.  Each batch stacks one float32 0/1 indicator column per
-    cluster into H, taking consecutive runs while their clusters fit in a
-    budget of n columns (always at least one run).  A run has at least one
-    cluster, so a batch holds at most n runs and an entry of its product is
-    at most n: exact in float32 for n < 2²⁴, and the float64 sums stay
-    exact integers.  Partial counts from
-    disjoint batches of runs can be added together, so accumulation
-    parallelizes and is order-invariant.
+    Built as batched one-hot products H Hᵀ.  Each batch stacks one float32
+    0/1 indicator column per cluster into H, taking consecutive runs while
+    their clusters fit in a budget of n columns (always at least one run).
+    A run has at least one cluster, so a batch holds at most n runs and an
+    entry of its product is at most n: exact in float32 for n < 2²⁴.  The
+    product is formed one row block of its upper trapezoid at a time (the
+    flops of one symmetric product, and no n x n float temporary), and each
+    block is cast to the count type before it is added, so the sum is
+    integer arithmetic; no entry exceeds R, so it cannot overflow.  The
+    lower triangle is copied from the upper one at the end.  Partial counts
+    from disjoint batches of runs can be added together, in a type that
+    holds their total, so accumulation parallelizes and is order-invariant.
     """
-    batches, used = [], n
+    batches, used, runs = [], n, 0
     for part in partitions:
         lab = np.asarray(getattr(part, "labels", part))
         if lab.shape != (n,):
@@ -159,44 +212,56 @@ def co_membership_counts(partitions, n: int) -> np.ndarray:
             used = 0
         batches[-1].append((inverse.ravel(), ids.size))
         used += ids.size
-    counts = np.zeros((n, n))
+        runs += 1
+    counts = np.zeros((n, n), dtype=np.min_scalar_type(runs))
     rows = np.arange(n)[:, None]
     for batch in batches:
         offsets = np.cumsum([0] + [width for _, width in batch])
         hot = np.zeros((n, offsets[-1]), dtype=np.float32)
         hot[rows, np.column_stack([lab for lab, _ in batch]) + offsets[:-1]] = 1.0
-        counts += hot @ hot.T
+        for top in range(0, n, _PRODUCT_ROWS):
+            end = top + _PRODUCT_ROWS
+            counts[top:end, top:] += (hot[top:end] @ hot[top:].T).astype(counts.dtype)
+    for top in range(0, n, _PRODUCT_ROWS):
+        end = top + _PRODUCT_ROWS
+        counts[end:, top:end] = counts[top:end, end:].T
     return counts
 
 
 def accumulate(partitions, n: int) -> ConsensusMatrix:
-    """Consensus matrix: per-pair proportion of runs sharing a cluster."""
+    """Consensus matrix of the runs: the integer co-membership counts and
+    their number, with no float pass over the n x n counts."""
     partitions = list(partitions)
     if not partitions:
         raise ConfigError("need at least one partition to accumulate")
-    counts = co_membership_counts(partitions, n)
-    runs = len(partitions)
-    counts /= runs
-    return ConsensusMatrix(counts, runs)
+    return ConsensusMatrix(co_membership_counts(partitions, n), len(partitions))
 
 
-def spanning_tree(C) -> tuple[np.ndarray, np.ndarray]:
+def spanning_tree(C: ConsensusMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Prim's maximum spanning tree of the consensus graph from node 0, as
     ``(order, link)``: the nodes in visiting order, and for each its largest
     consensus with the nodes visited before it (-inf for node 0).  Single
     linkage (Fred & Jain 2005): every threshold's components are its cuts.
+
+    Prim runs on the integer count rows, -1 marking visited nodes, and
+    ``link`` holds proportions, count / runs, the same floats the
+    thresholds are compared with.  c / runs is strictly increasing in c, so
+    the maxima and their ties are those of the proportions.
     """
-    m = np.asarray(C)
-    n = len(m)
-    order, link = np.empty(n, dtype=np.int64), np.empty(n)
-    key = np.full(n, -np.inf)  # best link of each unvisited node; -inf once visited
+    counts = C.counts
+    n = len(counts)
+    order = np.empty(n, dtype=np.int64)
+    key = np.full(n, -1, dtype=_signed(counts.dtype))  # best link of each unvisited node
+    best = np.empty_like(key)
     unvisited = np.ones(n, dtype=bool)
     j = 0
     for step in range(n):
-        order[step], link[step] = j, key[j]
-        key[j], unvisited[j] = -np.inf, False
-        np.maximum(key, m[j], out=key, where=unvisited)
+        order[step], best[step] = j, key[j]
+        key[j], unvisited[j] = -1, False
+        np.maximum(key, counts[j], out=key, where=unvisited)
         j = int(np.argmax(key))
+    link = best / C.runs
+    link[0] = -np.inf
     return order, link
 
 
@@ -217,7 +282,9 @@ def threshold_components(tree, theta: float) -> Partition:
     return Partition(*compact_labels(labels))
 
 
-def merge_small(components, C, min_size: int, threshold: float | None = None) -> Clustering:
+def merge_small(
+    components, C: ConsensusMatrix, min_size: int, threshold: float | None = None
+) -> Clustering:
     """Absorb every undersized component into its strongest consensus link.
 
     Repeatedly: take the smallest component below ``min_size`` (ties: the one
@@ -229,14 +296,16 @@ def merge_small(components, C, min_size: int, threshold: float | None = None) ->
     their input ids.
 
     Cost per merge: one step of a heap of the undersized components and one
-    |inside| x n row block of ``C``.  The spanning tree's heaviest crossing
-    edge gives the strongest link's value but not the lexicographically
-    smallest pair reaching it, and entries on the 1/runs grid tie often, so
-    the rows are scanned.
+    |inside| x n row block of the counts, in a signed integer type with -1
+    on the inside columns; the order of counts is the order of proportions.
+    The spanning tree's heaviest crossing edge gives the strongest link's
+    value but not the lexicographically smallest pair reaching it, and
+    counts tie often, so the rows are scanned.
     """
     if min_size < 1:
         raise ConfigError("min_size must be at least 1")
-    m = np.asarray(C, dtype=float)
+    counts = C.counts
+    scan_type = _signed(counts.dtype)
     labels, k = compact_labels(np.asarray(getattr(components, "labels", components)))
     # sorted members of each component, from one stable sort of the labels
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
@@ -252,8 +321,8 @@ def merge_small(components, C, min_size: int, threshold: float | None = None) ->
         if size != sizes[target]:
             continue
         inside = members[target]
-        link = m[inside]
-        link[:, inside] = -np.inf
+        link = counts[inside].astype(scan_type)
+        link[:, inside] = -1
         flat = int(np.argmax(link))  # row-major argmax = lexicographic tie-break
         dest = int(labels[flat % labels.size])
         labels[inside] = dest
@@ -268,7 +337,7 @@ def merge_small(components, C, min_size: int, threshold: float | None = None) ->
     return Clustering(labels, k, threshold, merged)
 
 
-def candidate_clusterings(C, cfg: ConsensusConfig) -> list[Clustering]:
+def candidate_clusterings(C: ConsensusMatrix, cfg: ConsensusConfig) -> list[Clustering]:
     """One merged clustering per threshold, each cut from one spanning tree,
     deduplicated, single-cluster results dropped.
 

@@ -111,11 +111,12 @@ def read_labels_csv(path) -> np.ndarray:
 
 
 def write_consensus_csv(consensus: ConsensusMatrix, path) -> None:
-    """Dense row-major export, 6 significant digits per entry."""
-    m = np.asarray(consensus)
+    """Dense row-major export of the proportions count / runs, 6 significant
+    digits per entry, converted one row at a time."""
+    runs = consensus.runs
     with open(path, "w", newline="") as fh:
-        for row in m:
-            fh.write(",".join(f"{v:.6g}" for v in row))
+        for row in consensus.counts:
+            fh.write(",".join(f"{v:.6g}" for v in row / runs))
             fh.write("\n")
 
 

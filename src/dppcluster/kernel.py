@@ -48,6 +48,10 @@ RECONSTRUCTION_TOL = 1e-6
 # 4.95e-7 at this tolerance (n = 1500, rank 369).
 PIVOT_TOL = 5e-7
 
+# Rows per block of the reconstruction check: its temporaries are two
+# blocks of 64 n floats, and thinner blocks ran slower at n = 5000.
+_CHECK_ROWS = 64
+
 
 def as_data_matrix(values) -> np.ndarray:
     """Validate and return the data as an (n, p) float array.
@@ -248,6 +252,12 @@ def eigendecompose(L) -> SpectralDecomposition:
     RECONSTRUCTION_TOL.  The decomposed matrix F F^T is PSD by
     construction, and what it leaves out of L is bounded only by that
     residual: an indefinite L within RECONSTRUCTION_TOL of F F^T passes.
+
+    The reconstruction check runs in row blocks of V diag(lambda) V^T's
+    upper trapezoid, each compared with the same rows of L and, transposed,
+    with the same columns, so every entry of both triangles of L is checked
+    and no n x n temporary is made; the only n x n array besides L is
+    LAPACK's work copy in the factorization.
     """
     mat = np.asarray(L, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -261,25 +271,31 @@ def eigendecompose(L) -> SpectralDecomposition:
         vals, u = np.linalg.eigh(r @ r.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"symmetric eigensolver did not converge: {exc}") from exc
-    vecs = np.empty((n, rank))
-    vecs[order] = q @ u  # back from pivot order
+    vec = np.empty((n, rank))
+    vec[order] = (q @ u)[:, ::-1]  # back from pivot order, largest eigenvalue first
+    del q
     if vals.size and vals[0] < -PSD_TOL * n:
         raise NumericalFailure(
             f"matrix is not PSD within tolerance: min eigenvalue {vals[0]:.3e}"
         )
     lam = np.zeros(n)
     lam[: vals.size] = np.clip(vals, 0.0, None)[::-1]
-    vec = np.ascontiguousarray(vecs[:, ::-1])
     gram = vec.T @ vec
     np.fill_diagonal(gram, gram.diagonal() - 1.0)
     if not np.abs(gram).max(initial=0.0) <= 1e-8:
         raise NumericalFailure("eigenvectors lost orthonormality")
-    # V diag(lam) V^T as W W^T with W = V sqrt(lam): one symmetric rank-r
-    # update instead of a general product, then the difference in place
+    # V diag(lam) V^T as W W^T with W = V sqrt(lam), one row block of its
+    # upper trapezoid at a time: the flops of one symmetric rank-r update,
+    # and each block checked against both triangles of L
     w = vec * np.sqrt(lam[: vec.shape[1]])
-    recon = w @ w.T
-    recon -= mat
-    residual = np.abs(recon, out=recon).max()
+    residual = 0.0
+    for top in range(0, n, _CHECK_ROWS):
+        rows = slice(top, top + _CHECK_ROWS)
+        block = w[rows] @ w[top:].T
+        lower = block - mat[top:, rows].T
+        block -= mat[rows, top:]
+        upper = np.abs(block, out=block).max()
+        residual = np.max((residual, upper, np.abs(lower, out=lower).max()))  # keeps NaN
     if not residual <= RECONSTRUCTION_TOL:
         raise NumericalFailure(
             f"spectral reconstruction residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:g}"

@@ -15,13 +15,14 @@ __all__ = ["Partition", "compact_labels", "voronoi_assign", "lloyd_kmeans"]
 
 @dataclass(frozen=True)
 class Partition:
-    """Cluster labels 0..k-1 with every id nonempty."""
+    """Cluster labels 0..k-1 with every id nonempty, in a read-only int64
+    copy of the caller's labels."""
 
     labels: np.ndarray
     k: int
 
     def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.int64)
+        lab = np.array(self.labels, dtype=np.int64)
         if lab.ndim != 1 or lab.size == 0:
             raise ShapeMismatch("labels must be a nonempty 1-d array")
         in_range = lab.min() >= 0 and lab.max() < self.k  # bincount rejects negatives

@@ -314,13 +314,17 @@ def run_pipeline(data, cfg: PipelineConfig, truth: Sequence[int] | None = None) 
     t0 = time.perf_counter()
     ens = ensemble_runs(artifacts, cfg)
     timings["runs"] = time.perf_counter() - t0
+    # nothing after the runs reads the distances or the eigenvectors: free
+    # them before the consensus matrix is built
+    kernel, sigma2_hat = artifacts.kernel, artifacts.sigma2_hat
+    del artifacts
 
     t0 = time.perf_counter()
     consensus_matrix = accumulate(ens.partitions, n)
     timings["consensus"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    selection = select_clustering(artifacts.kernel, consensus_matrix, cfg.consensus)
+    selection = select_clustering(kernel, consensus_matrix, cfg.consensus)
     timings["selection"] = time.perf_counter() - t0
 
     chosen: Clustering = selection.chosen
@@ -340,7 +344,7 @@ def run_pipeline(data, cfg: PipelineConfig, truth: Sequence[int] | None = None) 
         seed=cfg.seed,
         s=cfg.s,
         preprocessing=cfg.preprocessing,
-        sigma2_hat=artifacts.sigma2_hat,
+        sigma2_hat=sigma2_hat,
         labels=chosen.labels,
         k_hat=chosen.k,
         threshold=chosen.threshold,

@@ -69,3 +69,17 @@ def test_diff_exit_status(tool, tmp_path, capsys):
     digest_only["cases"]["c"]["report_sha256"] = "other"
     assert status(old, digest_only) == 1
     assert "report digests moved (1): c" in capsys.readouterr().out
+
+
+def test_diff_names_moved_consensus(tool, tmp_path):
+    old = _result("aa", 4.0, [[1, 2]], 2.5)
+    old["cases"]["c"]["consensus_sha256"] = "x"
+    assert "consensus digests moved (0): none" in tool.diff(old, old)
+    new = json.loads(json.dumps(old))
+    new["cases"]["c"]["consensus_sha256"] = "y"
+    lines = tool.diff(old, new)
+    assert "consensus digests moved (1): c" in lines
+    assert "report digests moved (0): none" in lines
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    (tmp_path / "new.json").write_text(json.dumps(new))
+    assert tool.main(["diff", str(tmp_path / "old.json"), str(tmp_path / "new.json")]) == 1

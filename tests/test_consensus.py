@@ -124,7 +124,7 @@ class TestThresholdComponents:
 
     def test_block_fixture(self):
         entries = np.array([[1.0, 0.8, 0.0], [0.8, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        c = ConsensusMatrix(entries, 10)
+        c = ConsensusMatrix.from_proportions(entries, 10)
         part = threshold_components(spanning_tree(c), 0.6)
         assert part.labels[0] == part.labels[1] != part.labels[2]
         assert part.k == 2
@@ -154,7 +154,7 @@ class TestThresholdComponents:
 class TestMergeSmall:
     def test_noop_when_all_large(self):
         entries = np.array([[1.0, 0.8, 0.0], [0.8, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        c = ConsensusMatrix(entries, 10)
+        c = ConsensusMatrix.from_proportions(entries, 10)
         comp = _p([0, 0, 1])
         out = merge_small(comp, c, min_size=1)
         assert np.array_equal(out.labels, comp.labels)
@@ -169,7 +169,7 @@ class TestMergeSmall:
             for j in block:
                 entries[i, j] = 1.0
         entries[4, 2] = entries[2, 4] = 0.5
-        c = ConsensusMatrix(entries, 2)
+        c = ConsensusMatrix.from_proportions(entries, 2)
         out = merge_small(_p([0, 0, 0, 0, 1]), c, min_size=2)
         assert out.k == 1
         assert out.merged
@@ -177,7 +177,7 @@ class TestMergeSmall:
     def test_three_singletons_trace(self):
         # frozen hand trace: {0} joins 1 via 0.5, then {2} joins via 0.4
         entries = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]])
-        c = ConsensusMatrix(entries, 10)
+        c = ConsensusMatrix.from_proportions(entries, 10)
         out = merge_small(_p([0, 1, 2]), c, min_size=2)
         assert out.k == 1
         assert np.array_equal(out.labels, np.zeros(3, dtype=np.int64))
@@ -196,7 +196,7 @@ class TestMergeSmall:
 
     def test_threshold_carried(self):
         entries = np.eye(2)
-        c = ConsensusMatrix(entries, 1)
+        c = ConsensusMatrix.from_proportions(entries, 1)
         out = merge_small(_p([0, 1]), c, min_size=1, threshold=0.7)
         assert out.threshold == 0.7
 
@@ -264,7 +264,7 @@ class TestFastPathsAgainstOracles:
         parts = [np.array(data.draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(runs)]
         brute = sum((p[:, None] == p[None, :]).astype(np.int64) for p in parts)
         counts = co_membership_counts(parts, n)
-        assert counts.dtype == np.float64
+        assert counts.dtype == np.uint8
         assert np.array_equal(counts, brute)
         cut = data.draw(st.integers(0, runs))
         split = co_membership_counts(parts[:cut], n) + co_membership_counts(parts[cut:], n)
@@ -290,7 +290,7 @@ class TestFastPathsAgainstOracles:
             parts.append(3 * rng.permutation(raw) - 7)  # gappy, negative raw ids
         brute = sum((p[:, None] == p[None, :]).astype(np.int64) for p in parts)
         counts = co_membership_counts(parts, n)
-        assert counts.dtype == np.float64
+        assert counts.dtype == np.uint8
         assert np.array_equal(counts, brute)
         for cut in range(len(parts) + 1):
             split = co_membership_counts(parts[:cut], n) + co_membership_counts(parts[cut:], n)
@@ -307,7 +307,7 @@ class TestCandidateClusterings:
                 [0.1, 0.1, 0.9, 1.0],
             ]
         )
-        c = ConsensusMatrix(entries, 10)
+        c = ConsensusMatrix.from_proportions(entries, 10)
         cfg = ConsensusConfig(runs=10, tau=0.6, thresholds=(0.6, 0.7), a=0.2)
         cands = candidate_clusterings(c, cfg)
         assert len(cands) == 1
@@ -317,14 +317,14 @@ class TestCandidateClusterings:
     def test_perfect_blocks_survive_any_threshold(self):
         labels = np.repeat([0, 1, 2], 3)
         entries = (labels[:, None] == labels[None, :]).astype(float)
-        c = ConsensusMatrix(entries, 5)
+        c = ConsensusMatrix.from_proportions(entries, 5)
         cfg = ConsensusConfig(runs=5, thresholds=(0.6, 0.8, 0.95), a=0.4)
         cands = candidate_clusterings(c, cfg)
         assert len(cands) == 1
         assert cands[0].k == 3
 
     def test_no_candidates_raises_with_table(self):
-        c = ConsensusMatrix(np.eye(6), 3)  # all singletons at any threshold
+        c = ConsensusMatrix.from_proportions(np.eye(6), 3)  # all singletons at any threshold
         cfg = ConsensusConfig(runs=3, thresholds=(0.6, 0.9), a=0.5)
         with pytest.raises(NoCandidates) as err:
             candidate_clusterings(c, cfg)
@@ -340,7 +340,7 @@ class TestCandidateClusterings:
                 [0.5, 0.5, 0.9, 1.0],
             ]
         )
-        c = ConsensusMatrix(entries, 10)
+        c = ConsensusMatrix.from_proportions(entries, 10)
         cfg = ConsensusConfig(runs=10, tau=0.4, thresholds=(0.4, 0.8), a=0.2)
         cands = candidate_clusterings(c, cfg)
         assert [cand.k for cand in cands] == [2]
@@ -392,9 +392,9 @@ class TestConfig:
 
     def test_consensus_matrix_validation(self):
         with pytest.raises(ConfigError):
-            ConsensusMatrix(np.array([[1.0, 0.3], [0.3, 0.9]]), 10)  # bad diagonal
+            ConsensusMatrix.from_proportions(np.array([[1.0, 0.3], [0.3, 0.9]]), 10)  # bad diagonal
         with pytest.raises(ConfigError):
-            ConsensusMatrix(np.array([[1.0, 0.33], [0.33, 1.0]]), 10)  # not k/10
+            ConsensusMatrix.from_proportions(np.array([[1.0, 0.33], [0.33, 1.0]]), 10)  # not k/10
 
 
 class TestBlockedChecks:
@@ -418,26 +418,151 @@ class TestBlockedChecks:
         entries = self._valid()
         entries[i, j] = entries[j, i] = 0.33
         with pytest.raises(ConfigError, match="integer multiples"):
-            ConsensusMatrix(entries, 10)
+            ConsensusMatrix.from_proportions(entries, 10)
 
     @pytest.mark.parametrize("i,j", pairs)
     def test_asymmetric_pair(self, i, j):
         entries = self._valid()
         entries[i, j], entries[j, i] = 0.3, 0.5
         with pytest.raises(ConfigError, match="symmetric"):
-            ConsensusMatrix(entries, 10)
+            ConsensusMatrix.from_proportions(entries, 10)
 
     def test_valid_matrix_allocates_little(self):
         labels = np.arange(1000) % 9
-        entries = (labels[:, None] == labels[None, :]).astype(float)
+        counts = (labels[:, None] == labels[None, :]).astype(np.uint8)
         tracemalloc.start()
         try:
-            ConsensusMatrix(entries, 10)
+            ConsensusMatrix(counts, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+
+@st.composite
+def _counts_and_grid_thresholds(draw):
+    # a few distinct partitions, each repeated: R up to 480 at little cost,
+    # so the counts reach uint16; thresholds exactly on the 1/R grid and one
+    # ulp either side of it
+    n = draw(st.integers(2, 30))
+    ids = st.integers(0, draw(st.integers(0, n - 1)))
+    distinct = [
+        np.array(draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(draw(st.integers(1, 4)))
+    ]
+    parts = [p for p in distinct for _ in range(draw(st.integers(1, 120)))]
+    if len(parts) < 2:
+        parts *= 2
+    c = accumulate(parts, n)
+    runs = c.runs
+    present = np.unique(c.counts[~np.eye(n, dtype=bool)])
+    pool = sorted({1, runs - 1} | {int(v) for v in present if 0 < v < runs})
+    grid = draw(st.sets(st.one_of(st.sampled_from(pool), st.integers(1, runs - 1)),
+                        min_size=1, max_size=3))
+    thresholds = set()
+    for t in grid:
+        theta = t / runs
+        side = draw(st.sampled_from([-np.inf, None, np.inf]))
+        thresholds.add(theta if side is None else float(np.nextafter(theta, side)))
+    return c, tuple(sorted(thresholds)), draw(st.sampled_from([0.2, 0.5, 0.8]))
+
+
+class TestCountsAgainstProportionOracles:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_counts_and_grid_thresholds())
+    def test_selection_on_counts_matches_oracles(self, inputs):
+        c, thresholds, a = inputs
+        min_size = math.ceil(c.n**a)
+        proportions = c.counts / c.runs
+        off_diagonal = ~np.eye(c.n, dtype=bool)
+        tree = spanning_tree(c)
+        for theta in thresholds:
+            comp = threshold_components(tree, theta)
+            assert np.array_equal(comp.labels, bfs_components((proportions >= theta) & off_diagonal))
+            out = merge_small(comp, c, min_size, threshold=theta)
+            labels, k, merged = merge_small_oracle(comp.labels, proportions, min_size)
+            assert np.array_equal(out.labels, labels)
+            assert (out.k, out.merged) == (k, merged)
+        cfg = ConsensusConfig(runs=c.runs, tau=thresholds[0], thresholds=thresholds, a=a)
+        expected, k_by_threshold = candidate_clusterings_oracle(
+            proportions, cfg.thresholds, min_size
+        )
+        if not expected:
+            with pytest.raises(NoCandidates) as err:
+                candidate_clusterings(c, cfg)
+            assert err.value.k_by_threshold == k_by_threshold
+            return
+        cands = candidate_clusterings(c, cfg)
+        assert [(x.threshold, x.k, x.merged) for x in cands] == [e[:3] for e in expected]
+        for cand, (*_, labels) in zip(cands, expected):
+            assert np.array_equal(cand.labels, labels)
+
+
+class TestCounts:
+    @pytest.mark.parametrize(
+        "runs, dtype", [(255, np.uint8), (256, np.uint16), (65536, np.uint32)]
+    )
+    def test_count_type_holds_runs(self, runs, dtype):
+        # every pair shares a cluster in every run, so each count is runs:
+        # uint8's largest value at 255, one past uint8 and uint16 at 256
+        # and 65 536
+        c = accumulate([np.zeros(4, dtype=np.int64)] * runs, 4)
+        assert c.counts.dtype == dtype
+        assert (c.counts == runs).all()
+        assert np.array_equal(c.entries, np.ones((4, 4)))
+
+    def test_entries_are_float64_quotients(self):
+        rng = np.random.default_rng(4)
+        c = _random_consensus(rng, 15, runs=7)
+        assert c.entries.dtype == np.float64
+        assert np.array_equal(c.entries, c.counts.astype(np.float64) / 7)
+        again = ConsensusMatrix.from_proportions(c.entries, 7)
+        assert np.array_equal(again.counts, c.counts)
+
+    def test_matrix_owns_its_counts(self):
+        counts = np.array([[2, 1], [1, 2]], dtype=np.uint8)
+        c = ConsensusMatrix(counts, 2)
+        assert counts.flags.writeable
+        counts[0, 1] = counts[1, 0] = 0
+        assert c.counts[0, 1] == 1
+        assert not c.counts.flags.writeable
+        entries = np.eye(3)
+        ConsensusMatrix.from_proportions(entries, 2)
+        assert entries.flags.writeable
+
+    def test_counts_validation(self):
+        ConsensusMatrix(np.array([[3, 1], [1, 3]]), 3)
+        with pytest.raises(ShapeMismatch):
+            ConsensusMatrix(np.zeros((2, 3), dtype=np.uint8), 3)
+        with pytest.raises(ConfigError, match="integers"):
+            ConsensusMatrix(np.array([[3.0, 1.0], [1.0, 3.0]]), 3)
+        with pytest.raises(ConfigError, match="symmetric"):
+            ConsensusMatrix(np.array([[3, 1], [2, 3]]), 3)
+        with pytest.raises(ConfigError, match="diagonal"):
+            ConsensusMatrix(np.array([[3, 1], [1, 2]]), 3)
+        with pytest.raises(ConfigError, match="lie in"):
+            ConsensusMatrix(np.array([[3, 4], [4, 3]]), 3)
+        with pytest.raises(ConfigError, match="lie in"):
+            ConsensusMatrix(np.array([[3, -1], [-1, 3]]), 3)
+        with pytest.raises(ConfigError, match="runs"):
+            ConsensusMatrix(np.zeros((2, 2), dtype=np.uint8), 0)
+        with pytest.raises(ConfigError, match="lie in"):
+            ConsensusMatrix.from_proportions(np.array([[1.0, np.nan], [np.nan, 1.0]]), 3)
+
+    def test_accumulate_holds_counts_and_one_batch(self):
+        # n = 1000, R = 200 runs of 8 clusters: the uint8 counts (n² bytes),
+        # one float32 one-hot batch (at most 4 n²) and the batch's label
+        # indices.  Float64 counts beside a whole n x n float32 product of
+        # the batch took about 17 n².
+        n = 1000
+        rng = np.random.default_rng(0)
+        parts = [rng.integers(0, 8, size=n) for _ in range(200)]
+        tracemalloc.start()
+        try:
+            accumulate(parts, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * n * n
 
 def test_clustering_sizes_property():
     c = Clustering(np.array([0, 0, 1]), 2, threshold=0.6)

@@ -5,6 +5,7 @@ import pytest
 
 from dppcluster import (
     ConsensusMatrix,
+    accumulate,
     CsvFormatError,
     PipelineConfig,
     RngStream,
@@ -93,12 +94,22 @@ class TestReadLabelsCsv:
 class TestConsensusExport:
     def test_six_significant_digits(self, tmp_path):
         entries = np.array([[1.0, 1 / 3], [1 / 3, 1.0]])
-        c = ConsensusMatrix(entries, 3)
+        c = ConsensusMatrix.from_proportions(entries, 3)
         out = tmp_path / "c.csv"
         write_consensus_csv(c, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "1,0.333333"
         assert lines[1] == "0.333333,1"
+
+    def test_bytes_match_dense_proportions(self, tmp_path):
+        # the rows of counts / runs, in the format of a dense float64 export
+        rng = np.random.default_rng(3)
+        c = accumulate([rng.integers(0, 4, size=30) for _ in range(7)], 30)
+        out = tmp_path / "c.csv"
+        write_consensus_csv(c, out)
+        dense = "".join(",".join(f"{v:.6g}" for v in row) + "\n" for row in c.entries)
+        assert out.read_bytes() == dense.encode()
+        assert "0.142857" in dense
 
 
 class TestDatasetRoundTrip:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from dppcluster import (
     estimate_bandwidth,
     pairwise_sq_dists,
 )
+from dppcluster import kernel as kernel_module
 from dppcluster.kernel import PIVOT_TOL, as_data_matrix
 
 
@@ -210,6 +213,51 @@ class TestEigendecompose:
         monkeypatch.setattr(np.linalg, "eigh", lambda _: (vals, vecs))
         with pytest.raises(NumericalFailure, match="orthonormality"):
             eigendecompose(mat)
+
+    # n rows in blocks of `step` rows, the last block partial: lower-triangle
+    # entries, which the factorization never reads, inside the first and the
+    # last diagonal block, across the first block edge and in the far corner
+    step = kernel_module._CHECK_ROWS
+    n = 4 * step + step // 2
+    lower = [(step - 1, step - 2), (step, step - 1), (n - 1, n - 2), (n - 1, 0)]
+
+    def test_check_layout(self):
+        assert self.n % self.step != 0 and self.n > 2 * self.step
+
+    @pytest.mark.parametrize("i,j", lower)
+    def test_lower_triangle_checked_in_every_block(self, i, j):
+        x = np.random.default_rng(11).normal(size=(self.n, 2))
+        mat = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x))).entries.copy()
+        eigendecompose(mat)
+        mat[i, j] += 1e-5
+        with pytest.raises(NumericalFailure, match="reconstruction residual"):
+            eigendecompose(mat)
+
+    def test_no_square_temporary_after_the_factor(self, monkeypatch):
+        # once LAPACK's n x n work copy is gone, the decomposition and its
+        # blocked reconstruction check hold less than half an n x n float64
+        # array (a whole n x n reconstruction took about 9 n² bytes)
+        n = 1000
+        rng = np.random.default_rng(0)
+        centers = ((0, 0), (3, 0), (0, 3), (3, 3))
+        x = np.concatenate([rng.normal(c, 0.3, size=(n // 4, 2)) for c in centers])
+        k = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        factor = kernel_module._pivoted_cholesky
+
+        def factor_then_reset_peak(mat):
+            out = factor(mat)
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(kernel_module, "_pivoted_cholesky", factor_then_reset_peak)
+        tracemalloc.start()
+        try:
+            spec = eigendecompose(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.eigenvectors.shape[1] < n // 10
+        assert peak < 4 * n * n
 
 
 def _line_kernel(points) -> np.ndarray:

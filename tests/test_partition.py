@@ -123,6 +123,14 @@ class TestPartitionType:
         p = Partition(np.array([1, 0, 1]), 2)
         assert p.n == 3
 
+    def test_labels_copied_not_frozen(self):
+        lab = np.arange(3)
+        p = Partition(lab, 3)
+        assert lab.flags.writeable
+        lab[0] = 2
+        assert p.labels[0] == 0
+        assert not p.labels.flags.writeable
+
     @pytest.mark.parametrize("cls", [Partition, Clustering])
     @pytest.mark.parametrize(
         "labels, k, error",

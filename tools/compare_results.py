@@ -9,9 +9,11 @@ BLAS thread, runs every case and writes one JSON record per case.  ``diff``
 prints one line per case and a summary: whether the chosen labels are
 equal; K, threshold, ARI and |RN| (``old>new`` where they differ); the
 largest relative change in any candidate float; and whether the report
-digest moved.  It also reports, per dataset, the share of DPP draws that
-are identical and the change in E|Y| against trace R = trace L - sum(lambda).
-Like diff(1), ``diff`` exits 1 when any case's labels or report digest
+digest moved.  For the ``run_pipeline`` cases it also compares a digest of
+the consensus matrix, ``report.consensus.entries`` as float64 bytes.  It
+reports, per dataset, the share of DPP draws that are identical and the
+change in E|Y| against trace R = trace L - sum(lambda).  Like diff(1),
+``diff`` exits 1 when any case's labels, report digest or consensus digest
 moved and 0 when none did.
 
 Cases:
@@ -96,10 +98,14 @@ def _case(labels, k, threshold, ari, rn_abs, candidates, report_sha=None) -> dic
 
 
 def _pipeline_case(dc, x, truth, seed: int) -> dict:
+    import numpy as np
+
     report = dc.run_pipeline(x, dc.PipelineConfig(seed=seed), truth=truth)
     out = _case(report.labels, report.k_hat, report.threshold, report.ari, report.rn_abs,
                 report.candidates, _sha256(report.to_json()))
     out["log_likelihoods"] = [_num(v) for v in report.log_likelihoods]
+    entries = np.ascontiguousarray(report.consensus.entries, dtype=np.float64)
+    out["consensus_sha256"] = hashlib.sha256(entries.tobytes()).hexdigest()
     return out
 
 
@@ -193,11 +199,12 @@ def _cell(a, b) -> str:
 
 
 def any_case_moved(old: dict, new: dict) -> bool:
-    """Whether any case's chosen labels or report digest differ."""
+    """Whether any case's chosen labels, report digest or consensus digest
+    differ; only the ``run_pipeline`` cases carry a consensus digest."""
     return any(
-        a[key] != new["cases"][name][key]
+        a.get(key) != new["cases"][name].get(key)
         for name, a in old["cases"].items()
-        for key in ("labels_sha256", "report_sha256")
+        for key in ("labels_sha256", "report_sha256", "consensus_sha256")
     )
 
 
@@ -205,13 +212,15 @@ def diff(old: dict, new: dict) -> list[str]:
     """One line per case, then the dataset and draw summaries."""
     lines = [f"{'case':<26} {'labels':<7} {'K':<6} {'threshold':<10} {'ARI':<22} "
              f"{'|RN|':<12} {'cand_rel':<9} digest"]
-    moved, same_labels = [], 0
+    moved, consensus_moved, same_labels = [], [], 0
     for name, a in old["cases"].items():
         b = new["cases"][name]
         labels_equal = a["labels_sha256"] == b["labels_sha256"]
         same_labels += labels_equal
         if a["report_sha256"] != b["report_sha256"]:
             moved.append(name)
+        if a.get("consensus_sha256") != b.get("consensus_sha256"):
+            consensus_moved.append(name)
         lines.append(
             f"{name:<26} {'same' if labels_equal else 'DIFF':<7} {_cell(a['k'], b['k']):<6} "
             f"{_cell(a['threshold'], b['threshold']):<10} {_cell(a['ari'], b['ari']):<22} "
@@ -225,6 +234,8 @@ def diff(old: dict, new: dict) -> list[str]:
             lines[-1] += f"  max|dloglik| {max(dll, default=0.0):.2g}"
     lines.append(f"chosen labels identical in {same_labels} of {len(old['cases'])} cases")
     lines.append(f"report digests moved ({len(moved)}): {', '.join(moved) or 'none'}")
+    lines.append(f"consensus digests moved ({len(consensus_moved)}): "
+                 f"{', '.join(consensus_moved) or 'none'}")
     for name, a in old["datasets"].items():
         b = new["datasets"][name]
         lines.append(
