@@ -197,10 +197,13 @@ def co_membership_counts(partitions, n: int) -> np.ndarray:
     flops of one symmetric product, and no n x n float temporary), and each
     block is cast to the count type before it is added, so the sum is
     integer arithmetic; no entry exceeds R, so it cannot overflow.  The
-    lower triangle is copied from the upper one at the end.  Partial counts
+    lower triangle is copied from the upper one at the end.  Each run's
+    cluster ids wait for their batch in the narrowest integer type that
+    holds n, and one batch's indicators exist at a time.  Partial counts
     from disjoint batches of runs can be added together, in a type that
     holds their total, so accumulation parallelizes and is order-invariant.
     """
+    label_type = np.min_scalar_type(n)  # every cluster id is below n
     batches, used, runs = [], n, 0
     for part in partitions:
         lab = np.asarray(getattr(part, "labels", part))
@@ -210,18 +213,21 @@ def co_membership_counts(partitions, n: int) -> np.ndarray:
         if used + ids.size > n:  # over the column budget: start a new batch
             batches.append([])
             used = 0
-        batches[-1].append((inverse.ravel(), ids.size))
+        batches[-1].append((inverse.ravel().astype(label_type), ids.size))
         used += ids.size
         runs += 1
     counts = np.zeros((n, n), dtype=np.min_scalar_type(runs))
-    rows = np.arange(n)[:, None]
+    every = np.arange(n)
     for batch in batches:
-        offsets = np.cumsum([0] + [width for _, width in batch])
-        hot = np.zeros((n, offsets[-1]), dtype=np.float32)
-        hot[rows, np.column_stack([lab for lab, _ in batch]) + offsets[:-1]] = 1.0
+        hot = np.zeros((n, sum(width for _, width in batch)), dtype=np.float32)
+        start = 0
+        for lab, width in batch:  # one run's indicator columns at a time
+            hot[:, start : start + width][every, lab] = 1.0
+            start += width
         for top in range(0, n, _PRODUCT_ROWS):
             end = top + _PRODUCT_ROWS
             counts[top:end, top:] += (hot[top:end] @ hot[top:].T).astype(counts.dtype)
+        del hot  # before the next batch's is allocated
     for top in range(0, n, _PRODUCT_ROWS):
         end = top + _PRODUCT_ROWS
         counts[end:, top:end] = counts[top:end, end:].T

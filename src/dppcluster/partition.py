@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, ShapeMismatch
-from .kernel import as_data_matrix
+from .kernel import as_data_matrix, sq_dists_between
 
 __all__ = ["Partition", "compact_labels", "voronoi_assign", "lloyd_kmeans"]
 
@@ -55,6 +54,8 @@ def voronoi_assign(data, gens, sq_dists: np.ndarray | None = None) -> Partition:
     pairwise squared-distance matrix to avoid recomputing distances per run;
     it must be exactly symmetric, as ``pairwise_sq_dists`` guarantees,
     because the generators' rows are read in place of their columns.
+    Without it, the generators' distances are computed in the same
+    feature order and are bit-equal to those rows.
     """
     idx = np.asarray(getattr(gens, "indices", gens), dtype=int)
     if idx.size == 0:
@@ -68,7 +69,7 @@ def voronoi_assign(data, gens, sq_dists: np.ndarray | None = None) -> Partition:
         x = as_data_matrix(data)
         if idx.max() >= x.shape[0]:
             raise ShapeMismatch("generator index out of range")
-        d = cdist(x[idx], x, metric="sqeuclidean")
+        d = sq_dists_between(x[idx], x)
     raw = np.argmin(d, axis=0)  # first occurrence wins ties
     labels, k = compact_labels(raw)
     return Partition(labels, k)
@@ -81,6 +82,8 @@ def lloyd_kmeans(data, init_centers, max_iter: int = 100, tol: float = 1e-6) -> 
     center movement is at most ``tol`` or the assignment stops changing
     (guaranteeing termination even for tol=0); empty clusters are dropped as
     they appear.  The within-cluster sum of squares never increases.
+    Squared distances to the centers are ||x||^2 - 2 x.c + ||c||^2, one
+    matrix product per iteration.
     """
     x = as_data_matrix(data)
     n, p = x.shape
@@ -92,9 +95,13 @@ def lloyd_kmeans(data, init_centers, max_iter: int = 100, tol: float = 1e-6) -> 
     if max_iter < 1:
         raise ConfigError("max_iter must be at least 1")
 
+    x_sq = np.einsum("ij,ij->i", x, x)[:, None]
     prev = None
     for _ in range(max_iter):
-        d = cdist(x, centers, metric="sqeuclidean")
+        d = x @ centers.T
+        d *= -2.0
+        d += x_sq
+        d += np.einsum("ij,ij->i", centers, centers)
         raw = np.argmin(d, axis=1)
         counts = np.bincount(raw, minlength=centers.shape[0])
         if (counts == 0).any():

@@ -106,8 +106,8 @@ class KernelArtifacts:
 
 
 def build_artifacts(data, s: float = 1.0, preprocessing: str = "none") -> KernelArtifacts:
-    """Preprocess, then build the shared distance matrix, kernel, and
-    spectral decomposition for a dataset."""
+    """Preprocess, then build the shared distance matrix, the kernel over
+    it, and the spectral decomposition for a dataset."""
     x = apply_preprocessing(data, preprocessing)
     d2 = pairwise_sq_dists(x)
     sigma2 = estimate_bandwidth(x, sq_dists=d2)
@@ -205,9 +205,14 @@ def _ensemble_draws(
 def select_clustering(
     kernel, consensus_matrix: ConsensusMatrix, cfg: ConsensusConfig
 ) -> SelectionResult:
-    """Thresholds -> merged candidates -> index-based choice."""
+    """Thresholds -> merged candidates -> index-based choice.
+
+    Every candidate's scatter reads the whole kernel, so an implicit kernel
+    is materialised once, after the candidates are cut.
+    """
     cands = candidate_clusterings(consensus_matrix, cfg)
-    return kvi([(c, scatter(kernel, c)) for c in cands])
+    dense = np.asarray(kernel, dtype=float)
+    return kvi([(c, scatter(dense, c)) for c in cands])
 
 
 @dataclass
@@ -314,8 +319,8 @@ def run_pipeline(data, cfg: PipelineConfig, truth: Sequence[int] | None = None) 
     t0 = time.perf_counter()
     ens = ensemble_runs(artifacts, cfg)
     timings["runs"] = time.perf_counter() - t0
-    # nothing after the runs reads the distances or the eigenvectors: free
-    # them before the consensus matrix is built
+    # nothing after the runs reads the eigenvectors: free them before the
+    # consensus matrix is built (the kernel holds the distances)
     kernel, sigma2_hat = artifacts.kernel, artifacts.sigma2_hat
     del artifacts
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; every run draws from it
 
 
 class RngStream:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateData, ResampleExhausted
-from .kernel import SpectralDecomposition, as_data_matrix
+from .kernel import KernelMatrix, SpectralDecomposition, as_data_matrix
 from .rng import RngStream, as_generator
 
 __all__ = [
@@ -144,12 +144,13 @@ def dpp_log_likelihood(L, subset, log_det_norm: float | None = None) -> float:
 
     Returns ``log det(L_Y) - log det(L + I)``; the normalizer can be passed
     in precomputed (one ``sum(log1p(eigenvalues))`` per kernel) and is
-    otherwise derived from the eigenvalues of ``L``.  A singular principal
+    otherwise derived from the eigenvalues of ``L``.  Of a ``KernelMatrix``
+    only the k x k block of the subset is computed.  A singular principal
     minor (duplicate or linearly dependent rows) reports ``-inf``.
     """
-    mat = np.asarray(L, dtype=float)
+    mat = L if isinstance(L, KernelMatrix) else np.asarray(L, dtype=float)
     if log_det_norm is None:
-        lam = np.clip(np.linalg.eigvalsh(mat), 0.0, None)
+        lam = np.clip(np.linalg.eigvalsh(np.asarray(mat)), 0.0, None)
         log_det_norm = float(np.log1p(lam).sum())
     idx = np.asarray(getattr(subset, "indices", subset), dtype=int)
     if idx.size == 0:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, GenerationExhausted
 from .rng import as_generator
@@ -160,6 +159,8 @@ class LabeledDataset:
 
 
 def _mvn_logpdf(x: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    from scipy.linalg import solve_triangular  # deferred: scipy adds ~0.4 s to import
+
     p = mean.size
     z = solve_triangular(chol, (x - mean).T, lower=True)
     logdet = 2.0 * np.log(np.diag(chol)).sum()

@@ -6,7 +6,9 @@ member lists, candidate clusterings from both at every threshold, the
 agreement index via raw pair counting with exact rationals, subset
 probabilities via dense determinant enumeration, exact DPP draws by
 re-orthonormalising the whole basis after every pick, and scatter
-statistics via explicit coordinates under a dot-product kernel.
+statistics via explicit coordinates under a dot-product kernel.  scipy,
+which the package no longer imports on its clustering path, is the
+reference for distances and for the pivoted Cholesky factor.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import lapack
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from dppcluster.errors import ResampleExhausted
 from dppcluster.rng import as_generator
@@ -242,3 +246,25 @@ def wcss(x: np.ndarray, labels: np.ndarray) -> float:
         pts = x[labels == c]
         total += float(((pts - pts.mean(axis=0)) ** 2).sum())
     return total
+
+
+def scipy_sq_dists(x: np.ndarray) -> np.ndarray:
+    """All pairwise squared Euclidean distances by scipy's ``pdist``."""
+    return squareform(pdist(x, metric="sqeuclidean"))
+
+
+def scipy_sq_dists_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between two row sets by scipy's ``cdist``."""
+    return cdist(a, b, metric="sqeuclidean")
+
+
+def lapack_pivoted_spectrum(mat: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
+    """Rank and descending eigenvalues of F F^T for LAPACK's pivoted
+    Cholesky factor F of ``mat`` (``dpstrf``, stopped at residual diagonal
+    ``tol``), the eigenvalues padded with zeros to n."""
+    c, _, rank, info = lapack.dpstrf(np.array(mat, order="F"), tol=tol, lower=1)
+    assert info >= 0
+    factor = np.tril(c)[:, :rank]
+    lam = np.zeros(mat.shape[0])
+    lam[:rank] = np.linalg.svd(factor, compute_uv=False) ** 2
+    return int(rank), lam

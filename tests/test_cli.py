@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -99,11 +100,15 @@ class TestClusterCommand:
         assert result.exit_code == 3
 
     def test_overflowing_distances_exit_3(self, runner, tmp_path):
+        # DegenerateData's exit code and message, and no RuntimeWarning
         f = tmp_path / "big.csv"
         np.savetxt(f, 1e160 * np.random.default_rng(0).normal(size=(20, 2)), delimiter=",")
-        result = runner.invoke(main, ["cluster", str(f)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["cluster", str(f)])
         assert result.exit_code == 3
         assert "overflow" in result.output
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_label_length_mismatch_exits_3(self, runner, blob_csv, tmp_path):
         data_path, _ = blob_csv

@@ -564,6 +564,27 @@ class TestCounts:
             tracemalloc.stop()
         assert peak < 12 * n * n
 
+    def test_accumulate_keeps_narrow_labels_and_one_batch(self):
+        # the same runs: besides the uint8 counts (n² bytes), one float32
+        # one-hot batch (4 n²) and its product block (about n²), only each
+        # run's cluster ids, in uint16 (0.4 n²).  Int64 ids, an int64 n x
+        # (runs in batch) index array and the previous batch still alive
+        # while the next was allocated took about 9 n²; the counts are the
+        # same either way.
+        n = 1000
+        rng = np.random.default_rng(0)
+        parts = [rng.integers(0, 8, size=n) for _ in range(200)]
+        tracemalloc.start()
+        try:
+            c = accumulate(parts, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * n * n
+        head = sum((p[:60, None] == p[None, :60]).astype(int) for p in parts)
+        assert np.array_equal(c.counts[:60, :60], head)
+
+
 def test_clustering_sizes_property():
     c = Clustering(np.array([0, 0, 1]), 2, threshold=0.6)
     assert c.sizes.tolist() == [2, 1]

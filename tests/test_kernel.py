@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,12 @@ from dppcluster import (
     eigendecompose,
     estimate_bandwidth,
     pairwise_sq_dists,
+    voronoi_assign,
 )
 from dppcluster import kernel as kernel_module
-from dppcluster.kernel import PIVOT_TOL, as_data_matrix
+from dppcluster.kernel import PIVOT_TOL, as_data_matrix, sq_dists_between
+from dppcluster.partition import compact_labels
+from oracles import lapack_pivoted_spectrum, scipy_sq_dists, scipy_sq_dists_between
 
 
 class TestDataValidation:
@@ -74,12 +78,15 @@ class TestBandwidth:
         assert estimate_bandwidth(x, sq_dists=d2) == estimate_bandwidth(x)
 
     def test_overflowing_distances_rejected(self):
-        # squared distances near 1e320 overflow to inf
+        # squared distances near 1e320 overflow to inf, quietly: the only
+        # report is the DegenerateData (a RuntimeWarning fails the test)
         x = 1e160 * np.random.default_rng(12).normal(size=(10, 2))
-        with pytest.raises(DegenerateData, match="overflow"):
-            estimate_bandwidth(x)
-        with pytest.raises(DegenerateData, match="overflow"):
-            estimate_bandwidth(x, sq_dists=pairwise_sq_dists(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateData, match="overflow"):
+                estimate_bandwidth(x)
+            with pytest.raises(DegenerateData, match="overflow"):
+                estimate_bandwidth(x, sq_dists=pairwise_sq_dists(x))
 
 
 class TestRbfKernel:
@@ -135,17 +142,70 @@ class TestRbfKernel:
         assert k.entries.max() == 1.0
 
     def test_kernel_matrix_validation(self):
+        # the kernel is checked through its squared distances: asymmetric
+        # distances, a nonzero one on the diagonal (a kernel diagonal other
+        # than 1) and a negative one (a kernel entry above 1)
         with pytest.raises(NumericalFailure):
-            KernelMatrix(np.array([[1.0, 0.5], [0.3, 1.0]]))  # asymmetric
+            KernelMatrix(np.array([[0.0, 0.5], [0.3, 0.0]]), -1.0)  # asymmetric
         with pytest.raises(NumericalFailure):
-            KernelMatrix(np.array([[0.9, 0.5], [0.5, 1.0]]))  # bad diagonal
+            KernelMatrix(np.array([[0.1, 0.5], [0.5, 0.0]]), -1.0)  # bad diagonal
         with pytest.raises(NumericalFailure):
-            KernelMatrix(np.array([[1.0, 1.5], [1.5, 1.0]]))  # out of range
+            KernelMatrix(np.array([[0.0, -0.5], [-0.5, 0.0]]), -1.0)  # out of range
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0, -np.inf, np.nan])
+    def test_kernel_scale_must_be_finite_and_negative(self, scale):
+        with pytest.raises(NumericalFailure, match="scale"):
+            KernelMatrix(np.zeros((2, 2)), scale)
+
+    def test_kernel_distances_must_be_square(self):
+        with pytest.raises(ShapeMismatch):
+            KernelMatrix(np.zeros((2, 3)), -1.0)
 
     def test_immutability(self):
         k = build_rbf_kernel(np.array([[0.0], [1.0]]), BandwidthConfig(1.0))
         with pytest.raises(ValueError):
+            k.sq_dists[0, 1] = 0.5
+        with pytest.raises(ValueError):
             k.entries[0, 1] = 0.5
+
+    def test_shared_distances_are_not_copied_and_caller_arrays_not_frozen(self):
+        x = np.random.default_rng(13).normal(size=(6, 2))
+        d2 = pairwise_sq_dists(x)
+        assert build_rbf_kernel(x, BandwidthConfig(1.0), sq_dists=d2).sq_dists is d2
+        mine = np.array(d2)
+        k = KernelMatrix(mine, -1.0)
+        assert mine.flags.writeable and k.sq_dists is not mine
+        mine[0, 1] = 7.0
+        assert k.sq_dists[0, 1] == d2[0, 1]
+
+    def test_rows_and_blocks_bit_equal_to_the_dense_kernel(self):
+        # against the dense kernel as it was built before it became implicit
+        x = np.random.default_rng(14).normal(size=(150, 3))
+        cfg = BandwidthConfig(estimate_bandwidth(x), 0.7)
+        k = build_rbf_kernel(x, cfg)
+        dense = np.exp(pairwise_sq_dists(x) / (-2.0 * cfg.s * cfg.sigma2_hat))
+        np.fill_diagonal(dense, 1.0)
+        for i in (0, 77, 149):
+            assert np.array_equal(k[i], dense[i])
+        assert np.array_equal(k[64:128, 64:], dense[64:128, 64:])
+        idx = np.array([5, 140, 5 + 64, 3])
+        assert np.array_equal(k[np.ix_(idx, idx)], dense[np.ix_(idx, idx)])
+        assert np.array_equal(np.asarray(k), dense) and np.array_equal(k.entries, dense)
+
+    def test_dense_kernel_allocates_one_square_array(self):
+        # the quotient d2 / scale is exponentiated in place: a second n x n
+        # temporary would take the peak to about 2 * 8 n^2
+        n = 1000
+        x = np.random.default_rng(15).normal(size=(n, 2))
+        k = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        tracemalloc.start()
+        try:
+            dense = k.entries
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dense.shape == (n, n)
+        assert peak <= 1.1 * 8 * n * n
 
 
 class TestEigendecompose:
@@ -205,6 +265,30 @@ class TestEigendecompose:
         with pytest.raises(NumericalFailure, match="reconstruction residual"):
             eigendecompose(mat)
 
+    def test_implicit_and_dense_kernels_decompose_alike(self):
+        # both read the same rows, so they build the same factor
+        x = np.random.default_rng(16).normal(size=(200, 3))
+        k = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        implicit, dense = eigendecompose(k), eigendecompose(k.entries)
+        assert np.array_equal(implicit.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(implicit.eigenvectors, dense.eigenvectors)
+
+    def test_implicit_kernel_checks_reconstruction(self, monkeypatch):
+        # the regenerated rows of an implicit kernel are checked as a dense
+        # L is: two eigenvalues on the wrong vectors fail
+        x = np.random.default_rng(17).normal(size=(150, 2))
+        k = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        eigh = np.linalg.eigh
+
+        def swapped(m):
+            vals, vecs = eigh(m)
+            vals[[-1, -2]] = vals[[-2, -1]]
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", swapped)
+        with pytest.raises(NumericalFailure, match="reconstruction residual"):
+            eigendecompose(k)
+
     def test_non_orthonormal_basis_fails_orthonormality(self, monkeypatch):
         mat = self._psd_matrix()
         vals, vecs = np.linalg.eigh(mat)
@@ -234,9 +318,9 @@ class TestEigendecompose:
             eigendecompose(mat)
 
     def test_no_square_temporary_after_the_factor(self, monkeypatch):
-        # once LAPACK's n x n work copy is gone, the decomposition and its
-        # blocked reconstruction check hold less than half an n x n float64
-        # array (a whole n x n reconstruction took about 9 n² bytes)
+        # after the factor, the decomposition and its blocked reconstruction
+        # check hold less than half an n x n float64 array (a whole n x n
+        # reconstruction took about 9 n² bytes)
         n = 1000
         rng = np.random.default_rng(0)
         centers = ((0, 0), (3, 0), (0, 3), (3, 3))
@@ -244,8 +328,8 @@ class TestEigendecompose:
         k = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
         factor = kernel_module._pivoted_cholesky
 
-        def factor_then_reset_peak(mat):
-            out = factor(mat)
+        def factor_then_reset_peak(*args):
+            out = factor(*args)
             tracemalloc.reset_peak()
             return out
 
@@ -362,3 +446,61 @@ def test_pairwise_sq_dists_symmetric_zero_diag():
     assert np.array_equal(d2, d2.T)
     assert np.all(np.diag(d2) == 0.0)
     assert d2[0, 1] == pytest.approx(((x[0] - x[1]) ** 2).sum())
+
+
+@st.composite
+def _point_sets(draw):
+    # n across the 64-row block edges, raw normal data, integer grids (many
+    # exact ties) and features on scales 1e-3..1e3, optionally with a third
+    # of the rows copied over others
+    n = draw(st.integers(2, 130))
+    p = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["normal", "grid", "scaled"]))
+    if kind == "grid":
+        x = rng.integers(-3, 4, size=(n, p)).astype(float)
+    else:
+        x = rng.normal(size=(n, p))
+        if kind == "scaled":
+            x *= 10.0 ** rng.uniform(-3, 3, size=p)
+    if draw(st.booleans()):
+        x[rng.integers(0, n, size=n // 3)] = x[rng.integers(0, n, size=n // 3)]
+    return x
+
+
+class TestAgainstScipy:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(x=_point_sets())
+    def test_pairwise_sq_dists_bit_equal_to_pdist(self, x):
+        d2 = pairwise_sq_dists(x)
+        assert np.array_equal(d2, scipy_sq_dists(x))
+        assert np.array_equal(d2, d2.T) and np.all(d2.diagonal() == 0.0)
+        assert not d2.flags.writeable
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(x=_point_sets(), k=st.integers(1, 20), seed=st.integers(0, 2**16))
+    def test_voronoi_fallback_bit_equal_to_cdist(self, x, k, seed):
+        n = x.shape[0]
+        idx = np.random.default_rng(seed).choice(n, size=min(k, n), replace=False)
+        ref = scipy_sq_dists_between(x[idx], x)
+        assert np.array_equal(sq_dists_between(x[idx], x), ref)
+        expected, k_expected = compact_labels(np.argmin(ref, axis=0))
+        part = voronoi_assign(x, idx)
+        assert np.array_equal(part.labels, expected) and part.k == k_expected
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(x=_point_sets(), s=st.floats(0.05, 4.0))
+    def test_factor_matches_dpstrf(self, x, s):
+        try:
+            sigma2 = estimate_bandwidth(x)
+        except DegenerateData:  # every row the same
+            return
+        k = build_rbf_kernel(x, BandwidthConfig(sigma2, s))
+        n = k.n
+        rank = kernel_module._pivoted_cholesky(k, n).shape[1]
+        ref_rank, ref_lam = lapack_pivoted_spectrum(k.entries, PIVOT_TOL)
+        assert rank == ref_rank
+        lam = eigendecompose(k).eigenvalues
+        # each spectrum lies below the kernel's by at most its trace residual
+        trace_r = max(n - lam.sum(), n - ref_lam.sum())
+        assert np.abs(lam - ref_lam).max() <= trace_r + 1e-9
