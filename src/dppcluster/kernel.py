@@ -137,8 +137,15 @@ def estimate_bandwidth(data, sq_dists: np.ndarray | None = None) -> float:
     squared distances overflow to infinity.
     """
     d2 = pairwise_sq_dists(data) if sq_dists is None else np.asarray(sq_dists, dtype=float)
-    # the upper triangle in row order, the order pdist returns
-    vals = d2[~np.tri(d2.shape[0], dtype=bool)]
+    # the upper triangle in row order, the order pdist returns, copied row
+    # by row: no n x n mask
+    n = d2.shape[0]
+    vals = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        row = d2[i, i + 1 :]
+        vals[start : start + row.size] = row
+        start += row.size
     with np.errstate(over="ignore"):
         sigma2 = float(vals.mean())
     if not np.isfinite(sigma2):

@@ -48,7 +48,7 @@ from .sampling import (
     sample_dpp,
     sample_uniform,
 )
-from .validation import SelectionResult, kvi, scatter
+from .validation import SelectionResult, kvi, scatter_reports
 
 __all__ = [
     "PipelineConfig",
@@ -207,12 +207,12 @@ def select_clustering(
 ) -> SelectionResult:
     """Thresholds -> merged candidates -> index-based choice.
 
-    Every candidate's scatter reads the whole kernel, so an implicit kernel
-    is materialised once, after the candidates are cut.
+    The candidates' scatter statistics come from one pass over blocks of
+    kernel rows (``scatter_reports``), so a ``KernelMatrix`` is never
+    materialised.
     """
     cands = candidate_clusterings(consensus_matrix, cfg)
-    dense = np.asarray(kernel, dtype=float)
-    return kvi([(c, scatter(dense, c)) for c in cands])
+    return kvi(zip(cands, scatter_reports(kernel, cands)))
 
 
 @dataclass
@@ -320,7 +320,8 @@ def run_pipeline(data, cfg: PipelineConfig, truth: Sequence[int] | None = None) 
     ens = ensemble_runs(artifacts, cfg)
     timings["runs"] = time.perf_counter() - t0
     # nothing after the runs reads the eigenvectors: free them before the
-    # consensus matrix is built (the kernel holds the distances)
+    # consensus matrix is built; selection streams kernel rows from the
+    # distances the kernel holds
     kernel, sigma2_hat = artifacts.kernel, artifacts.sigma2_hat
     del artifacts
 

@@ -4,7 +4,10 @@ clusterings.
 All statistics reduce to sums over kernel entries, so the implicit feature
 map is never materialized: the squared distance between a point (or a
 cluster mean) and another mean expands into block averages of the kernel
-matrix.
+matrix.  Those averages come from the kernel's diagonal and its product
+with the cluster indicator columns of every candidate at once, built in
+one pass over blocks of kernel rows, so an implicit kernel is never
+materialized either.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ import numpy as np
 
 from .consensus import Clustering
 from .errors import ConfigError, DegenerateScatter, NoCandidates, SingletonClusterWarning
+from .kernel import KernelMatrix
 
 __all__ = [
     "ScatterReport",
     "CandidateScore",
     "SelectionResult",
     "scatter",
+    "scatter_reports",
     "similarity_ratio",
     "kvi",
 ]
@@ -30,6 +35,11 @@ __all__ = [
 # are excluded from selection: the max/min ratio in the index explodes and the
 # configuration is degenerate.
 EPS_BETWEEN = 1e-12
+
+# Kernel rows per block of the scatter pass: a KernelMatrix block is
+# exponentiated from its distances, so no more than 64 n kernel entries
+# exist at a time.
+_SCATTER_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -50,57 +60,87 @@ class ScatterReport:
     n: int
 
 
-def _within_scatter(block: np.ndarray) -> float:
-    # mean over members of || phi(x) - cluster mean ||, via kernel sums
-    inside = np.diag(block) - 2.0 * block.mean(axis=1) + block.mean()
-    return float(np.sqrt(np.clip(inside, 0.0, None)).mean())
+def scatter_reports(L, clusterings) -> list[ScatterReport]:
+    """Scatter statistics of every clustering in ``clusterings`` under
+    kernel ``L``, from one pass over the rows of L.
+
+    ``L`` is a ``KernelMatrix``, which is read _SCATTER_ROWS rows at a time
+    and never materialised, or any symmetric Gram matrix, so tests can
+    drive it with a plain dot-product kernel where every quantity has a
+    closed coordinate form.  Let E_c hold the 0/1 membership indicator of
+    cluster a of clustering c in column a.  The pass keeps the diagonal of
+    L and the n x (1 + sum of k_c) product KE = L [1 | E_1 | ... | E_m], the
+    column of ones being the whole sample as one cluster, and every
+    statistic is read from those two: the kernel block sums E_c^T KE_c,
+    divided by the cluster sizes into block means M_c, and member i's
+    squared distance to its cluster mean, L_ii - 2 KE_c[i, c_i] / |c_i| +
+    M_c[c_i, c_i].  Sums are divided by counts afterwards, as a mean is,
+    rather than weighted by 1/|a| in the products.
+
+    Warns (SingletonClusterWarning) for each clustering with a cluster of
+    size one; its within-scattering is exactly zero.
+    """
+    dense = not isinstance(L, KernelMatrix)
+    mat = np.asarray(L, dtype=float) if dense else L
+    shape = mat.shape if dense else (L.n, L.n)
+    parts = []
+    for clustering in clusterings:
+        labels = np.asarray(getattr(clustering, "labels", clustering), dtype=np.int64)
+        k = int(getattr(clustering, "k", labels.max() + 1))
+        if shape != (labels.size, labels.size):
+            raise ConfigError(f"kernel is {shape}, labels have length {labels.size}")
+        if k < 2:
+            raise ConfigError("scatter statistics need at least two clusters")
+        parts.append((labels, k, np.bincount(labels, minlength=k)))
+    n = shape[0]
+    parts.insert(0, (np.zeros(n, dtype=np.int64), 1, np.array([n])))  # the whole sample
+
+    every = np.arange(n)
+    first = np.cumsum([0] + [k for _, k, _ in parts])  # column of each clustering's cluster 0
+    E = np.zeros((n, first[-1]))
+    for (labels, _, _), top in zip(parts, first):
+        E[every, top + labels] = 1.0
+    diag = np.empty(n)
+    KE = np.empty_like(E)
+    for top in range(0, n, _SCATTER_ROWS):
+        rows = mat[top : top + _SCATTER_ROWS]
+        diag[top : top + rows.shape[0]] = rows.diagonal(top)
+        KE[top : top + rows.shape[0]] = rows @ E
+
+    stats = []
+    for (labels, k, sizes), top in zip(parts, first):
+        cols = slice(top, top + k)
+        # the average kernel value between clusters a and b
+        means = (E[:, cols].T @ KE[:, cols]) / np.outer(sizes, sizes)
+        inside = diag - 2.0 * KE[every, top + labels] / sizes[labels] + means.diagonal()[labels]
+        dist = np.sqrt(np.clip(inside, 0.0, None))
+        stats.append((np.bincount(labels, weights=dist, minlength=k) / sizes, means))
+    v_s = float(stats[0][0][0])
+
+    reports = []
+    for (_, k, sizes), (w_per_cluster, means) in zip(parts[1:], stats[1:]):
+        if (sizes == 1).any():
+            warnings.warn(
+                f"{int((sizes == 1).sum())} singleton cluster(s); their within-scattering is 0",
+                SingletonClusterWarning,
+                stacklevel=2,
+            )
+        w_v = float(w_per_cluster.sum() / (k * v_s)) if v_s > 0 else 0.0
+        d = means.diagonal()
+        b_pairwise = np.clip(d[:, None] - 2.0 * means + d[None, :], 0.0, None)
+        b_pairwise = 0.5 * (b_pairwise + b_pairwise.T)  # kill one-ulp matmul asymmetry
+        np.fill_diagonal(b_pairwise, 0.0)
+        iu = np.triu_indices(k, 1)
+        pair_weights = np.outer(sizes, sizes)[iu].astype(float)
+        b_v = float((pair_weights * np.sqrt(b_pairwise[iu])).sum() / pair_weights.sum())
+        reports.append(ScatterReport(v_s, w_per_cluster, w_v, b_pairwise, b_v, sizes, n))
+    return reports
 
 
 def scatter(L, clustering) -> ScatterReport:
-    """Compute all scatter statistics of ``clustering`` under kernel ``L``.
-
-    Accepts any symmetric Gram matrix, so tests can drive it with a plain
-    dot-product kernel where every quantity has a closed coordinate form.
-    Warns (SingletonClusterWarning) when a cluster of size one appears; its
-    within-scattering is exactly zero.
-    """
-    m = np.asarray(L, dtype=float)
-    labels = np.asarray(getattr(clustering, "labels", clustering), dtype=np.int64)
-    k = int(getattr(clustering, "k", labels.max() + 1))
-    n = labels.size
-    if m.shape != (n, n):
-        raise ConfigError(f"kernel is {m.shape}, labels have length {n}")
-    if k < 2:
-        raise ConfigError("scatter statistics need at least two clusters")
-
-    sizes = np.bincount(labels, minlength=k)
-    v_s = _within_scatter(m)
-
-    members = [np.flatnonzero(labels == c) for c in range(k)]
-    w_per_cluster = np.array([_within_scatter(m[np.ix_(j, j)]) for j in members])
-    if (sizes == 1).any():
-        warnings.warn(
-            f"{int((sizes == 1).sum())} singleton cluster(s); their within-scattering is 0",
-            SingletonClusterWarning,
-            stacklevel=2,
-        )
-    w_v = float(w_per_cluster.sum() / (k * v_s)) if v_s > 0 else 0.0
-
-    # Block means of the kernel: H weights each member by 1/cluster size, so
-    # (H^T L H)[a, b] is the average kernel value between clusters a and b.
-    H = np.zeros((n, k))
-    H[np.arange(n), labels] = 1.0 / sizes[labels]
-    block_means = H.T @ m @ H
-    d = np.diag(block_means)
-    b_pairwise = np.clip(d[:, None] - 2.0 * block_means + d[None, :], 0.0, None)
-    b_pairwise = 0.5 * (b_pairwise + b_pairwise.T)  # kill one-ulp matmul asymmetry
-    np.fill_diagonal(b_pairwise, 0.0)
-
-    iu = np.triu_indices(k, 1)
-    pair_weights = np.outer(sizes, sizes)[iu].astype(float)
-    b_v = float((pair_weights * np.sqrt(b_pairwise[iu])).sum() / pair_weights.sum())
-
-    return ScatterReport(v_s, w_per_cluster, w_v, b_pairwise, b_v, sizes, n)
+    """Compute all scatter statistics of ``clustering`` under kernel ``L``:
+    ``scatter_reports`` of that one clustering."""
+    return scatter_reports(L, [clustering])[0]
 
 
 def similarity_ratio(report: ScatterReport) -> float:

@@ -7,9 +7,11 @@ from dppcluster import (
     ConfigError,
     ConsensusConfig,
     GenerationExhausted,
+    KernelMatrix,
     PipelineConfig,
     RngStream,
     ScenarioSpec,
+    accumulate,
     ari,
     build_artifacts,
     ensemble_runs,
@@ -101,6 +103,28 @@ class TestBenchmark:
         assert (out.k_hat, out.ari) == full
         if 20 in checkpoints:
             assert out.ari == out.trajectory[20]
+
+
+def test_selection_never_materialises_the_kernel(monkeypatch, mini_dataset):
+    # select_clustering and prefix_consensus read the implicit kernel in row
+    # blocks, and choose what the dense kernel chooses
+    cfg = PipelineConfig(seed=5, consensus=ConsensusConfig(runs=30))
+    arts = build_artifacts(mini_dataset.data)
+    parts = ensemble_runs(arts, cfg).partitions
+    consensus = accumulate(parts, arts.n)
+    dense = pipeline.select_clustering(arts.kernel.entries, consensus, cfg.consensus)
+
+    def materialised(*_args, **_kwargs):
+        raise AssertionError("the dense kernel was built")
+
+    monkeypatch.setattr(KernelMatrix, "entries", property(materialised))
+    monkeypatch.setattr(KernelMatrix, "__array__", materialised)
+    implicit = pipeline.select_clustering(arts.kernel, consensus, cfg.consensus)
+    assert np.array_equal(implicit.chosen.labels, dense.chosen.labels)
+    assert implicit.alpha == pytest.approx(dense.alpha, rel=1e-12)
+    labels, k_hat, selection = bench.prefix_consensus(arts, parts, cfg)
+    assert np.array_equal(labels, dense.chosen.labels) and k_hat == dense.chosen.k
+    assert [s.kvi for s in selection.scores] == [s.kvi for s in implicit.scores]
 
 
 class TestDiversitySeries:

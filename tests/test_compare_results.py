@@ -23,9 +23,10 @@ def _candidate(k, kvi):
             "sr": 0.8, "kvi": kvi}
 
 
-def _result(labels, kvi, draws, expected_size):
+def _result(labels, kvi, draws, expected_size, alpha=3.0):
     case = {"labels_sha256": labels, "k": 2, "threshold": 0.6, "ari": 1.0, "rn_abs": 0.0,
-            "candidates": [_candidate(2, kvi)], "report_sha256": f"{labels}{kvi}"}
+            "alpha": alpha, "candidates": [_candidate(2, kvi)],
+            "report_sha256": f"{labels}{kvi}{alpha}"}
     dataset = {"n": 10, "rank": 4, "expected_size": expected_size, "trace_residual": 1e-7,
                "log_det_norm": 3.0}
     return {"datasets": {"d": dataset}, "draws": {"d/seed0": draws}, "cases": {"c": case}}
@@ -37,6 +38,20 @@ def test_candidate_change(tool):
     assert tool.max_candidate_change(a, [_candidate(2, 5.0)]) == pytest.approx(0.2)
     assert math.isinf(tool.max_candidate_change(a, [_candidate(3, 4.0)]))
     assert math.isinf(tool.max_candidate_change(a, []))
+
+
+def test_case_change_counts_alpha(tool):
+    old = _result("aa", 4.0, [[1, 2]], 2.5)["cases"]["c"]
+    assert tool.max_case_change(old, old) == 0.0
+    new = _result("aa", 4.0, [[1, 2]], 2.5, alpha=2.0)["cases"]["c"]
+    assert tool.max_case_change(old, new) == pytest.approx(1.0 / 3.0)
+    new = _result("aa", 5.0, [[1, 2]], 2.5, alpha=2.9)["cases"]["c"]
+    assert tool.max_case_change(old, new) == pytest.approx(0.2)
+    # a record from before alpha was kept compares as None
+    del old["alpha"]
+    assert math.isinf(tool.max_case_change(old, new))
+    assert "0.33" in tool.diff(_result("aa", 4.0, [], 2.5),
+                               _result("aa", 4.0, [], 2.5, alpha=2.0))[1]
 
 
 def test_diff_reports_labels_digests_and_draws(tool):

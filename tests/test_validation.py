@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dppcluster import (
     BandwidthConfig,
@@ -14,7 +16,7 @@ from dppcluster import (
     scatter,
     similarity_ratio,
 )
-from dppcluster.validation import CandidateScore, ScatterReport
+from dppcluster.validation import CandidateScore, ScatterReport, scatter_reports
 from oracles import linear_kernel_scatter
 
 
@@ -76,6 +78,69 @@ class TestScatter:
     def test_requires_two_clusters(self):
         with pytest.raises(ConfigError):
             scatter(np.eye(3), _clus([0, 0, 0]))
+
+    def test_kernel_matrix_shape_mismatch_matches_dense(self):
+        x = np.random.default_rng(5).normal(size=(6, 2))
+        L = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        short = _clus([0, 0, 1, 1, 1])
+        with pytest.raises(ConfigError) as implicit:
+            scatter(L, short)
+        with pytest.raises(ConfigError) as dense:
+            scatter(L.entries, short)
+        assert str(implicit.value) == str(dense.value) == "kernel is (6, 6), labels have length 5"
+
+
+@st.composite
+def _scatter_inputs(draw, count=1):
+    # data and ``count`` clusterings of it, each with k from 2 up to n: many
+    # singleton clusters at the top of the range.  n crosses the 64-row
+    # blocks of the scatter pass.
+    n = draw(st.integers(2, 150))
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, p)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    clusterings = []
+    for _ in range(count):
+        k = draw(st.integers(2, n))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+        clusterings.append(_clus(rng.permutation(labels)))
+    return x, clusterings
+
+
+def _assert_reports_close(a, b, rtol):
+    assert a.n == b.n and np.array_equal(a.sizes, b.sizes)
+    for field in ("v_s", "w_per_cluster", "w_v", "b_pairwise", "b_v"):
+        np.testing.assert_allclose(getattr(a, field), getattr(b, field), rtol=rtol, atol=0)
+
+
+class TestStreamedScatterProperties:
+    @pytest.mark.filterwarnings("ignore::dppcluster.errors.SingletonClusterWarning")
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_scatter_inputs())
+    def test_matches_coordinate_oracle(self, inputs):
+        x, (clus,) = inputs
+        scale = max(1.0, float((x**2).sum(axis=1).max()))  # kernel entries reach this
+        expected = linear_kernel_scatter(x, clus.labels)
+        rep = scatter(x @ x.T, clus)
+        assert rep.v_s == pytest.approx(expected["v_s"], abs=1e-9 * scale)
+        assert rep.w_per_cluster == pytest.approx(expected["w"], abs=1e-9 * scale)
+        assert rep.b_pairwise == pytest.approx(expected["b2"], abs=1e-9 * scale)
+        assert rep.b_v == pytest.approx(expected["b_v"], abs=1e-9 * scale)
+        assert np.all(rep.w_per_cluster[rep.sizes == 1] == 0.0)
+
+    @pytest.mark.filterwarnings("ignore::dppcluster.errors.SingletonClusterWarning")
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_scatter_inputs(count=3))
+    def test_implicit_kernel_and_batches_match_dense_single(self, inputs):
+        # each candidate scored from the implicit kernel beside the others
+        # scores as it does alone on the dense kernel
+        x, clusterings = inputs
+        L = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        for clus, rep in zip(clusterings, scatter_reports(L, clusterings)):
+            dense = scatter(L.entries, clus)
+            _assert_reports_close(scatter(L, clus), dense, rtol=1e-12)
+            _assert_reports_close(rep, dense, rtol=1e-12)
+            assert np.all(dense.w_per_cluster[dense.sizes == 1] == 0.0)
 
 
 class TestSimilarityRatio:

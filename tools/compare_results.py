@@ -8,8 +8,8 @@
 BLAS thread, runs every case and writes one JSON record per case.  ``diff``
 prints one line per case and a summary: whether the chosen labels are
 equal; K, threshold, ARI and |RN| (``old>new`` where they differ); the
-largest relative change in any candidate float; and whether the report
-digest moved.  For the ``run_pipeline`` cases it also compares a digest of
+largest relative change in any candidate float or in the selection's
+``alpha``; and whether the report digest moved.  For the ``run_pipeline`` cases it also compares a digest of
 the consensus matrix, ``report.consensus.entries`` as float64 bytes.  It
 reports, per dataset, the share of DPP draws that are identical and the
 change in E|Y| against trace R = trace L - sum(lambda).  Like diff(1),
@@ -80,13 +80,14 @@ def _draws(dc, artifacts, seed: int, runs: int) -> list[list[int]]:
     ]
 
 
-def _case(labels, k, threshold, ari, rn_abs, candidates, report_sha=None) -> dict:
+def _case(labels, k, threshold, ari, rn_abs, alpha, candidates, report_sha=None) -> dict:
     out = {
         "labels_sha256": _sha256(json.dumps([int(v) for v in labels])),
         "k": int(k),
         "threshold": _num(threshold),
         "ari": _num(ari),
         "rn_abs": _num(rn_abs),
+        "alpha": _num(alpha),
         "candidates": [
             {"k": c.k, "excluded": c.excluded,
              **{f: _num(getattr(c, f)) for f in CANDIDATE_FLOATS}}
@@ -102,7 +103,7 @@ def _pipeline_case(dc, x, truth, seed: int) -> dict:
 
     report = dc.run_pipeline(x, dc.PipelineConfig(seed=seed), truth=truth)
     out = _case(report.labels, report.k_hat, report.threshold, report.ari, report.rn_abs,
-                report.candidates, _sha256(report.to_json()))
+                report.alpha, report.candidates, _sha256(report.to_json()))
     out["log_likelihoods"] = [_num(v) for v in report.log_likelihoods]
     entries = np.ascontiguousarray(report.consensus.entries, dtype=np.float64)
     out["consensus_sha256"] = hashlib.sha256(entries.tobytes()).hexdigest()
@@ -111,8 +112,11 @@ def _pipeline_case(dc, x, truth, seed: int) -> dict:
 
 def _prefix_case(dc, artifacts, partitions, cfg, truth, k_true: int) -> dict:
     labels, k, sel = dc.bench.prefix_consensus(artifacts, partitions, cfg)
-    threshold, scores = (None, ()) if sel is None else (sel.chosen.threshold, sel.scores)
-    return _case(labels, k, threshold, dc.ari(labels, truth), abs(dc.rn(k, k_true)), scores)
+    threshold, alpha, scores = (
+        (None, None, ()) if sel is None else (sel.chosen.threshold, sel.alpha, sel.scores)
+    )
+    return _case(labels, k, threshold, dc.ari(labels, truth), abs(dc.rn(k, k_true)), alpha,
+                 scores)
 
 
 def collect() -> dict:
@@ -190,6 +194,14 @@ def max_candidate_change(old: list[dict], new: list[dict]) -> float:
     return worst
 
 
+def max_case_change(old: dict, new: dict) -> float:
+    """``max_candidate_change`` of two records of one case, or the relative
+    change of their ``alpha`` when that is larger; a record without
+    ``alpha`` counts as None."""
+    return max(max_candidate_change(old["candidates"], new["candidates"]),
+               _rel(old.get("alpha"), new.get("alpha")))
+
+
 def _change(rel: float) -> str:
     return "table" if math.isinf(rel) else f"{rel:.2g}"
 
@@ -211,7 +223,7 @@ def any_case_moved(old: dict, new: dict) -> bool:
 def diff(old: dict, new: dict) -> list[str]:
     """One line per case, then the dataset and draw summaries."""
     lines = [f"{'case':<26} {'labels':<7} {'K':<6} {'threshold':<10} {'ARI':<22} "
-             f"{'|RN|':<12} {'cand_rel':<9} digest"]
+             f"{'|RN|':<12} {'max_rel':<9} digest"]
     moved, consensus_moved, same_labels = [], [], 0
     for name, a in old["cases"].items():
         b = new["cases"][name]
@@ -225,7 +237,7 @@ def diff(old: dict, new: dict) -> list[str]:
             f"{name:<26} {'same' if labels_equal else 'DIFF':<7} {_cell(a['k'], b['k']):<6} "
             f"{_cell(a['threshold'], b['threshold']):<10} {_cell(a['ari'], b['ari']):<22} "
             f"{_cell(a['rn_abs'], b['rn_abs']):<12} "
-            f"{_change(max_candidate_change(a['candidates'], b['candidates'])):<9} "
+            f"{_change(max_case_change(a, b)):<9} "
             f"{'same' if name not in moved else 'moved'}"
         )
         if "log_likelihoods" in a:
