@@ -3,8 +3,13 @@ process-parallel), consensus accumulation, candidate selection, and quality
 metrics.
 
 Every run r draws from its own random stream (seed, r), and the consensus
-counts merge by integer addition, so results are byte-identical no matter
-how many workers execute the runs or in which order they finish.
+counts merge by integer addition.  Runs are drawn in fixed blocks of
+RUN_BLOCK consecutive run indices, [b RUN_BLOCK, (b + 1) RUN_BLOCK) cut at
+R, and a block is one task whether it runs serially or on a worker: the DPP
+draws of a block run in lockstep, and their rounding depends on the block's
+runs only.  So results are byte-identical no matter how many workers
+execute the blocks or in which order they finish, and a run in a complete
+block draws the same at every R.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .sampling import (
     default_k_max,
     dpp_log_likelihood,
     kmeanspp_indices,
-    sample_dpp,
+    sample_dpp_block,
     sample_uniform,
 )
 from .validation import SelectionResult, kvi, scatter_reports
@@ -125,29 +130,44 @@ class EnsembleResult:
     log_likelihoods: np.ndarray
 
 
-def _one_draw(run_idx, artifacts: KernelArtifacts, method, seed, k_max):
-    """Draw run ``run_idx``'s generators and their log-likelihood.  Only the
-    draw reads the run's stream, so skipping the partition moves no draw."""
-    stream = RngStream(seed, run_idx)
+# Runs per task: block b holds runs [b RUN_BLOCK, (b + 1) RUN_BLOCK) of the
+# R runs, whatever the worker count, so a block's DPP draws always run in
+# lockstep with the same neighbours.  25 gives R = 200 eight equal tasks.
+RUN_BLOCK = 25
+
+
+def _block_draws(runs: range, artifacts: KernelArtifacts, method, seed, k_max):
+    """Draw the generators of the runs in ``runs`` and their log-likelihoods.
+    Only the draw reads a run's stream (seed, r), so skipping the partition
+    moves no draw."""
+    streams = [RngStream(seed, r) for r in runs]
     if method == "dpp":
-        gens = sample_dpp(artifacts.spectral, stream)
+        sets = sample_dpp_block(artifacts.spectral, streams)
     elif method == "uniform":
-        gens = sample_uniform(artifacts.n, BaselineConfig(k_max), stream)
+        cfg = BaselineConfig(k_max)
+        sets = [sample_uniform(artifacts.n, cfg, stream) for stream in streams]
     else:  # kmeans: uniform size draw, k-means++ seeding
-        g = stream.generator
-        k = int(g.integers(2, k_max + 1))
-        gens = GeneratorSet(kmeanspp_indices(artifacts.data, k, g), "kmeanspp")
-    return gens, dpp_log_likelihood(artifacts.kernel, gens, log_det_norm=artifacts.log_det_norm)
+        sets = []
+        for stream in streams:
+            g = stream.generator
+            k = int(g.integers(2, k_max + 1))
+            sets.append(GeneratorSet(kmeanspp_indices(artifacts.data, k, g), "kmeanspp"))
+    return [
+        (gens, dpp_log_likelihood(artifacts.kernel, gens, log_det_norm=artifacts.log_det_norm))
+        for gens in sets
+    ]
 
 
-def _one_run(run_idx, artifacts: KernelArtifacts, method, seed, k_max):
-    gens, loglik = _one_draw(run_idx, artifacts, method, seed, k_max)
+def _block_runs(runs: range, artifacts: KernelArtifacts, method, seed, k_max):
+    out = []
     data = artifacts.data
-    if method == "kmeans":  # Lloyd refinement from the k-means++ seeds
-        part = lloyd_kmeans(data, data[list(gens.indices)])
-    else:
-        part = voronoi_assign(data, gens, sq_dists=artifacts.sq_dists)
-    return part.labels, part.k, len(gens), loglik
+    for gens, loglik in _block_draws(runs, artifacts, method, seed, k_max):
+        if method == "kmeans":  # Lloyd refinement from the k-means++ seeds
+            part = lloyd_kmeans(data, data[list(gens.indices)])
+        else:
+            part = voronoi_assign(data, gens, sq_dists=artifacts.sq_dists)
+        out.append((part.labels, part.k, len(gens), loglik))
+    return out
 
 
 _WORKER_TASK = None
@@ -158,33 +178,35 @@ def _init_worker(task):
     _WORKER_TASK = task
 
 
-def _run_by_index(run_idx):
+def _run_block(runs):
     fn, payload = _WORKER_TASK
-    return fn(run_idx, *payload)
+    return fn(runs, *payload)
 
 
 def _map_runs(fn, artifacts: KernelArtifacts, cfg: PipelineConfig) -> list:
-    """``fn(r, *payload)`` for every run r, serially or on a process pool,
-    in run order.  The pool's initializer sends the payload once per
-    worker."""
+    """``fn(block, *payload)`` for every block of RUN_BLOCK runs, serially
+    or on a process pool, flattened in run order.  The pool's initializer
+    sends the payload once per worker."""
     runs = cfg.consensus.runs
     n = artifacts.n
     k_max = cfg.k_max if cfg.k_max is not None else default_k_max(n)
     if k_max > n:
         raise ConfigError(f"k_max={k_max} exceeds n={n}")
     payload = (artifacts, cfg.method, cfg.seed, k_max)
+    blocks = [range(top, min(top + RUN_BLOCK, runs)) for top in range(0, runs, RUN_BLOCK)]
     if cfg.workers <= 1:
-        return [fn(r, *payload) for r in range(runs)]
-    chunk = max(1, runs // (cfg.workers * 4))
-    with ProcessPoolExecutor(
-        max_workers=cfg.workers, initializer=_init_worker, initargs=((fn, payload),)
-    ) as pool:
-        return list(pool.map(_run_by_index, range(runs), chunksize=chunk))
+        results = [fn(block, *payload) for block in blocks]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=cfg.workers, initializer=_init_worker, initargs=((fn, payload),)
+        ) as pool:
+            results = list(pool.map(_run_block, blocks))
+    return [run for block in results for run in block]
 
 
 def ensemble_runs(artifacts: KernelArtifacts, cfg: PipelineConfig) -> EnsembleResult:
     """Execute R independent partition runs over the shared artifacts."""
-    results = _map_runs(_one_run, artifacts, cfg)
+    results = _map_runs(_block_runs, artifacts, cfg)
     partitions = [Partition(lab, k) for lab, k, _, _ in results]
     sizes = np.array([r[2] for r in results], dtype=np.int64)
     logliks = np.array([r[3] for r in results], dtype=float)
@@ -196,7 +218,7 @@ def _ensemble_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Subset sizes and log-likelihoods of the R runs, equal to those of
     ``ensemble_runs``, without building the partitions."""
-    results = _map_runs(_one_draw, artifacts, cfg)
+    results = _map_runs(_block_draws, artifacts, cfg)
     sizes = np.array([len(gens) for gens, _ in results], dtype=np.int64)
     logliks = np.array([ll for _, ll in results], dtype=float)
     return sizes, logliks

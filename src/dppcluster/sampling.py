@@ -20,6 +20,7 @@ __all__ = [
     "RngStream",
     "default_k_max",
     "sample_dpp",
+    "sample_dpp_block",
     "dpp_log_likelihood",
     "sample_uniform",
     "kmeanspp_indices",
@@ -72,12 +73,11 @@ def default_k_max(n: int) -> int:
 _NULL_WEIGHT = 1e-10
 
 
-def _pick_index(g: np.random.Generator, weights: np.ndarray) -> int:
-    # Inverse-CDF draw; weights need not be normalized (the cumulative sum
-    # renormalizes, absorbing rounding from repeated basis updates).
-    cdf = np.cumsum(weights)
+def _pick_index(g: np.random.Generator, cdf: np.ndarray) -> int:
+    # Inverse-CDF draw over cumulative weights, which need not be normalized
+    # (scaling by the total absorbs rounding from repeated basis updates).
     u = g.random() * cdf[-1]
-    return min(int(np.searchsorted(cdf, u, side="right")), weights.size - 1)
+    return min(int(cdf.searchsorted(u, side="right")), cdf.size - 1)
 
 
 def sample_dpp(
@@ -88,55 +88,117 @@ def sample_dpp(
 ) -> GeneratorSet:
     """Draw one generator set from the point process defined by ``spectral``.
 
+    This is ``sample_dpp_block`` with a block of one stream, which gives the
+    law, the cost and the stream consumption.  The pipeline draws its runs
+    in fixed blocks of ``pipeline.RUN_BLOCK`` instead: in exact arithmetic
+    the picks are the same, only the rounding of the weights differs.
+    """
+    return sample_dpp_block(spectral, [rng], min_size, max_attempts)[0]
+
+
+def sample_dpp_block(
+    spectral: SpectralDecomposition,
+    rngs,
+    min_size: int = 2,
+    max_attempts: int = 1000,
+) -> list[GeneratorSet]:
+    """Draw one generator set per stream in ``rngs``, all in lockstep.
+
     Phase 1 keeps eigenindex i independently with probability
     lambda_i / (lambda_i + 1), over all n eigenvalues; those past the r
     stored eigenvectors are exactly 0 and never kept, so every kept index
     is a column position of ``spectral.eigenvectors``.  Phase 2 draws from
-    the projection process of the k kept eigenvectors V by the chain rule
-    (Kulesza & Taskar 2012, Alg. 1, with the incremental Gram-Schmidt of
-    Gautier et al. 2019): each pick takes row i with probability
+    the projection process of each run's k kept eigenvectors V by the chain
+    rule (Kulesza & Taskar 2012, Alg. 1, with the incremental Gram-Schmidt
+    of Gautier et al. 2019): each pick takes row i with probability
     proportional to its weight, the squared norm of V[i] left after
     projecting out the rows already picked, and one Gram-Schmidt step then
-    lowers every weight.  That costs O(n k) per pick and O(n k^2) per
-    draw; the set has k points, fewer only when the remaining weight becomes
-    numerically null.  The stream is consumed as one ``random(n)`` per
+    lowers every weight.  The set has k points, fewer only when the
+    remaining weight becomes numerically null.
+
+    The block works in E_U, the n x |U| eigenvector columns kept by any of
+    its runs, each run masking it to its own columns.  A run's step-t
+    direction is E_U b_t with b_t = (v_i - sum_s (v_i . b_s) b_s) / sqrt(w_i)
+    in |U|-space, v_i the run's masked row i of E_U; in exact arithmetic
+    that is V V[i] - sum_s c_s[i] c_s in the run's own basis.  So one
+    product E_U [b_t ...] per step lowers the weights of every live run:
+    a step costs O(n |U|) per live run there and O(t |U|) per run for b_t,
+    and the block takes as many steps as its largest set.  A run leaves
+    the arrays once its set is complete or its weight is null.  Its stream
+    consumption never depends on the other runs, nor, in exact arithmetic,
+    do its picks; the rounding of its weights does, through |U|, so a pick
+    whose u falls within rounding of a CDF entry could move with the
+    block.  The pipeline therefore draws its runs in fixed blocks
+    (``pipeline.RUN_BLOCK``).
+
+    Each stream is consumed as if drawn alone: one ``random(n)`` per
     phase-1 attempt, whatever the rank r, and one ``random()`` per pick, an
-    inverse-CDF draw over all n rows.
-    Draws smaller than ``min_size`` are rejected and redrawn (a 0- or
-    1-generator run would produce a useless one-cell partition);
-    ``min_size=0`` disables rejection for diagnostics and may return an
-    empty set.
+    inverse-CDF draw over all n rows.  Draws smaller than ``min_size`` are
+    rejected and redrawn (a 0- or 1-generator run would produce a useless
+    one-cell partition); ``min_size=0`` disables rejection for diagnostics
+    and may return an empty set.  Phase 1 runs stream by stream, so a run
+    that exhausts ``max_attempts`` raises ResampleExhausted for the block
+    before any later stream is read.
     """
-    g = as_generator(rng)
+    streams = [as_generator(rng) for rng in rngs]
     lam = spectral.eigenvalues
     keep_probs = lam / (lam + 1.0)
-    for _ in range(max(1, max_attempts)):
-        mask = g.random(lam.size) < keep_probs
-        size = int(mask.sum())
-        if size >= min_size:
-            break
-    else:
-        raise ResampleExhausted(
-            f"no eigenindex draw reached size {min_size} in {max_attempts} attempts"
-        )
+    kept = []
+    for g in streams:
+        for _ in range(max(1, max_attempts)):
+            idx = np.flatnonzero(g.random(lam.size) < keep_probs)
+            if idx.size >= min_size:
+                break
+        else:
+            raise ResampleExhausted(
+                f"no eigenindex draw reached size {min_size} in {max_attempts} attempts"
+            )
+        kept.append(idx)
 
-    V = spectral.eigenvectors[:, np.flatnonzero(mask)]
-    weights = np.einsum("ij,ij->i", V, V)
-    B = np.empty((size, V.shape[0]))  # row t: component along step t's direction
-    chosen: list[int] = []
-    for t in range(size):
-        if weights.sum() <= _NULL_WEIGHT:
-            break
-        i = _pick_index(g, weights)
-        chosen.append(i)
-        if t == size - 1:
-            break
-        c = (V @ V[i] - B[:t, i] @ B[:t]) / math.sqrt(weights[i])
-        B[t] = c
-        weights -= c * c
-        np.clip(weights, 0.0, None, out=weights)
-        weights[chosen] = 0.0
-    return GeneratorSet(tuple(chosen), "dpp")
+    chosen: list[list[int]] = [[] for _ in streams]
+    live = [j for j, idx in enumerate(kept) if idx.size]  # runs still drawing
+    if live:
+        union = np.unique(np.concatenate([kept[j] for j in live]))
+        E = spectral.eigenvectors[:, union]  # E_U, n x |U|
+        Et = np.ascontiguousarray(E.T)
+        masks = np.zeros((len(live), union.size))
+        for row, j in enumerate(live):
+            masks[row, np.searchsorted(union, kept[j])] = 1.0
+        sizes = [kept[j].size for j in live]
+        weights = masks @ (Et * Et)  # squared row norms of each run's V
+        coef = np.empty((len(live), max(sizes), union.size))  # b_0, b_1, ... of each run
+        for t in range(coef.shape[1]):
+            cdf = np.cumsum(weights, axis=1)
+            go, picks = [], []  # runs that go on to step t + 1, and their picks
+            for row, j in enumerate(live):
+                if cdf[row, -1] <= _NULL_WEIGHT:
+                    continue
+                i = _pick_index(streams[j], cdf[row])
+                chosen[j].append(i)
+                if t + 1 < sizes[row]:
+                    go.append(row)
+                    picks.append(i)
+            if not go:
+                break
+            if len(go) < len(live):
+                live = [live[row] for row in go]
+                sizes = [sizes[row] for row in go]
+                masks, weights, coef = masks[go], weights[go], coef[go]
+            rows = np.arange(len(live))
+            v = E[picks]
+            prev = coef[:, :t]
+            # b_s is 0 off its run's mask, so E_U[i] . b_s = v_i . b_s
+            proj = prev @ v[:, :, None]
+            v *= masks
+            v -= (proj.transpose(0, 2, 1) @ prev)[:, 0]
+            v /= np.sqrt(weights[rows, picks])[:, None]
+            coef[:, t] = v
+            drop = v @ Et  # each run's direction E_U b_t, squared below
+            np.square(drop, out=drop)
+            weights -= drop
+            np.maximum(weights, 0.0, out=weights)
+            weights[rows, picks] = 0.0
+    return [GeneratorSet(tuple(c), "dpp") for c in chosen]
 
 
 def dpp_log_likelihood(L, subset, log_det_norm: float | None = None) -> float:
@@ -198,7 +260,7 @@ def kmeanspp_indices(data, k: int, rng) -> tuple[int, ...]:
         total = float(d2.sum())
         if total <= 0.0:
             raise DegenerateData(f"fewer than {k} distinct points in the data")
-        i = _pick_index(g, d2)
+        i = _pick_index(g, np.cumsum(d2))
         chosen.append(i)
         d2 = np.minimum(d2, ((x - x[i]) ** 2).sum(axis=1))
     return tuple(chosen)

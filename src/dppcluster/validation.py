@@ -60,41 +60,9 @@ class ScatterReport:
     n: int
 
 
-def scatter_reports(L, clusterings) -> list[ScatterReport]:
-    """Scatter statistics of every clustering in ``clusterings`` under
-    kernel ``L``, from one pass over the rows of L.
-
-    ``L`` is a ``KernelMatrix``, which is read _SCATTER_ROWS rows at a time
-    and never materialised, or any symmetric Gram matrix, so tests can
-    drive it with a plain dot-product kernel where every quantity has a
-    closed coordinate form.  Let E_c hold the 0/1 membership indicator of
-    cluster a of clustering c in column a.  The pass keeps the diagonal of
-    L and the n x (1 + sum of k_c) product KE = L [1 | E_1 | ... | E_m], the
-    column of ones being the whole sample as one cluster, and every
-    statistic is read from those two: the kernel block sums E_c^T KE_c,
-    divided by the cluster sizes into block means M_c, and member i's
-    squared distance to its cluster mean, L_ii - 2 KE_c[i, c_i] / |c_i| +
-    M_c[c_i, c_i].  Sums are divided by counts afterwards, as a mean is,
-    rather than weighted by 1/|a| in the products.
-
-    Warns (SingletonClusterWarning) for each clustering with a cluster of
-    size one; its within-scattering is exactly zero.
-    """
-    dense = not isinstance(L, KernelMatrix)
-    mat = np.asarray(L, dtype=float) if dense else L
-    shape = mat.shape if dense else (L.n, L.n)
-    parts = []
-    for clustering in clusterings:
-        labels = np.asarray(getattr(clustering, "labels", clustering), dtype=np.int64)
-        k = int(getattr(clustering, "k", labels.max() + 1))
-        if shape != (labels.size, labels.size):
-            raise ConfigError(f"kernel is {shape}, labels have length {labels.size}")
-        if k < 2:
-            raise ConfigError("scatter statistics need at least two clusters")
-        parts.append((labels, k, np.bincount(labels, minlength=k)))
-    n = shape[0]
-    parts.insert(0, (np.zeros(n, dtype=np.int64), 1, np.array([n])))  # the whole sample
-
+def _scatter_pass(mat, n: int, parts) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each clustering's within-scatter per cluster and block means, from
+    one pass over the rows of ``mat`` with E = [E_1 | ... | E_m]."""
     every = np.arange(n)
     first = np.cumsum([0] + [k for _, k, _ in parts])  # column of each clustering's cluster 0
     E = np.zeros((n, first[-1]))
@@ -115,6 +83,58 @@ def scatter_reports(L, clusterings) -> list[ScatterReport]:
         inside = diag - 2.0 * KE[every, top + labels] / sizes[labels] + means.diagonal()[labels]
         dist = np.sqrt(np.clip(inside, 0.0, None))
         stats.append((np.bincount(labels, weights=dist, minlength=k) / sizes, means))
+    return stats
+
+
+def scatter_reports(L, clusterings) -> list[ScatterReport]:
+    """Scatter statistics of every clustering in ``clusterings`` under
+    kernel ``L``, from one pass over the rows of L per n + 1 indicator
+    columns.
+
+    ``L`` is a ``KernelMatrix``, which is read _SCATTER_ROWS rows at a time
+    and never materialised, or any symmetric Gram matrix, so tests can
+    drive it with a plain dot-product kernel where every quantity has a
+    closed coordinate form.  Let E_c hold the 0/1 membership indicator of
+    cluster a of clustering c in column a.  The pass keeps the diagonal of
+    L and the n x (1 + sum of k_c) product KE = L [1 | E_1 | ... | E_m], the
+    column of ones being the whole sample as one cluster, and every
+    statistic is read from those two: the kernel block sums E_c^T KE_c,
+    divided by the cluster sizes into block means M_c, and member i's
+    squared distance to its cluster mean, L_ii - 2 KE_c[i, c_i] / |c_i| +
+    M_c[c_i, c_i].  Sums are divided by counts afterwards, as a mean is,
+    rather than weighted by 1/|a| in the products.  When 1 + sum of k_c
+    exceeds n + 1, the clusterings are split in order into passes of at
+    most n + 1 columns, so E and KE never hold more than the n x n kernel
+    would; each pass reads every row of L again.
+
+    Warns (SingletonClusterWarning) for each clustering with a cluster of
+    size one; its within-scattering is exactly zero.
+    """
+    dense = not isinstance(L, KernelMatrix)
+    mat = np.asarray(L, dtype=float) if dense else L
+    shape = mat.shape if dense else (L.n, L.n)
+    parts = []
+    for clustering in clusterings:
+        labels = np.asarray(getattr(clustering, "labels", clustering), dtype=np.int64)
+        k = int(getattr(clustering, "k", labels.max() + 1))
+        if shape != (labels.size, labels.size):
+            raise ConfigError(f"kernel is {shape}, labels have length {labels.size}")
+        if k < 2:
+            raise ConfigError("scatter statistics need at least two clusters")
+        parts.append((labels, k, np.bincount(labels, minlength=k)))
+    n = shape[0]
+    parts.insert(0, (np.zeros(n, dtype=np.int64), 1, np.array([n])))  # the whole sample
+
+    # passes of at most n + 1 indicator columns, so E and KE never outgrow
+    # the n x n kernel they stand in for; a clustering has k <= n
+    passes, width = [[]], 0
+    for part in parts:
+        if width + part[1] > n + 1:
+            passes.append([])
+            width = 0
+        passes[-1].append(part)
+        width += part[1]
+    stats = [stat for group in passes for stat in _scatter_pass(mat, n, group)]
     v_s = float(stats[0][0][0])
 
     reports = []

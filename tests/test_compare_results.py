@@ -98,3 +98,36 @@ def test_diff_names_moved_consensus(tool, tmp_path):
     (tmp_path / "old.json").write_text(json.dumps(old))
     (tmp_path / "new.json").write_text(json.dumps(new))
     assert tool.main(["diff", str(tmp_path / "old.json"), str(tmp_path / "new.json")]) == 1
+
+
+def test_spectrum_reads_only_the_diagonal(tool, monkeypatch):
+    import numpy as np
+
+    import dppcluster as dc
+    from dppcluster.kernel import KernelMatrix
+
+    arts = dc.build_artifacts(np.random.default_rng(0).normal(size=(30, 2)))
+    lam = arts.spectral.eigenvalues
+    expected = float(np.trace(np.asarray(arts.kernel)) - lam.sum())
+
+    def materialised(*_args, **_kwargs):
+        raise AssertionError("the dense kernel was built")
+
+    monkeypatch.setattr(KernelMatrix, "__array__", materialised)
+    assert tool._spectrum(arts)["trace_residual"] == expected
+
+
+def test_draws_follow_the_pipeline(tool):
+    import numpy as np
+
+    import dppcluster as dc
+
+    arts = dc.build_artifacts(np.random.default_rng(1).normal(size=(40, 2)))
+    runs = dc.pipeline.RUN_BLOCK + 3
+    draws = tool._draws(dc, arts, 4, runs)
+    cfg = dc.PipelineConfig(seed=4, consensus=dc.ConsensusConfig(runs=runs))
+    ens = dc.ensemble_runs(arts, cfg)
+    assert [len(d) for d in draws] == ens.subset_sizes.tolist()
+    assert [
+        dc.dpp_log_likelihood(arts.kernel, d, arts.log_det_norm) for d in draws
+    ] == ens.log_likelihoods.tolist()

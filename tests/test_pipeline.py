@@ -12,8 +12,9 @@ from dppcluster import (
     ensemble_runs,
     run_pipeline,
 )
+from dppcluster.bench import diversity_series
 from dppcluster.io import read_data_csv, read_labels_csv
-from dppcluster.pipeline import METHODS
+from dppcluster.pipeline import METHODS, RUN_BLOCK, _map_runs
 
 
 class TestConfig:
@@ -144,3 +145,58 @@ class TestEnsemble:
         assert [p.k for p in pooled.partitions] == [p.k for p in serial.partitions]
         assert np.array_equal(pooled.subset_sizes, serial.subset_sizes)
         assert np.array_equal(pooled.log_likelihoods, serial.log_likelihoods)
+
+
+def _block_bounds(runs, *_payload):
+    return [(runs.start, runs.stop)] * len(runs)
+
+
+class TestRunBlocks:
+    B = RUN_BLOCK
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_tasks_are_the_fixed_blocks(self, blob_data, workers):
+        # a draw's rounding depends on its block, so the blocks may not
+        # follow the worker count
+        runs = 2 * self.B + 1
+        cfg = PipelineConfig(workers=workers, consensus=ConsensusConfig(runs=runs))
+        got = _map_runs(_block_bounds, build_artifacts(blob_data[0]), cfg)
+        tops = [r - r % self.B for r in range(runs)]
+        assert got == [(top, min(top + self.B, runs)) for top in tops]
+
+    @pytest.fixture(scope="class")
+    def by_runs(self, blob_data):
+        # R just below, at and above one block, and past two: serial and on
+        # three workers, whose tasks are the same fixed blocks
+        x, _ = blob_data
+        arts = build_artifacts(x)
+        out = {}
+        for runs in (self.B - 1, self.B, self.B + 1, 2 * self.B + 1):
+            for workers in (1, 3):
+                cfg = PipelineConfig(seed=2, workers=workers, consensus=ConsensusConfig(runs=runs))
+                out[runs, workers] = (ensemble_runs(arts, cfg), diversity_series(x, cfg))
+        return out
+
+    @staticmethod
+    def _runs(ens):
+        return [
+            (p.labels.tolist(), p.k, int(size), float(ll))
+            for p, size, ll in zip(ens.partitions, ens.subset_sizes, ens.log_likelihoods)
+        ]
+
+    def test_workers_do_not_change_any_run(self, by_runs):
+        for runs in {r for r, _ in by_runs}:
+            (serial, rows), (pooled, pooled_rows) = by_runs[runs, 1], by_runs[runs, 3]
+            assert len(serial.partitions) == runs
+            assert self._runs(pooled) == self._runs(serial)
+            assert pooled_rows == rows
+
+    def test_complete_blocks_are_the_same_at_every_runs(self, by_runs):
+        full = self._runs(by_runs[2 * self.B + 1, 1][0])
+        rows = by_runs[2 * self.B + 1, 1][1]
+        for runs in (self.B, self.B + 1):
+            ens, series = by_runs[runs, 1]
+            assert self._runs(ens)[: self.B] == full[: self.B]
+            for method in ("dpp", "uniform"):
+                mine = [r for r in series if r["method"] == method]
+                assert mine[: self.B] == [r for r in rows if r["method"] == method][: self.B]

@@ -21,7 +21,7 @@ from dppcluster import (
     sample_dpp,
     sample_uniform,
 )
-from dppcluster.sampling import kmeanspp_indices
+from dppcluster.sampling import kmeanspp_indices, sample_dpp_block
 from oracles import enumerate_dpp_probs, projection_dpp_oracle
 
 
@@ -191,6 +191,116 @@ class TestChainRuleAgainstOracle:
                     sample_dpp(spec, fast, min_size)
                 return
             assert sample_dpp(spec, fast, min_size).indices == expected
+
+
+def _oracle_or_exhausted(spec, stream, min_size, max_attempts):
+    try:
+        return projection_dpp_oracle(spec, stream, min_size, max_attempts)
+    except ResampleExhausted:
+        return None
+
+
+def _assert_block_matches_oracle(spec, seed, block, min_size, max_attempts=1000, rounds=3):
+    # ``rounds`` blocks in a row over the same streams: every run's indices
+    # equal its own oracle draw, and so does its stream consumption, since
+    # the next round draws on.  Returns the oracle draws.
+    fast = [RngStream(seed, r) for r in range(block)]
+    slow = [RngStream(seed, r) for r in range(block)]
+    draws = []
+    for _ in range(rounds):
+        expected = []
+        for stream in slow:
+            expected.append(_oracle_or_exhausted(spec, stream, min_size, max_attempts))
+            if expected[-1] is None:
+                break
+        if expected[-1] is None:
+            # phase 1 runs stream by stream: the block raises at the first
+            # exhausted run, having read no later stream
+            with pytest.raises(ResampleExhausted):
+                sample_dpp_block(spec, fast, min_size, max_attempts)
+            stop = len(expected) - 1
+            assert fast[stop].generator.random() == slow[stop].generator.random()
+            for a, b in zip(fast[stop + 1 :], slow[stop + 1 :]):
+                assert a.generator.random() == b.generator.random()
+            draws.append(expected)
+            return draws
+        got = sample_dpp_block(spec, fast, min_size, max_attempts)
+        assert [g.indices for g in got] == expected
+        draws.append(expected)
+    for a, b in zip(fast, slow):
+        assert a.generator.random() == b.generator.random()
+    return draws
+
+
+class TestLockstepBlock:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 40),
+        p=st.integers(1, 4),
+        duplicates=st.booleans(),
+        s=st.floats(0.05, 4.0),
+        data_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
+        block=st.integers(2, 7),
+        min_size=st.integers(0, 3),
+        max_attempts=st.sampled_from([2, 1000]),
+    )
+    def test_each_run_matches_its_oracle_draw(
+        self, n, p, duplicates, s, data_seed, seed, block, min_size, max_attempts
+    ):
+        x = np.random.default_rng(data_seed).normal(size=(n, p))
+        if duplicates:
+            x[n // 2 :] = x[: n - n // 2]
+        spec = build_artifacts(x, s=s).spectral
+        _assert_block_matches_oracle(spec, seed, block, min_size, max_attempts)
+
+    def test_mixed_sizes_and_empty_sets(self):
+        # small eigenvalues: with min_size=0 a block mixes empty sets with
+        # sets of one to several points
+        x = np.random.default_rng(5).normal(size=(12, 2))
+        spec = build_artifacts(x, s=4.0).spectral
+        draws = _assert_block_matches_oracle(spec, 1, 6, 0, rounds=6)
+        sizes = {len(d) for rnd in draws for d in rnd}
+        assert 0 in sizes and len(sizes) >= 3
+
+    def test_null_weight_stop_inside_a_block(self):
+        # a caller-supplied basis with a zero column: a run that keeps it has
+        # no weight left after its other picks and stops one pick short,
+        # while the block's other runs go on; the oracle drops the null
+        # column at its first re-orthonormalisation
+        vectors = np.eye(6)[:, :5]
+        vectors[:, 2] = 0.0
+        spec = SpectralDecomposition(np.array([2.0, 2.0, 2.0, 2.0, 2.0, 0.0]), vectors)
+        keep = spec.eigenvalues / (spec.eigenvalues + 1.0)
+        stopped = 0
+        for seed in range(6):
+            fresh = [RngStream(seed, r).generator for r in range(5)]
+            draws = _assert_block_matches_oracle(spec, seed, 5, 2, rounds=1)[0]
+            for g, drawn in zip(fresh, draws):
+                while (mask := g.random(6) < keep).sum() < 2:
+                    pass
+                stopped += bool(mask[2])
+                assert len(drawn) == mask.sum() - mask[2]
+        assert stopped > 0
+
+    def test_resample_exhausted_inside_a_block(self):
+        # sizes of at least 2 are rare, so one of the eight runs exhausts
+        # its two attempts while those before it succeed
+        spec = SpectralDecomposition(np.array([0.3, 0.3, 0.3, 0.0]), np.eye(4))
+        for seed in range(20):
+            draws = _assert_block_matches_oracle(spec, seed, 8, 2, max_attempts=2, rounds=1)
+            if draws[0][-1] is None and len(draws[0]) > 1:
+                return
+        pytest.fail("no block exhausted after a successful run")
+
+    def test_block_of_one_is_sample_dpp(self, small_kernel_artifacts):
+        spec = small_kernel_artifacts.spectral
+        for r in range(50):
+            (block,) = sample_dpp_block(spec, [RngStream(3, r)], min_size=0)
+            assert block == sample_dpp(spec, RngStream(3, r), min_size=0)
+
+    def test_empty_block(self, small_kernel_artifacts):
+        assert sample_dpp_block(small_kernel_artifacts.spectral, []) == []
 
 
 class TestLogLikelihood:

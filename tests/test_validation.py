@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,30 @@ class TestStreamedScatterProperties:
             _assert_reports_close(scatter(L, clus), dense, rtol=1e-12)
             _assert_reports_close(rep, dense, rtol=1e-12)
             assert np.all(dense.w_per_cluster[dense.sizes == 1] == 0.0)
+
+
+    def test_many_clusters_split_into_bounded_passes(self):
+        # 40 candidates of 20 clusters: 801 indicator columns at n = 400,
+        # scored in passes of at most n + 1 columns, so E and KE together
+        # stay near two n x (n + 1) arrays; in one pass they held 5.8 MB
+        n, m, k = 400, 40, 20
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, 2))
+        L = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        cands = [
+            _clus(rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)])))
+            for _ in range(m)
+        ]
+        tracemalloc.start()
+        try:
+            reports = scatter_reports(L, cands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2 * 8 * n * (n + 1)
+        dense = L.entries
+        for clus, rep in zip(cands, reports):
+            _assert_reports_close(rep, scatter(dense, clus), rtol=1e-12)
 
 
 class TestSimilarityRatio:

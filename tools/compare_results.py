@@ -63,20 +63,34 @@ def _spectrum(artifacts) -> dict:
     import numpy as np
 
     lam = artifacts.spectral.eigenvalues
+    every = np.arange(artifacts.n)
+    trace = artifacts.kernel[every, every].sum()  # the diagonal only, not the n x n kernel
     return {
         "n": artifacts.n,
         "rank": int(artifacts.spectral.eigenvectors.shape[1]),
         "expected_size": float((lam / (1.0 + lam)).sum()),
-        "trace_residual": float(np.trace(np.asarray(artifacts.kernel)) - lam.sum()),
+        "trace_residual": float(trace - lam.sum()),
         "log_det_norm": float(artifacts.log_det_norm),
     }
 
 
 def _draws(dc, artifacts, seed: int, runs: int) -> list[list[int]]:
-    """The DPP generator sets of runs 0..runs-1, drawn as the pipeline does."""
+    """The DPP generator sets of runs 0..runs-1, drawn as the pipeline does:
+    in its fixed blocks of runs, or one run at a time in a tree from before
+    the lockstep sampler."""
+    sample_block = getattr(dc.sampling, "sample_dpp_block", None)
+    if sample_block is None:
+        return [
+            list(dc.sample_dpp(artifacts.spectral, dc.RngStream(seed, r)).indices)
+            for r in range(runs)
+        ]
+    step = dc.pipeline.RUN_BLOCK
     return [
-        list(dc.sample_dpp(artifacts.spectral, dc.RngStream(seed, r)).indices)
-        for r in range(runs)
+        list(gens.indices)
+        for top in range(0, runs, step)
+        for gens in sample_block(
+            artifacts.spectral, [dc.RngStream(seed, r) for r in range(top, min(top + step, runs))]
+        )
     ]
 
 
