@@ -7,8 +7,8 @@ per outcome rather than aborting the sweep.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -19,9 +19,11 @@ from .metrics import ari, rn
 from .pipeline import (
     KernelArtifacts,
     PipelineConfig,
+    artifacts_pool,
     build_artifacts,
     _ensemble_draws,
     ensemble_runs,
+    _on_worker,
     select_clustering,
 )
 from .rng import RngStream
@@ -169,6 +171,53 @@ def prefix_selection(
     return k_hat, float(ari(labels, truth))
 
 
+def _prefix_task(partitions, artifacts: KernelArtifacts, cfg: PipelineConfig, truth):
+    """``prefix_selection`` in the argument order of a pool task.  A task's
+    function is pickled by its import path, so the pool gets this one even
+    where ``prefix_selection`` has been wrapped."""
+    return prefix_selection(artifacts, partitions, cfg, truth)
+
+
+def _start_cell(artifacts: KernelArtifacts, cfg: PipelineConfig, prefixes, truth, pool):
+    """One method's runs, then one deferred ``(k_hat, ARI)`` per prefix: the
+    result of a task on ``pool``, or computed when called.  A ClusterError
+    of the runs is returned in place of the ensemble."""
+    try:
+        ens = ensemble_runs(artifacts, cfg, pool)
+    except ClusterError as exc:
+        return exc, []
+    if pool is None:
+        return ens, [
+            partial(prefix_selection, artifacts, ens.partitions[:r], cfg, truth) for r in prefixes
+        ]
+    return ens, [
+        pool.submit(_on_worker, _prefix_task, ens.partitions[:r], cfg, truth).result
+        for r in prefixes
+    ]
+
+
+def _finish_cell(out: ReplicaOutcome, ens, scores, prefixes, marks) -> ReplicaOutcome:
+    """Fill ``out`` from a started cell, in prefix order; the first
+    ClusterError ends the cell and is recorded."""
+    if isinstance(ens, ClusterError):
+        out.error = str(ens)
+        return out
+    try:
+        for r, score in zip(prefixes, scores):
+            k_hat, full_ari = score()
+            if r in marks:
+                out.trajectory[r] = full_ari
+    except ClusterError as exc:
+        out.error = str(exc)
+        return out
+    out.k_hat = k_hat
+    out.ari = full_ari
+    out.rn_abs = abs(rn(max(k_hat, 1), out.realized_k))
+    out.subset_sizes = ens.subset_sizes
+    out.log_likelihoods = ens.log_likelihoods
+    return out
+
+
 def benchmark(
     scenarios: Sequence[ScenarioSpec],
     methods: Sequence[str],
@@ -181,10 +230,20 @@ def benchmark(
 
     Datasets are generated from streams keyed by (scenario index, replica),
     so each cell is reproducible in isolation.  ``generator`` is injectable
-    for tests.
+    for tests.  A ClusterError while generating a dataset or building its
+    kernel is recorded on that replica's outcome for every method.
+
+    With ``cfg.workers > 1`` each dataset gets one process pool, opened
+    once its artifacts are built, that runs both the run blocks and the
+    prefix selections: every method's runs go to the pool, then each
+    prefix's selection as its own task, while the parent goes on to the
+    next method's runs and collects the scores, in order, at the end.
+    Outcomes are identical at every worker count; with one worker
+    everything runs in this process.
     """
     runs = cfg.consensus.runs
     marks = tuple(sorted({int(r) for r in checkpoints if int(r) <= runs}))
+    prefixes = sorted({*marks, runs})
     outcomes: list[ReplicaOutcome] = []
     for s_idx, spec in enumerate(scenarios):
         n_reps = replicas if replicas is not None else spec.replicas
@@ -192,51 +251,53 @@ def benchmark(
             try:
                 ds = generator(spec, RngStream(cfg.seed, (s_idx, rep)))
             except ClusterError as exc:
-                for method in methods:
-                    outcomes.append(
-                        ReplicaOutcome(spec.scenario_id, method, rep, error=f"generation: {exc}")
-                    )
+                outcomes += [
+                    ReplicaOutcome(spec.scenario_id, method, rep, error=f"generation: {exc}")
+                    for method in methods
+                ]
                 continue
-            artifacts = build_artifacts(ds.data, s=cfg.s, preprocessing=cfg.preprocessing)
-            truth = ds.true_labels
-            for method in methods:
-                out = ReplicaOutcome(
-                    spec.scenario_id, method, rep, realized_p=ds.p, realized_k=ds.k
-                )
-                try:
-                    mcfg = replace(cfg, method=method)
-                    ens = ensemble_runs(artifacts, mcfg)
-                    for r in sorted({*marks, runs}):
-                        k_hat, full_ari = prefix_selection(
-                            artifacts, ens.partitions[:r], mcfg, truth
-                        )
-                        if r in marks:
-                            out.trajectory[r] = full_ari
-                    out.k_hat = k_hat
-                    out.ari = full_ari
-                    out.rn_abs = abs(rn(max(k_hat, 1), ds.k))
-                    out.subset_sizes = ens.subset_sizes
-                    out.log_likelihoods = ens.log_likelihoods
-                except ClusterError as exc:
-                    out.error = str(exc)
-                outcomes.append(out)
+            cell = dict(realized_p=ds.p, realized_k=ds.k)
+            try:
+                artifacts = build_artifacts(ds.data, s=cfg.s, preprocessing=cfg.preprocessing)
+            except ClusterError as exc:
+                outcomes += [
+                    ReplicaOutcome(spec.scenario_id, method, rep, **cell, error=f"kernel: {exc}")
+                    for method in methods
+                ]
+                continue
+            with artifacts_pool(artifacts, cfg.workers) as pool:
+                started = [
+                    _start_cell(
+                        artifacts, replace(cfg, method=method), prefixes, ds.true_labels, pool
+                    )
+                    for method in methods
+                ]
+                outcomes += [
+                    _finish_cell(
+                        ReplicaOutcome(spec.scenario_id, method, rep, **cell),
+                        ens, scores, prefixes, marks,
+                    )
+                    for method, (ens, scores) in zip(methods, started)
+                ]
     return BenchmarkResult(outcomes, marks)
 
 
 def diversity_series(data, cfg: PipelineConfig, methods: Sequence[str] = ("dpp", "uniform")):
     """Per-run subset log-likelihoods for each sampling method on one
-    dataset; the rows behind the diversity histograms."""
+    dataset; the rows behind the diversity histograms.  With
+    ``cfg.workers > 1`` one pool runs the draws of every method."""
     artifacts = build_artifacts(data, s=cfg.s, preprocessing=cfg.preprocessing)
     rows = []
-    for method in methods:
-        sizes, logliks = _ensemble_draws(artifacts, replace(cfg, method=method))
-        for run, (ll, size) in enumerate(zip(logliks, sizes)):
-            rows.append(
-                {
-                    "method": method,
-                    "run": run,
-                    "log_likelihood": float(ll),
-                    "subset_size": int(size),
-                }
-            )
+    with artifacts_pool(artifacts, cfg.workers) as pool:
+        for method in methods:
+            sizes, logliks = _ensemble_draws(artifacts, replace(cfg, method=method), pool)
+            for run, (ll, size) in enumerate(zip(logliks, sizes)):
+                rows.append(
+                    {
+                        "method": method,
+                        "run": run,
+                        "log_likelihood": float(ll),
+                        "subset_size": int(size),
+                    }
+                )
     return rows

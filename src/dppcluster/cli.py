@@ -165,7 +165,9 @@ def simulate(scenario_id, use_grid, replicas, max_overlap, seed, out_dir):
 @click.option("--replicas", default=None, type=int,
               help="Override the per-scenario replica count.")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--workers", default=1, show_default=True)
+@click.option("--workers", default=1, show_default=True,
+              help="Worker processes per dataset, for the runs and the prefix "
+                   "selections alike; results are identical at every count.")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True)
 @_mapped_errors
 def benchmark_cmd(scenarios_file, methods, runs, replicas, seed, workers, out_dir):

@@ -96,6 +96,7 @@ def lloyd_kmeans(data, init_centers, max_iter: int = 100, tol: float = 1e-6) -> 
         raise ConfigError("max_iter must be at least 1")
 
     x_sq = np.einsum("ij,ij->i", x, x)[:, None]
+    x_flat, features = x.ravel(), np.arange(p)  # entry (i, j) at i p + j
     prev = None
     for _ in range(max_iter):
         d = x @ centers.T
@@ -112,9 +113,10 @@ def lloyd_kmeans(data, init_centers, max_iter: int = 100, tol: float = 1e-6) -> 
             counts = counts[keep]
             centers = centers[keep]
         k = centers.shape[0]
-        sums = np.column_stack(
-            [np.bincount(raw, weights=x[:, j], minlength=k) for j in range(p)]
-        )
+        # one bincount over the (cluster, feature) bins of every entry; each
+        # bin still adds its terms in increasing row order
+        bins = (raw[:, None] * p + features).ravel()
+        sums = np.bincount(bins, weights=x_flat, minlength=k * p).reshape(k, p)
         new_centers = sums / counts[:, None]
         moved = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         unchanged = prev is not None and prev.shape == raw.shape and np.array_equal(prev, raw)

@@ -7,9 +7,12 @@ counts merge by integer addition.  Runs are drawn in fixed blocks of
 RUN_BLOCK consecutive run indices, [b RUN_BLOCK, (b + 1) RUN_BLOCK) cut at
 R, and a block is one task whether it runs serially or on a worker: the DPP
 draws of a block run in lockstep, and their rounding depends on the block's
-runs only.  So results are byte-identical no matter how many workers
-execute the blocks or in which order they finish, and a run in a complete
-block draws the same at every R.
+runs only.  ``bench.benchmark`` opens one pool per dataset
+(``artifacts_pool``) that runs both the run blocks and the prefix
+selections of every method; a prefix selection reads only its prefix's
+partitions.  So results are byte-identical at every worker count and in
+whichever order the tasks finish, and a run in a complete block draws the
+same at every R.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -170,43 +174,59 @@ def _block_runs(runs: range, artifacts: KernelArtifacts, method, seed, k_max):
     return out
 
 
-_WORKER_TASK = None
+_WORKER_ARTIFACTS: KernelArtifacts | None = None
 
 
-def _init_worker(task):
-    global _WORKER_TASK
-    _WORKER_TASK = task
+def _init_worker(artifacts: KernelArtifacts):
+    global _WORKER_ARTIFACTS
+    _WORKER_ARTIFACTS = artifacts
 
 
-def _run_block(runs):
-    fn, payload = _WORKER_TASK
-    return fn(runs, *payload)
+def _on_worker(fn, task, *args):
+    """``fn(task, artifacts, *args)`` with the artifacts this worker's
+    initializer stored."""
+    return fn(task, _WORKER_ARTIFACTS, *args)
 
 
-def _map_runs(fn, artifacts: KernelArtifacts, cfg: PipelineConfig) -> list:
-    """``fn(block, *payload)`` for every block of RUN_BLOCK runs, serially
-    or on a process pool, flattened in run order.  The pool's initializer
-    sends the payload once per worker."""
+def artifacts_pool(artifacts: KernelArtifacts, workers: int):
+    """A context holding a pool of ``workers`` processes whose initializer
+    stores ``artifacts`` once per worker, so a task sends only its own
+    arguments; with one worker the context holds None and no process
+    starts."""
+    if workers <= 1:
+        return nullcontext()
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(artifacts,)
+    )
+
+
+def _map_runs(fn, artifacts: KernelArtifacts, cfg: PipelineConfig, pool=None) -> list:
+    """``fn(block, artifacts, method, seed, k_max)`` for every block of
+    RUN_BLOCK runs, flattened in run order: serially, as tasks on ``pool``
+    (an ``artifacts_pool`` of the same artifacts), or on a pool of its own
+    when ``cfg.workers > 1`` and none is given."""
     runs = cfg.consensus.runs
     n = artifacts.n
     k_max = cfg.k_max if cfg.k_max is not None else default_k_max(n)
     if k_max > n:
         raise ConfigError(f"k_max={k_max} exceeds n={n}")
-    payload = (artifacts, cfg.method, cfg.seed, k_max)
+    if pool is None and cfg.workers > 1:
+        with artifacts_pool(artifacts, cfg.workers) as own:
+            return _map_runs(fn, artifacts, cfg, own)
+    rest = (cfg.method, cfg.seed, k_max)
     blocks = [range(top, min(top + RUN_BLOCK, runs)) for top in range(0, runs, RUN_BLOCK)]
-    if cfg.workers <= 1:
-        results = [fn(block, *payload) for block in blocks]
+    if pool is None:
+        results = [fn(block, artifacts, *rest) for block in blocks]
     else:
-        with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_init_worker, initargs=((fn, payload),)
-        ) as pool:
-            results = list(pool.map(_run_block, blocks))
+        futures = [pool.submit(_on_worker, fn, block, *rest) for block in blocks]
+        results = [future.result() for future in futures]
     return [run for block in results for run in block]
 
 
-def ensemble_runs(artifacts: KernelArtifacts, cfg: PipelineConfig) -> EnsembleResult:
-    """Execute R independent partition runs over the shared artifacts."""
-    results = _map_runs(_block_runs, artifacts, cfg)
+def ensemble_runs(artifacts: KernelArtifacts, cfg: PipelineConfig, pool=None) -> EnsembleResult:
+    """Execute R independent partition runs over the shared artifacts, on
+    ``pool`` when one is given (see ``_map_runs``)."""
+    results = _map_runs(_block_runs, artifacts, cfg, pool)
     partitions = [Partition(lab, k) for lab, k, _, _ in results]
     sizes = np.array([r[2] for r in results], dtype=np.int64)
     logliks = np.array([r[3] for r in results], dtype=float)
@@ -214,11 +234,11 @@ def ensemble_runs(artifacts: KernelArtifacts, cfg: PipelineConfig) -> EnsembleRe
 
 
 def _ensemble_draws(
-    artifacts: KernelArtifacts, cfg: PipelineConfig
+    artifacts: KernelArtifacts, cfg: PipelineConfig, pool=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Subset sizes and log-likelihoods of the R runs, equal to those of
     ``ensemble_runs``, without building the partitions."""
-    results = _map_runs(_block_draws, artifacts, cfg)
+    results = _map_runs(_block_draws, artifacts, cfg, pool)
     sizes = np.array([len(gens) for gens, _ in results], dtype=np.int64)
     logliks = np.array([ll for _, ll in results], dtype=float)
     return sizes, logliks

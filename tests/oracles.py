@@ -248,6 +248,38 @@ def wcss(x: np.ndarray, labels: np.ndarray) -> float:
     return total
 
 
+def lloyd_oracle(x: np.ndarray, centers: np.ndarray, max_iter: int = 100, tol: float = 1e-6):
+    """Raw labels of Lloyd's iterations whose cluster sums add every row's
+    features one row at a time, in increasing row order; distances, empty
+    cluster removal and the stopping rule as in ``lloyd_kmeans``."""
+    n, p = x.shape
+    x_sq = np.einsum("ij,ij->i", x, x)[:, None]
+    prev = None
+    for _ in range(max_iter):
+        d = x @ centers.T
+        d *= -2.0
+        d += x_sq
+        d += np.einsum("ij,ij->i", centers, centers)
+        raw = np.argmin(d, axis=1)
+        keep = np.unique(raw)
+        raw = np.searchsorted(keep, raw)
+        centers = centers[keep]
+        k = keep.size
+        sums = [[0.0] * p for _ in range(k)]
+        for i in range(n):
+            row = sums[raw[i]]
+            for j in range(p):
+                row[j] += float(x[i, j])
+        counts = np.bincount(raw, minlength=k)
+        new_centers = np.array(sums) / counts[:, None]
+        moved = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+        unchanged = prev is not None and np.array_equal(prev, raw)
+        centers, prev = new_centers, raw
+        if unchanged or moved <= tol:
+            break
+    return prev
+
+
 def scipy_sq_dists(x: np.ndarray) -> np.ndarray:
     """All pairwise squared Euclidean distances by scipy's ``pdist``."""
     return squareform(pdist(x, metric="sqeuclidean"))

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from dppcluster import (
     ConfigError,
     ConsensusConfig,
+    DegenerateScatter,
     GenerationExhausted,
     KernelMatrix,
     PipelineConfig,
@@ -78,6 +81,27 @@ class TestBenchmark:
         summary = result.summary_rows()
         assert summary[0]["replicas_failed"] == 1
 
+    def test_kernel_failure_recorded_not_fatal(self, mini_dataset):
+        # identical points have no bandwidth: the replica fails for every
+        # method, as a failed generation does, and the sweep goes on
+        def generator(spec, stream):
+            if stream.stream_id[-1] == 1:
+                return replace(mini_dataset, data=np.ones_like(mini_dataset.data))
+            return mini_dataset
+
+        spec = ScenarioSpec(150, "low", "low")
+        cfg = PipelineConfig(seed=0, consensus=ConsensusConfig(runs=10))
+        result = benchmark(
+            [spec], ["dpp", "uniform"], cfg, replicas=2, checkpoints=(5,), generator=generator
+        )
+        failed = [o for o in result.outcomes if o.error is not None]
+        assert [(o.method, o.replica) for o in failed] == [("dpp", 1), ("uniform", 1)]
+        for o in failed:
+            assert o.error == "kernel: all observations identical; bandwidth is undefined"
+            assert (o.realized_p, o.realized_k) == (mini_dataset.p, mini_dataset.k)
+            assert o.trajectory == {} and o.k_hat is None
+        assert [row["replicas_failed"] for row in result.summary_rows()] == [1, 1]
+
     @pytest.mark.parametrize("checkpoints", [(5, 10, 20), (5, 10)])
     def test_one_selection_per_prefix(self, monkeypatch, mini_dataset, checkpoints):
         # a checkpoint at R (= 20) doubles as the full selection; without
@@ -103,6 +127,100 @@ class TestBenchmark:
         assert (out.k_hat, out.ari) == full
         if 20 in checkpoints:
             assert out.ari == out.trajectory[20]
+
+
+def _outcome_fields(result):
+    return [
+        (
+            o.scenario, o.method, o.replica, o.trajectory, o.k_hat, o.ari, o.rn_abs,
+            None if o.subset_sizes is None else o.subset_sizes.tolist(),
+            None if o.log_likelihoods is None else o.log_likelihoods.tolist(),
+            o.error,
+        )
+        for o in result.outcomes
+    ]
+
+
+def _failing_prefix(artifacts, partitions, cfg):
+    # a fault in the selection of the second prefix only
+    if len(partitions) == 10:
+        raise DegenerateScatter(f"injected at {cfg.method}")
+    return _real_prefix_consensus(artifacts, partitions, cfg)
+
+
+_real_prefix_consensus = bench.prefix_consensus
+# workers inherit a patched module only when they are forked
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers are not forked"
+)
+
+
+class TestSharedPool:
+    METHODS = ("dpp", "uniform", "kmeans")
+    SPEC = ScenarioSpec(150, "low", "low")
+
+    @staticmethod
+    def _run(workers, dataset):
+        # two replicas of one dataset: one pool each
+        cfg = PipelineConfig(seed=3, workers=workers, consensus=ConsensusConfig(runs=30))
+        return benchmark(
+            [TestSharedPool.SPEC], TestSharedPool.METHODS, cfg, replicas=2,
+            checkpoints=(5, 10, 20), generator=lambda _spec, _stream: dataset,
+        )
+
+    def test_outcomes_identical_at_every_worker_count(self, mini_dataset):
+        serial = _outcome_fields(self._run(1, mini_dataset))
+        assert all(out[-1] is None for out in serial)
+        for workers in (2, 3):
+            assert _outcome_fields(self._run(workers, mini_dataset)) == serial
+            assert multiprocessing.active_children() == []
+
+    def test_runs_serially_without_a_pool(self, monkeypatch, mini_dataset):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a pool was opened at one worker")
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", forbidden)
+        assert all(o.error is None for o in self._run(1, mini_dataset).outcomes)
+
+    def test_prefix_error_lands_as_serially(self, mini_dataset):
+        # truth of the wrong length fails every prefix's score
+        bad = replace(mini_dataset, true_labels=mini_dataset.true_labels[:-1])
+        outs = [self._run(w, bad) for w in (1, 2)]
+        assert _outcome_fields(outs[1]) == _outcome_fields(outs[0])
+        assert {o.error for o in outs[0].outcomes} == {"label lengths differ: 150 vs 149"}
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_prefix_selections_run_on_the_pool(self, monkeypatch, mini_dataset):
+        parent, real = os.getpid(), bench.prefix_selection
+
+        def elsewhere(*args):
+            assert os.getpid() != parent, "a prefix selection ran in the parent"
+            return real(*args)
+
+        monkeypatch.setattr(bench, "prefix_selection", elsewhere)
+        assert all(o.error is None for o in self._run(2, mini_dataset).outcomes)
+
+    @needs_fork
+    def test_later_prefix_error_lands_as_serially(self, monkeypatch, mini_dataset):
+        # the first prefix scores, the second fails and ends the cell
+        monkeypatch.setattr(bench, "prefix_consensus", _failing_prefix)
+        serial, pooled = self._run(1, mini_dataset), self._run(2, mini_dataset)
+        assert _outcome_fields(pooled) == _outcome_fields(serial)
+        for o in serial.outcomes:
+            assert o.error == f"injected at {o.method}"
+            assert list(o.trajectory) == [5] and o.k_hat is None
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_no_worker_outlives_an_unexpected_error(self, monkeypatch, mini_dataset):
+        def broken(*_args):
+            raise RuntimeError("not a ClusterError")
+
+        monkeypatch.setattr(bench, "prefix_consensus", broken)
+        with pytest.raises(RuntimeError, match="not a ClusterError"):
+            self._run(2, mini_dataset)
+        assert multiprocessing.active_children() == []
 
 
 def test_selection_never_materialises_the_kernel(monkeypatch, mini_dataset):

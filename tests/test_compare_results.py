@@ -131,3 +131,20 @@ def test_draws_follow_the_pipeline(tool):
     assert [
         dc.dpp_log_likelihood(arts.kernel, d, arts.log_det_norm) for d in draws
     ] == ens.log_likelihoods.tolist()
+
+
+def test_diff_names_moved_benchmark_cells(tool, tmp_path):
+    old = _result("aa", 4.0, [[1, 2]], 2.5)
+    cell = {"k": 3, "ari": 0.9, "error": None, "trajectory": {"10": 0.8, "50": 0.9}}
+    old["benchmark"] = {"bench/d/dpp/seed0": cell}
+    assert "benchmark cells moved (0): none" in tool.diff(old, old)
+    # a record from before the cells were kept has none to compare
+    assert "benchmark cells moved (0): none" in tool.diff(_result("aa", 4.0, [], 2.5), old)
+    new = json.loads(json.dumps(old))
+    new["benchmark"]["bench/d/dpp/seed0"]["trajectory"]["10"] = 0.7
+    lines = tool.diff(old, new)
+    assert "benchmark cells moved (1): bench/d/dpp/seed0" in lines
+    assert "chosen labels identical in 1 of 1 cases" in lines
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    (tmp_path / "new.json").write_text(json.dumps(new))
+    assert tool.main(["diff", str(tmp_path / "old.json"), str(tmp_path / "new.json")]) == 1

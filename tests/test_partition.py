@@ -13,7 +13,7 @@ from dppcluster import (
 )
 from dppcluster.kernel import pairwise_sq_dists
 from dppcluster.partition import compact_labels
-from oracles import wcss
+from oracles import lloyd_oracle, wcss
 
 
 class TestVoronoiAssign:
@@ -108,6 +108,20 @@ class TestLloydKmeans:
         x = np.array([[0.0], [0.1], [10.0], [10.1]])
         part = lloyd_kmeans(x, np.array([[0.0], [10.0], [1e6]]))
         assert part.k == 2
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sums_added_in_row_order(self, order):
+        # the one-bincount cluster sums add each bin's terms in increasing
+        # row order, so labels match row-by-row sums exactly, also when
+        # clusters empty out along the way
+        rng = np.random.default_rng(11)
+        for trial in range(12):
+            n, p, k = 80 + 7 * trial, 1 + trial % 5, 2 + trial % 9
+            x = np.asarray(rng.normal(size=(n, p)) * rng.uniform(0.1, 50.0, size=p), order=order)
+            init = x[rng.choice(n, size=k, replace=False)]
+            init[-1] += 1e3  # far away: drops out after the first assignment
+            labels, _ = compact_labels(lloyd_oracle(x, init))
+            assert np.array_equal(lloyd_kmeans(x, init).labels, labels)
 
     def test_bad_center_count_rejected(self):
         with pytest.raises(ConfigError):

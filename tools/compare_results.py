@@ -9,12 +9,14 @@ BLAS thread, runs every case and writes one JSON record per case.  ``diff``
 prints one line per case and a summary: whether the chosen labels are
 equal; K, threshold, ARI and |RN| (``old>new`` where they differ); the
 largest relative change in any candidate float or in the selection's
-``alpha``; and whether the report digest moved.  For the ``run_pipeline`` cases it also compares a digest of
-the consensus matrix, ``report.consensus.entries`` as float64 bytes.  It
-reports, per dataset, the share of DPP draws that are identical and the
-change in E|Y| against trace R = trace L - sum(lambda).  Like diff(1),
-``diff`` exits 1 when any case's labels, report digest or consensus digest
-moved and 0 when none did.
+``alpha``; and whether the report digest moved.  For the ``run_pipeline``
+cases it also compares a digest of the consensus matrix,
+``report.consensus.entries`` as float64 bytes.  For the ``bench.benchmark``
+cells it prints K, ARI and whether the cell moved.  It reports, per
+dataset, the share of DPP draws that are identical and the change in E|Y|
+against trace R = trace L - sum(lambda).  Like diff(1), ``diff`` exits 1
+when any case's labels, report digest or consensus digest or any benchmark
+cell moved and 0 when none did.
 
 Cases:
 - ``iris``: ``run_pipeline`` on ``tests/data/iris.csv`` with the defaults;
@@ -22,7 +24,11 @@ Cases:
 - ``n500/<method>/seed<s>/R<r>``: consensus over the first r runs of
   ``n500-pmedium-kmedium``, r in 10/50/100/200, for ``dpp``, ``uniform``
   and ``kmeans``, seeds 0-9, selected by ``bench.prefix_consensus`` as
-  ``bench.benchmark`` does.
+  ``bench.benchmark`` does;
+- ``bench/n500/<method>/seed<s>``: one ``bench.benchmark`` call per seed
+  0-9 on the same dataset with methods ``dpp``, ``uniform`` and
+  ``kmeans`` and 2 workers, so its process pool runs the run blocks and the
+  prefix selections; each cell keeps its trajectory, K and ARI.
 
 Both simulated datasets come from the stream (0, (0, 0)), the one the
 benchmark draws them from.
@@ -45,6 +51,7 @@ CHECKPOINTS = (10, 50, 100, 200)
 METHODS = ("dpp", "uniform", "kmeans")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CANDIDATE_FLOATS = ("threshold", "w_v", "b_tilde", "sr", "kvi")
+BENCH_WORKERS = 2
 
 
 def _sha256(text: str) -> str:
@@ -133,13 +140,26 @@ def _prefix_case(dc, artifacts, partitions, cfg, truth, k_true: int) -> dict:
                  scores)
 
 
+def _benchmark_cells(dc, ds, seed: int) -> dict:
+    """The cells of one ``bench.benchmark`` call on ``ds``, by method."""
+    spec = dc.simgen.parse_scenario_id("n500-pmedium-kmedium")
+    cfg = dc.PipelineConfig(seed=seed, workers=BENCH_WORKERS)
+    result = dc.bench.benchmark([spec], METHODS, cfg, replicas=1,
+                                generator=lambda _spec, _stream: ds)
+    return {
+        o.method: {"k": o.k_hat, "ari": _num(o.ari), "error": o.error,
+                   "trajectory": {str(r): _num(v) for r, v in sorted(o.trajectory.items())}}
+        for o in result.outcomes
+    }
+
+
 def collect() -> dict:
     import numpy as np
 
     import dppcluster as dc
     from dppcluster.io import read_data_csv, read_labels_csv
 
-    result = {"datasets": {}, "draws": {}, "cases": {}}
+    result = {"datasets": {}, "draws": {}, "cases": {}, "benchmark": {}}
 
     x = read_data_csv(IRIS / "iris.csv")
     truth = read_labels_csv(IRIS / "iris_labels.csv")
@@ -174,6 +194,10 @@ def collect() -> dict:
                 result["cases"][f"n500/{method}/seed{seed}/R{r}"] = _prefix_case(
                     dc, arts, ens.partitions[:r], cfg, ds.true_labels, k_true
                 )
+    del arts
+    for seed in SEEDS:
+        for method, cell in _benchmark_cells(dc, ds, seed).items():
+            result["benchmark"][f"bench/n500/{method}/seed{seed}"] = cell
     return result
 
 
@@ -224,10 +248,18 @@ def _cell(a, b) -> str:
     return f"{a}" if a == b else f"{a}>{b}"
 
 
+def moved_cells(old: dict, new: dict) -> list[str]:
+    """The ``bench.benchmark`` cells whose record differs; a record from
+    before the cells were kept has none."""
+    new_cells = new.get("benchmark", {})
+    return [name for name, a in old.get("benchmark", {}).items() if a != new_cells.get(name)]
+
+
 def any_case_moved(old: dict, new: dict) -> bool:
     """Whether any case's chosen labels, report digest or consensus digest
-    differ; only the ``run_pipeline`` cases carry a consensus digest."""
-    return any(
+    differ, or any benchmark cell moved; only the ``run_pipeline`` cases
+    carry a consensus digest."""
+    return bool(moved_cells(old, new)) or any(
         a.get(key) != new["cases"][name].get(key)
         for name, a in old["cases"].items()
         for key in ("labels_sha256", "report_sha256", "consensus_sha256")
@@ -258,10 +290,19 @@ def diff(old: dict, new: dict) -> list[str]:
             dll = [abs(x - y) for x, y in zip(a["log_likelihoods"], b["log_likelihoods"])
                    if x is not None and y is not None]
             lines[-1] += f"  max|dloglik| {max(dll, default=0.0):.2g}"
+    cells_moved = moved_cells(old, new)
+    for name, a in old.get("benchmark", {}).items():
+        b = new.get("benchmark", {}).get(name, {})
+        lines.append(
+            f"{name:<26} {'':<7} {_cell(a['k'], b.get('k')):<6} {'':<10} "
+            f"{_cell(a['ari'], b.get('ari')):<22} {'':<12} {'':<9} "
+            f"{'moved' if name in cells_moved else 'same'}"
+        )
     lines.append(f"chosen labels identical in {same_labels} of {len(old['cases'])} cases")
     lines.append(f"report digests moved ({len(moved)}): {', '.join(moved) or 'none'}")
     lines.append(f"consensus digests moved ({len(consensus_moved)}): "
                  f"{', '.join(consensus_moved) or 'none'}")
+    lines.append(f"benchmark cells moved ({len(cells_moved)}): {', '.join(cells_moved) or 'none'}")
     for name, a in old["datasets"].items():
         b = new["datasets"][name]
         lines.append(
