@@ -56,11 +56,9 @@ from .pipeline import (
 from .preprocess import boxcox_transform, standardize
 from .rng import RngStream
 from .sampling import (
-    BaselineConfig,
     GeneratorSet,
     default_k_max,
     dpp_log_likelihood,
-    kmeanspp_init,
     sample_dpp,
     sample_uniform,
 )

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoCandidates, ShapeMismatch
-from .metrics import ari
 from .partition import Partition, compact_labels
 
 __all__ = [
@@ -136,25 +135,6 @@ class ConsensusMatrix:
         owned.setflags(write=False)
         object.__setattr__(self, "counts", owned)
         object.__setattr__(self, "runs", runs)
-
-    @classmethod
-    def from_proportions(cls, entries, runs: int) -> ConsensusMatrix:
-        """The matrix whose proportions are ``entries``: each must lie in
-        [0, 1] and within 1e-9 of an integer multiple of 1/runs."""
-        e = np.asarray(entries, dtype=float)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ShapeMismatch(f"consensus matrix must be square, got {e.shape}")
-        if not (e.min() >= 0.0 and e.max() <= 1.0):
-            raise ConfigError("consensus entries must lie in [0, 1]")
-        counts = np.empty(e.shape, dtype=np.min_scalar_type(int(runs)))
-        for rows in _row_blocks(e.shape[0]):
-            scaled = e[rows] * runs
-            on_grid = np.rint(scaled)
-            scaled -= on_grid
-            if np.abs(scaled, out=scaled).max() > 1e-9:
-                raise ConfigError("consensus entries must be integer multiples of 1/runs")
-            counts[rows] = on_grid
-        return cls(counts, runs)
 
     @property
     def n(self) -> int:
@@ -347,13 +327,14 @@ def candidate_clusterings(C: ConsensusMatrix, cfg: ConsensusConfig) -> list[Clus
     """One merged clustering per threshold, each cut from one spanning tree,
     deduplicated, single-cluster results dropped.
 
-    Duplicates (identical up to relabeling, i.e. pairwise ARI of exactly 1)
-    keep the lowest threshold.  Raises NoCandidates with the per-threshold
-    cluster-count table when nothing survives.
+    Duplicates (equal up to renaming) keep the lowest threshold.  Raises
+    NoCandidates with the per-threshold cluster-count table when nothing
+    survives.
     """
     tree = spanning_tree(C)
     min_size = math.ceil(tree[0].size ** cfg.a)
     kept: list[Clustering] = []
+    seen: set[bytes] = set()
     k_by_threshold: dict[float, int] = {}
     for theta in cfg.thresholds:
         comp = threshold_components(tree, theta)
@@ -361,9 +342,13 @@ def candidate_clusterings(C: ConsensusMatrix, cfg: ConsensusConfig) -> list[Clus
         k_by_threshold[theta] = clus.k
         if clus.k <= 1:
             continue
-        if any(ari(clus.labels, prev.labels) == 1.0 for prev in kept):
-            continue
-        kept.append(clus)
+        # the labels renumbered by first occurrence: equal iff the
+        # partitions are equal up to renaming
+        first = np.unique(clus.labels, return_index=True)[1]
+        key = np.argsort(np.argsort(first))[clus.labels].tobytes()
+        if key not in seen:
+            seen.add(key)
+            kept.append(clus)
     if not kept:
         raise NoCandidates(
             "every threshold produced a single cluster", k_by_threshold=k_by_threshold

@@ -40,13 +40,12 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def read_data_csv(path, header: str | bool = "auto") -> np.ndarray:
+def read_data_csv(path) -> np.ndarray:
     """Read a numeric matrix from CSV.
 
-    The delimiter is auto-detected among comma/semicolon/tab;
-    ``header="auto"`` treats the first row as a header iff any of its cells
-    is non-numeric.  A non-numeric data cell is fatal, reported with its
-    1-based row and column.
+    The delimiter is auto-detected among comma/semicolon/tab, and the first
+    row is a header iff any of its cells is non-numeric.  A non-numeric
+    data cell is fatal, reported with its 1-based row and column.
     """
     path = Path(path)
     text = path.read_text().splitlines()
@@ -57,10 +56,7 @@ def read_data_csv(path, header: str | bool = "auto") -> np.ndarray:
 
     reader = list(csv.reader((ln for _, ln in lines), delimiter=delimiter))
     first = [c.strip() for c in reader[0]]
-    if header == "auto":
-        has_header = any(not _is_number(c) for c in first if c != "")
-    else:
-        has_header = bool(header)
+    has_header = any(not _is_number(c) for c in first if c != "")
     body = reader[1:] if has_header else reader
     line_nos = [no for no, _ in (lines[1:] if has_header else lines)]
     if not body:

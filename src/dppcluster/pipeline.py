@@ -18,6 +18,7 @@ same at every R.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -38,7 +39,6 @@ from .kernel import (
     BandwidthConfig,
     KernelMatrix,
     SpectralDecomposition,
-    as_data_matrix,
     build_rbf_kernel,
     eigendecompose,
     estimate_bandwidth,
@@ -49,7 +49,6 @@ from .partition import Partition, lloyd_kmeans, voronoi_assign
 from .preprocess import PREPROCESSORS, apply_preprocessing
 from .rng import RngStream
 from .sampling import (
-    BaselineConfig,
     GeneratorSet,
     default_k_max,
     dpp_log_likelihood,
@@ -148,14 +147,13 @@ def _block_draws(runs: range, artifacts: KernelArtifacts, method, seed, k_max):
     if method == "dpp":
         sets = sample_dpp_block(artifacts.spectral, streams)
     elif method == "uniform":
-        cfg = BaselineConfig(k_max)
-        sets = [sample_uniform(artifacts.n, cfg, stream) for stream in streams]
+        sets = [sample_uniform(artifacts.n, k_max, stream) for stream in streams]
     else:  # kmeans: uniform size draw, k-means++ seeding
         sets = []
         for stream in streams:
             g = stream.generator
             k = int(g.integers(2, k_max + 1))
-            sets.append(GeneratorSet(kmeanspp_indices(artifacts.data, k, g), "kmeanspp"))
+            sets.append(GeneratorSet(kmeanspp_indices(artifacts.data, k, g)))
     return [
         (gens, dpp_log_likelihood(artifacts.kernel, gens, log_det_norm=artifacts.log_det_norm))
         for gens in sets
@@ -192,11 +190,19 @@ def artifacts_pool(artifacts: KernelArtifacts, workers: int):
     """A context holding a pool of ``workers`` processes whose initializer
     stores ``artifacts`` once per worker, so a task sends only its own
     arguments; with one worker the context holds None and no process
-    starts."""
+    starts.
+
+    The pool holds at most as many processes as this process may run on,
+    and at least two: results are identical at every worker count, and a
+    larger request would only fork idle processes at the first task.
+    """
     if workers <= 1:
         return nullcontext()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(artifacts,)
+        max_workers=min(workers, max(2, cpus or 1)),
+        initializer=_init_worker,
+        initargs=(artifacts,),
     )
 
 

@@ -16,7 +16,6 @@ from .rng import RngStream, as_generator
 
 __all__ = [
     "GeneratorSet",
-    "BaselineConfig",
     "RngStream",
     "default_k_max",
     "sample_dpp",
@@ -24,20 +23,19 @@ __all__ = [
     "dpp_log_likelihood",
     "sample_uniform",
     "kmeanspp_indices",
-    "kmeanspp_init",
 ]
 
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Ordered set of distinct observation indices used as Voronoi generators.
+    """Ordered set of distinct observation indices used as Voronoi generators
+    (or as k-means++ seeds).
 
     Pipeline runs always carry at least two indices; an empty set can only
     come out of ``sample_dpp`` with rejection disabled (diagnostics).
     """
 
     indices: tuple[int, ...]
-    method: str
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)
@@ -49,18 +47,6 @@ class GeneratorSet:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Upper bound for the uniform cluster-count draw."""
-
-    k_max: int
-
-    def __post_init__(self):
-        if int(self.k_max) < 2:
-            raise ConfigError(f"k_max must be at least 2, got {self.k_max}")
-        object.__setattr__(self, "k_max", int(self.k_max))
 
 
 def default_k_max(n: int) -> int:
@@ -198,7 +184,7 @@ def sample_dpp_block(
             weights -= drop
             np.maximum(weights, 0.0, out=weights)
             weights[rows, picks] = 0.0
-    return [GeneratorSet(tuple(c), "dpp") for c in chosen]
+    return [GeneratorSet(tuple(c)) for c in chosen]
 
 
 def dpp_log_likelihood(L, subset, log_det_norm: float | None = None) -> float:
@@ -226,18 +212,19 @@ def dpp_log_likelihood(L, subset, log_det_norm: float | None = None) -> float:
     return logdet - log_det_norm
 
 
-def sample_uniform(n: int, cfg: BaselineConfig, rng) -> GeneratorSet:
-    """Uniform baseline: k ~ U{2..k_max}, then a uniform k-subset of points.
+def sample_uniform(n: int, k_max: int, rng) -> GeneratorSet:
+    """Uniform baseline: k ~ U{2..k_max}, then a uniform k-subset of the n
+    points; ``k_max`` must lie in [2, n].
 
     Under this scheme each particular size-k subset has probability
     1 / ((k_max - 1) * C(n, k)).
     """
+    if not 2 <= k_max <= n:
+        raise ConfigError(f"k_max={k_max} must lie in [2, n={n}]")
     g = as_generator(rng)
-    if cfg.k_max > n:
-        raise ConfigError(f"k_max={cfg.k_max} exceeds the number of observations n={n}")
-    k = int(g.integers(2, cfg.k_max + 1))
+    k = int(g.integers(2, k_max + 1))
     idx = g.choice(n, size=k, replace=False)
-    return GeneratorSet(tuple(int(i) for i in idx), "uniform")
+    return GeneratorSet(tuple(int(i) for i in idx))
 
 
 def kmeanspp_indices(data, k: int, rng) -> tuple[int, ...]:
@@ -264,9 +251,3 @@ def kmeanspp_indices(data, k: int, rng) -> tuple[int, ...]:
         chosen.append(i)
         d2 = np.minimum(d2, ((x - x[i]) ** 2).sum(axis=1))
     return tuple(chosen)
-
-
-def kmeanspp_init(data, k: int, rng) -> np.ndarray:
-    """k-means++ seeding, returned as a (k, p) array of centers."""
-    x = as_data_matrix(data)
-    return x[list(kmeanspp_indices(x, k, rng))].copy()

@@ -222,44 +222,33 @@ def kvi(candidates) -> SelectionResult:
     if not pairs:
         raise NoCandidates("no candidate clusterings to select from")
 
-    usable: list[tuple[Clustering, ScatterReport, float]] = []
-    excluded: dict[int, str] = {}
-    for i, (clus, rep) in enumerate(pairs):
-        if clus.k < 2:
-            excluded[i] = "fewer than two clusters"
-            continue
+    reasons: list[str | None] = []
+    b_tildes: list[float | None] = []
+    for clus, rep in pairs:
         k = rep.b_pairwise.shape[0]
-        min_off = rep.b_pairwise[~np.eye(k, dtype=bool)].min()
-        if min_off <= EPS_BETWEEN:
-            excluded[i] = "between-cluster distance is numerically zero"
-            continue
-        usable.append((clus, rep, _b_tilde(rep)))
+        if clus.k < 2:
+            reasons.append("fewer than two clusters")
+        elif rep.b_pairwise[~np.eye(k, dtype=bool)].min() <= EPS_BETWEEN:
+            reasons.append("between-cluster distance is numerically zero")
+        else:
+            reasons.append(None)
+        b_tildes.append(None if reasons[-1] else _b_tilde(rep))
+    usable = [i for i, reason in enumerate(reasons) if reason is None]
     if not usable:
         raise NoCandidates("all candidates were excluded from index selection")
 
-    alpha = min(usable, key=lambda t: _sort_key(t[0]))[2]
-
+    alpha = b_tildes[min(usable, key=lambda i: _sort_key(pairs[i][0]))]
     scores: list[CandidateScore] = []
-    ranked: list[tuple[float, int, float, int]] = []
-    pos = 0
-    for i, (clus, rep) in enumerate(pairs):
+    for (clus, rep), reason, b_tilde in zip(pairs, reasons, b_tildes):
         try:
             sr = similarity_ratio(rep)
         except DegenerateScatter:
             sr = None
-        if i in excluded:
-            scores.append(
-                CandidateScore(clus.threshold, clus.k, rep.w_v, None, sr, None, True, excluded[i])
-            )
-            continue
-        b_tilde = usable[pos][2]
-        pos += 1
-        value = alpha * rep.w_v + b_tilde
-        theta = clus.threshold if clus.threshold is not None else float("inf")
-        ranked.append((value, -clus.k, theta, i))
+        value = None if reason else alpha * rep.w_v + b_tilde
         scores.append(
-            CandidateScore(clus.threshold, clus.k, rep.w_v, b_tilde, sr, value, False, None)
+            CandidateScore(clus.threshold, clus.k, rep.w_v, b_tilde, sr, value, bool(reason), reason)
         )
 
-    best_idx = min(ranked)[3]
-    return SelectionResult(pairs[best_idx][0], tuple(scores), float(alpha))
+    # the first of the usable candidates with the least (kvi, -k, threshold)
+    best = min(usable, key=lambda i: (scores[i].kvi, *_sort_key(pairs[i][0])))
+    return SelectionResult(pairs[best][0], tuple(scores), float(alpha))

@@ -8,7 +8,10 @@ probabilities via dense determinant enumeration, exact DPP draws by
 re-orthonormalising the whole basis after every pick, and scatter
 statistics via explicit coordinates under a dot-product kernel.  scipy,
 which the package no longer imports on its clustering path, is the
-reference for distances and for the pivoted Cholesky factor.
+reference for distances and for the pivoted Cholesky factor.  Two rules
+are kept here in the form the package used before it was simplified:
+candidate deduplication by an ARI of exactly 1, and the index selection
+of ``kvi_oracle``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,19 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from dppcluster.errors import ResampleExhausted
+from dppcluster.consensus import Clustering
+from dppcluster.errors import DegenerateScatter, NoCandidates, ResampleExhausted
+from dppcluster.metrics import ari
 from dppcluster.rng import as_generator
+from dppcluster.validation import (
+    EPS_BETWEEN,
+    CandidateScore,
+    ScatterReport,
+    SelectionResult,
+    _b_tilde,
+    _sort_key,
+    similarity_ratio,
+)
 
 
 def bfs_components(adjacency: np.ndarray) -> np.ndarray:
@@ -101,6 +115,19 @@ def candidate_clusterings_oracle(consensus, thresholds, min_size: int):
             seen.add(canonical)
             kept.append((theta, k, merged, labels))
     return kept, k_by_threshold
+
+
+def dedup_by_ari_oracle(clusterings) -> list:
+    """The clusterings with more than one cluster, each dropped when its
+    ARI with an earlier kept one is exactly 1.0 (equal up to renaming)."""
+    kept = []
+    for clus in clusterings:
+        if clus.k <= 1:
+            continue
+        if any(ari(clus.labels, prev.labels) == 1.0 for prev in kept):
+            continue
+        kept.append(clus)
+    return kept
 
 
 def ari_pair_oracle(labels_a, labels_b) -> float:
@@ -300,3 +327,64 @@ def lapack_pivoted_spectrum(mat: np.ndarray, tol: float) -> tuple[int, np.ndarra
     lam = np.zeros(mat.shape[0])
     lam[:rank] = np.linalg.svd(factor, compute_uv=False) ** 2
     return int(rank), lam
+
+
+def kvi_oracle(candidates) -> SelectionResult:
+    """``validation.kvi`` as it kept its candidates in four structures
+    (usable, excluded, ranked and a position counter), the reference for
+    the one-list bookkeeping: select the clustering minimizing the
+    kernel-based validation index.
+
+    The index is alpha * W_V + B_tilde, where B_tilde aggregates inverse
+    between-cluster distances scaled by their max/min ratio, and alpha is the
+    B_tilde of the candidate with the largest cluster count (ties: lowest
+    threshold).  Candidates with a vanishing between-cluster distance are
+    excluded with a recorded reason.  Ties at the minimum go to the larger
+    cluster count, then the lower threshold.  The similarity ratio is
+    computed for every candidate as a report-only score.
+    """
+    pairs = [(clus, rep) for clus, rep in candidates]
+    if not pairs:
+        raise NoCandidates("no candidate clusterings to select from")
+
+    usable: list[tuple[Clustering, ScatterReport, float]] = []
+    excluded: dict[int, str] = {}
+    for i, (clus, rep) in enumerate(pairs):
+        if clus.k < 2:
+            excluded[i] = "fewer than two clusters"
+            continue
+        k = rep.b_pairwise.shape[0]
+        min_off = rep.b_pairwise[~np.eye(k, dtype=bool)].min()
+        if min_off <= EPS_BETWEEN:
+            excluded[i] = "between-cluster distance is numerically zero"
+            continue
+        usable.append((clus, rep, _b_tilde(rep)))
+    if not usable:
+        raise NoCandidates("all candidates were excluded from index selection")
+
+    alpha = min(usable, key=lambda t: _sort_key(t[0]))[2]
+
+    scores: list[CandidateScore] = []
+    ranked: list[tuple[float, int, float, int]] = []
+    pos = 0
+    for i, (clus, rep) in enumerate(pairs):
+        try:
+            sr = similarity_ratio(rep)
+        except DegenerateScatter:
+            sr = None
+        if i in excluded:
+            scores.append(
+                CandidateScore(clus.threshold, clus.k, rep.w_v, None, sr, None, True, excluded[i])
+            )
+            continue
+        b_tilde = usable[pos][2]
+        pos += 1
+        value = alpha * rep.w_v + b_tilde
+        theta = clus.threshold if clus.threshold is not None else float("inf")
+        ranked.append((value, -clus.k, theta, i))
+        scores.append(
+            CandidateScore(clus.threshold, clus.k, rep.w_v, b_tilde, sr, value, False, None)
+        )
+
+    best_idx = min(ranked)[3]
+    return SelectionResult(pairs[best_idx][0], tuple(scores), float(alpha))

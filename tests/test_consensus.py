@@ -30,7 +30,12 @@ from dppcluster.consensus import (
     default_threshold_grid,
 )
 from dppcluster.io import read_data_csv
-from oracles import bfs_components, candidate_clusterings_oracle, merge_small_oracle
+from oracles import (
+    bfs_components,
+    candidate_clusterings_oracle,
+    dedup_by_ari_oracle,
+    merge_small_oracle,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -123,8 +128,7 @@ class TestThresholdComponents:
         assert part.k == 10
 
     def test_block_fixture(self):
-        entries = np.array([[1.0, 0.8, 0.0], [0.8, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        c = ConsensusMatrix.from_proportions(entries, 10)
+        c = ConsensusMatrix(np.array([[10, 8, 0], [8, 10, 0], [0, 0, 10]]), 10)
         part = threshold_components(spanning_tree(c), 0.6)
         assert part.labels[0] == part.labels[1] != part.labels[2]
         assert part.k == 2
@@ -153,8 +157,7 @@ class TestThresholdComponents:
 
 class TestMergeSmall:
     def test_noop_when_all_large(self):
-        entries = np.array([[1.0, 0.8, 0.0], [0.8, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        c = ConsensusMatrix.from_proportions(entries, 10)
+        c = ConsensusMatrix(np.array([[10, 8, 0], [8, 10, 0], [0, 0, 10]]), 10)
         comp = _p([0, 0, 1])
         out = merge_small(comp, c, min_size=1)
         assert np.array_equal(out.labels, comp.labels)
@@ -163,21 +166,20 @@ class TestMergeSmall:
     def test_single_merge_follows_strongest_link(self):
         # component {4} merges into the block holding its strongest link (node 2)
         n = 5
-        entries = np.eye(n)
+        counts = 2 * np.eye(n, dtype=int)
         block = [0, 1, 2, 3]
         for i in block:
             for j in block:
-                entries[i, j] = 1.0
-        entries[4, 2] = entries[2, 4] = 0.5
-        c = ConsensusMatrix.from_proportions(entries, 2)
+                counts[i, j] = 2
+        counts[4, 2] = counts[2, 4] = 1
+        c = ConsensusMatrix(counts, 2)
         out = merge_small(_p([0, 0, 0, 0, 1]), c, min_size=2)
         assert out.k == 1
         assert out.merged
 
     def test_three_singletons_trace(self):
         # frozen hand trace: {0} joins 1 via 0.5, then {2} joins via 0.4
-        entries = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]])
-        c = ConsensusMatrix.from_proportions(entries, 10)
+        c = ConsensusMatrix(np.array([[10, 5, 2], [5, 10, 4], [2, 4, 10]]), 10)
         out = merge_small(_p([0, 1, 2]), c, min_size=2)
         assert out.k == 1
         assert np.array_equal(out.labels, np.zeros(3, dtype=np.int64))
@@ -195,8 +197,7 @@ class TestMergeSmall:
                 assert np.bincount(out.labels).min() >= min_size
 
     def test_threshold_carried(self):
-        entries = np.eye(2)
-        c = ConsensusMatrix.from_proportions(entries, 1)
+        c = ConsensusMatrix(np.eye(2, dtype=int), 1)
         out = merge_small(_p([0, 1]), c, min_size=1, threshold=0.7)
         assert out.threshold == 0.7
 
@@ -299,15 +300,15 @@ class TestFastPathsAgainstOracles:
 
 class TestCandidateClusterings:
     def test_dedup_keeps_lowest_threshold(self):
-        entries = np.array(
+        counts = np.array(
             [
-                [1.0, 0.9, 0.1, 0.1],
-                [0.9, 1.0, 0.1, 0.1],
-                [0.1, 0.1, 1.0, 0.9],
-                [0.1, 0.1, 0.9, 1.0],
+                [10, 9, 1, 1],
+                [9, 10, 1, 1],
+                [1, 1, 10, 9],
+                [1, 1, 9, 10],
             ]
         )
-        c = ConsensusMatrix.from_proportions(entries, 10)
+        c = ConsensusMatrix(counts, 10)
         cfg = ConsensusConfig(runs=10, tau=0.6, thresholds=(0.6, 0.7), a=0.2)
         cands = candidate_clusterings(c, cfg)
         assert len(cands) == 1
@@ -316,15 +317,14 @@ class TestCandidateClusterings:
 
     def test_perfect_blocks_survive_any_threshold(self):
         labels = np.repeat([0, 1, 2], 3)
-        entries = (labels[:, None] == labels[None, :]).astype(float)
-        c = ConsensusMatrix.from_proportions(entries, 5)
+        c = ConsensusMatrix(5 * (labels[:, None] == labels[None, :]), 5)
         cfg = ConsensusConfig(runs=5, thresholds=(0.6, 0.8, 0.95), a=0.4)
         cands = candidate_clusterings(c, cfg)
         assert len(cands) == 1
         assert cands[0].k == 3
 
     def test_no_candidates_raises_with_table(self):
-        c = ConsensusMatrix.from_proportions(np.eye(6), 3)  # all singletons at any threshold
+        c = ConsensusMatrix(3 * np.eye(6, dtype=int), 3)  # all singletons at any threshold
         cfg = ConsensusConfig(runs=3, thresholds=(0.6, 0.9), a=0.5)
         with pytest.raises(NoCandidates) as err:
             candidate_clusterings(c, cfg)
@@ -332,15 +332,15 @@ class TestCandidateClusterings:
 
     def test_k_one_discarded_but_others_kept(self):
         # low threshold glues everything; high threshold keeps two blocks
-        entries = np.array(
+        counts = np.array(
             [
-                [1.0, 0.9, 0.5, 0.5],
-                [0.9, 1.0, 0.5, 0.5],
-                [0.5, 0.5, 1.0, 0.9],
-                [0.5, 0.5, 0.9, 1.0],
+                [10, 9, 5, 5],
+                [9, 10, 5, 5],
+                [5, 5, 10, 9],
+                [5, 5, 9, 10],
             ]
         )
-        c = ConsensusMatrix.from_proportions(entries, 10)
+        c = ConsensusMatrix(counts, 10)
         cfg = ConsensusConfig(runs=10, tau=0.4, thresholds=(0.4, 0.8), a=0.2)
         cands = candidate_clusterings(c, cfg)
         assert [cand.k for cand in cands] == [2]
@@ -369,6 +369,51 @@ class TestCandidateClusterings:
             assert np.array_equal(cand.labels, labels)
 
 
+    def test_duplicate_under_other_numbering_dropped(self):
+        # θ = 0.6 links 0 to {4, 5}: labels [0, 1, 1, 1, 0, 0].  At θ = 0.8,
+        # {0} is cut off, numbered first, and merges into {4, 5} (its
+        # strongest link, 0.7), which comes after {1, 2, 3}: labels
+        # [1, 0, 0, 0, 1, 1], the same partition under other numbers
+        counts = np.full((6, 6), 1)
+        for block in ([1, 2, 3], [4, 5]):
+            counts[np.ix_(block, block)] = 9
+        counts[0, 4] = counts[4, 0] = 7
+        np.fill_diagonal(counts, 10)
+        c = ConsensusMatrix(counts, 10)
+        cfg = ConsensusConfig(runs=10, tau=0.6, thresholds=(0.6, 0.8), a=0.3)
+        tree = spanning_tree(c)
+        low, high = (merge_small(threshold_components(tree, t), c, 2, t) for t in (0.6, 0.8))
+        assert low.labels.tolist() == [0, 1, 1, 1, 0, 0]
+        assert high.labels.tolist() == [1, 0, 0, 0, 1, 1]
+        cands = candidate_clusterings(c, cfg)
+        assert [(x.threshold, x.k) for x in cands] == [(0.6, 2)]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        _tied_consensus(),
+        st.sets(st.sampled_from([0.05, 0.25, 0.5, 0.75, 0.95]), min_size=1),
+        st.sampled_from([0.2, 0.5, 0.8]),
+    )
+    def test_dedup_matches_ari_rule(self, c, thresholds, a):
+        cfg = ConsensusConfig(runs=c.runs, tau=0.05, thresholds=tuple(sorted(thresholds)), a=a)
+        tree = spanning_tree(c)
+        every = [
+            merge_small(threshold_components(tree, t), c, math.ceil(c.n**a), threshold=t)
+            for t in cfg.thresholds
+        ]
+        expected = dedup_by_ari_oracle(every)
+        if not expected:
+            with pytest.raises(NoCandidates):
+                candidate_clusterings(c, cfg)
+            return
+        cands = candidate_clusterings(c, cfg)
+        assert [(x.threshold, x.k, x.merged) for x in cands] == [
+            (x.threshold, x.k, x.merged) for x in expected
+        ]
+        for cand, ref in zip(cands, expected):
+            assert np.array_equal(cand.labels, ref.labels)
+
+
 class TestConfig:
     def test_default_grid(self):
         assert default_threshold_grid(0.6) == (0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
@@ -392,9 +437,7 @@ class TestConfig:
 
     def test_consensus_matrix_validation(self):
         with pytest.raises(ConfigError):
-            ConsensusMatrix.from_proportions(np.array([[1.0, 0.3], [0.3, 0.9]]), 10)  # bad diagonal
-        with pytest.raises(ConfigError):
-            ConsensusMatrix.from_proportions(np.array([[1.0, 0.33], [0.33, 1.0]]), 10)  # not k/10
+            ConsensusMatrix(np.array([[10, 3], [3, 9]]), 10)  # bad diagonal
 
 
 class TestBlockedChecks:
@@ -406,26 +449,19 @@ class TestBlockedChecks:
 
     def _valid(self):
         labels = np.arange(self.n) % 7
-        entries = (labels[:, None] == labels[None, :]).astype(float)
-        entries[entries == 0] = 0.4
-        return entries
+        counts = 10 * (labels[:, None] == labels[None, :])
+        counts[counts == 0] = 4
+        return counts
 
     def test_layout(self):
         assert self.n % self.step != 0 and self.n > 2 * self.step
 
     @pytest.mark.parametrize("i,j", pairs)
-    def test_off_grid_entry(self, i, j):
-        entries = self._valid()
-        entries[i, j] = entries[j, i] = 0.33
-        with pytest.raises(ConfigError, match="integer multiples"):
-            ConsensusMatrix.from_proportions(entries, 10)
-
-    @pytest.mark.parametrize("i,j", pairs)
     def test_asymmetric_pair(self, i, j):
-        entries = self._valid()
-        entries[i, j], entries[j, i] = 0.3, 0.5
+        counts = self._valid()
+        counts[i, j], counts[j, i] = 3, 5
         with pytest.raises(ConfigError, match="symmetric"):
-            ConsensusMatrix.from_proportions(entries, 10)
+            ConsensusMatrix(counts, 10)
 
     def test_valid_matrix_allocates_little(self):
         labels = np.arange(1000) % 9
@@ -515,8 +551,6 @@ class TestCounts:
         c = _random_consensus(rng, 15, runs=7)
         assert c.entries.dtype == np.float64
         assert np.array_equal(c.entries, c.counts.astype(np.float64) / 7)
-        again = ConsensusMatrix.from_proportions(c.entries, 7)
-        assert np.array_equal(again.counts, c.counts)
 
     def test_matrix_owns_its_counts(self):
         counts = np.array([[2, 1], [1, 2]], dtype=np.uint8)
@@ -525,9 +559,9 @@ class TestCounts:
         counts[0, 1] = counts[1, 0] = 0
         assert c.counts[0, 1] == 1
         assert not c.counts.flags.writeable
-        entries = np.eye(3)
-        ConsensusMatrix.from_proportions(entries, 2)
-        assert entries.flags.writeable
+        wide = 2 * np.eye(3, dtype=np.int64)
+        ConsensusMatrix(wide, 2)
+        assert wide.flags.writeable
 
     def test_counts_validation(self):
         ConsensusMatrix(np.array([[3, 1], [1, 3]]), 3)
@@ -545,8 +579,6 @@ class TestCounts:
             ConsensusMatrix(np.array([[3, -1], [-1, 3]]), 3)
         with pytest.raises(ConfigError, match="runs"):
             ConsensusMatrix(np.zeros((2, 2), dtype=np.uint8), 0)
-        with pytest.raises(ConfigError, match="lie in"):
-            ConsensusMatrix.from_proportions(np.array([[1.0, np.nan], [np.nan, 1.0]]), 3)
 
     def test_accumulate_holds_counts_and_one_batch(self):
         # n = 1000, R = 200 runs of 8 clusters: the uint8 counts (n² bytes),

@@ -51,7 +51,7 @@ class TestReadDataCsv:
     def test_header_forced_off(self, tmp_path):
         f = tmp_path / "a.csv"
         f.write_text("1,2\n3,4\n")
-        assert read_data_csv(f, header=False).shape == (2, 2)
+        assert read_data_csv(f).shape == (2, 2)
 
     def test_non_numeric_cell_fatal_with_coordinates(self, tmp_path):
         f = tmp_path / "a.csv"
@@ -93,8 +93,7 @@ class TestReadLabelsCsv:
 
 class TestConsensusExport:
     def test_six_significant_digits(self, tmp_path):
-        entries = np.array([[1.0, 1 / 3], [1 / 3, 1.0]])
-        c = ConsensusMatrix.from_proportions(entries, 3)
+        c = ConsensusMatrix(np.array([[3, 1], [1, 3]]), 3)
         out = tmp_path / "c.csv"
         write_consensus_csv(c, out)
         lines = out.read_text().strip().splitlines()

@@ -20,30 +20,30 @@ class TestVoronoiAssign:
     def test_generators_own_their_cells(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(12, 2))
-        gens = GeneratorSet((3, 7, 11), "uniform")
+        gens = GeneratorSet((3, 7, 11))
         part = voronoi_assign(x, gens)
         # zero self-distance: each generator lands in its own, distinct cell
         assert len({part.labels[3], part.labels[7], part.labels[11]}) == 3
 
     def test_nearest_generator_1d(self):
         x = np.array([0.0, 1.0, 10.0])
-        part = voronoi_assign(x, GeneratorSet((0, 2), "uniform"))
+        part = voronoi_assign(x, GeneratorSet((0, 2)))
         assert part.labels.tolist() == [0, 0, 1]
         assert part.k == 2
 
     def test_tie_breaks_toward_earlier_generator(self):
         # point 1 sits exactly between generators 0 and 2
         x = np.array([0.0, 1.0, 2.0])
-        part = voronoi_assign(x, GeneratorSet((0, 2), "uniform"))
+        part = voronoi_assign(x, GeneratorSet((0, 2)))
         assert part.labels[1] == part.labels[0]
-        part_rev = voronoi_assign(x, GeneratorSet((2, 0), "uniform"))
+        part_rev = voronoi_assign(x, GeneratorSet((2, 0)))
         assert part_rev.labels[1] == part_rev.labels[2]
 
     def test_shared_distance_matrix_matches_direct(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(20, 3))
         d2 = pairwise_sq_dists(x)
-        gens = GeneratorSet((1, 5, 9), "uniform")
+        gens = GeneratorSet((1, 5, 9))
         a = voronoi_assign(x, gens)
         b = voronoi_assign(x, gens, sq_dists=d2)
         assert np.array_equal(a.labels, b.labels)
@@ -64,14 +64,14 @@ class TestVoronoiAssign:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(30, 2))
-        a = voronoi_assign(x, GeneratorSet((0, 10, 20), "uniform"))
-        b = voronoi_assign(x, GeneratorSet((20, 0, 10), "uniform"))
+        a = voronoi_assign(x, GeneratorSet((0, 10, 20)))
+        b = voronoi_assign(x, GeneratorSet((20, 0, 10)))
         assert ari(a.labels, b.labels) == 1.0
 
     def test_duplicate_generator_point_empties_cell(self):
         # two generators at identical coordinates: the later one gets nothing
         x = np.array([[0.0], [0.0], [5.0]])
-        part = voronoi_assign(x, GeneratorSet((0, 1, 2), "uniform"))
+        part = voronoi_assign(x, GeneratorSet((0, 1, 2)))
         assert part.k == 2
 
 

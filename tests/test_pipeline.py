@@ -1,3 +1,5 @@
+import os
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,8 @@ from dppcluster import (
 )
 from dppcluster.bench import diversity_series
 from dppcluster.io import read_data_csv, read_labels_csv
-from dppcluster.pipeline import METHODS, RUN_BLOCK, _map_runs
+from dppcluster import pipeline
+from dppcluster.pipeline import METHODS, RUN_BLOCK, _map_runs, artifacts_pool
 
 
 class TestConfig:
@@ -145,6 +148,65 @@ class TestEnsemble:
         assert [p.k for p in pooled.partitions] == [p.k for p in serial.partitions]
         assert np.array_equal(pooled.subset_sizes, serial.subset_sizes)
         assert np.array_equal(pooled.log_likelihoods, serial.log_likelihoods)
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    each task in this process, after the initializer."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestPoolSize:
+    # no real pool starts here: a pool of the requested size is the fault
+    @pytest.fixture
+    def stub(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _InlineExecutor)
+        monkeypatch.setattr(pipeline, "_WORKER_ARTIFACTS", None)  # restored afterwards
+        monkeypatch.setattr(_InlineExecutor, "sizes", [])
+        return _InlineExecutor.sizes
+
+    @pytest.mark.parametrize(
+        "cpus, workers, started",
+        [(4, 2, 2), (4, 3, 3), (4, 4, 4), (4, 10**6, 4), (1, 2, 2), (1, 10**6, 2)],
+    )
+    def test_at_most_the_usable_cpus_and_at_least_two(
+        self, monkeypatch, stub, blob_data, cpus, workers, started
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)
+        arts = build_artifacts(blob_data[0])
+        with artifacts_pool(arts, 1) as none:
+            assert none is None
+        with artifacts_pool(arts, workers):
+            pass
+        assert stub == [started]
+
+    def test_results_unchanged_at_a_huge_worker_count(self, stub, blob_data):
+        x, _ = blob_data
+        arts = build_artifacts(x)
+        base = dict(seed=6, consensus=ConsensusConfig(runs=2 * RUN_BLOCK))
+        serial = ensemble_runs(arts, PipelineConfig(workers=1, **base))
+        huge = ensemble_runs(arts, PipelineConfig(workers=10**6, **base))
+        assert stub == [max(2, len(os.sched_getaffinity(0)))]
+        assert [p.labels.tolist() for p in huge.partitions] == [
+            p.labels.tolist() for p in serial.partitions
+        ]
+        assert np.array_equal(huge.log_likelihoods, serial.log_likelihoods)
 
 
 def _block_bounds(runs, *_payload):

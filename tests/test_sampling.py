@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from dppcluster import (
-    BaselineConfig,
     ConfigError,
     DegenerateData,
     GeneratorSet,
@@ -17,7 +16,6 @@ from dppcluster import (
     build_artifacts,
     default_k_max,
     dpp_log_likelihood,
-    kmeanspp_init,
     sample_dpp,
     sample_uniform,
 )
@@ -305,7 +303,7 @@ class TestLockstepBlock:
 
 class TestLogLikelihood:
     def test_identity_kernel_singleton(self):
-        assert dpp_log_likelihood(np.eye(2), GeneratorSet((0,), "dpp")) == pytest.approx(
+        assert dpp_log_likelihood(np.eye(2), GeneratorSet((0,))) == pytest.approx(
             -np.log(4.0)
         )
 
@@ -339,7 +337,7 @@ class TestSampleUniform:
         counts = Counter()
         n_draws = 30_000
         for _ in range(n_draws):
-            gens = sample_uniform(5, BaselineConfig(2), stream)
+            gens = sample_uniform(5, 2, stream)
             assert len(gens) == 2
             counts[frozenset(gens.indices)] += 1
         assert len(counts) == 10
@@ -350,33 +348,36 @@ class TestSampleUniform:
         # k ~ U{2, 3}: sizes 2 and 3 each with probability 1/2
         stream = RngStream(1, 0)
         n_draws = 100_000
-        sizes = Counter(len(sample_uniform(5, BaselineConfig(3), stream)) for _ in range(n_draws))
+        sizes = Counter(len(sample_uniform(5, 3, stream)) for _ in range(n_draws))
         assert sizes[2] / n_draws == pytest.approx(0.5, abs=0.01)
         assert sizes[3] / n_draws == pytest.approx(0.5, abs=0.01)
 
     def test_indices_distinct(self):
         stream = RngStream(2, 0)
         for _ in range(500):
-            gens = sample_uniform(20, BaselineConfig(10), stream)
+            gens = sample_uniform(20, 10, stream)
             assert len(set(gens.indices)) == len(gens.indices)
 
     def test_kmax_exceeding_n_rejected(self):
         with pytest.raises(ConfigError):
-            sample_uniform(3, BaselineConfig(10), RngStream(0, 0))
+            sample_uniform(3, 10, RngStream(0, 0))
+
+    def test_kmax_below_two_rejected(self):
+        with pytest.raises(ConfigError):
+            sample_uniform(3, 1, RngStream(0, 0))
 
 
 class TestKmeansppInit:
     def test_k_one_returns_single_point(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(10, 2))
-        centers = kmeanspp_init(x, 1, RngStream(0, 0))
-        assert centers.shape == (1, 2)
-        assert any(np.array_equal(centers[0], row) for row in x)
+        idx = kmeanspp_indices(x, 1, RngStream(0, 0))
+        assert len(idx) == 1 and 0 <= idx[0] < len(x)
 
     def test_duplicate_pairs_forces_opposite_pick(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 10.0], [10.0, 10.0]])
         for seed in range(20):
-            centers = kmeanspp_init(x, 2, RngStream(seed, 0))
+            centers = x[list(kmeanspp_indices(x, 2, RngStream(seed, 0)))]
             # second center must come from the opposite duplicate pair
             assert not np.array_equal(centers[0], centers[1])
 
@@ -388,11 +389,11 @@ class TestKmeansppInit:
     def test_insufficient_distinct_points(self):
         x = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(DegenerateData):
-            kmeanspp_init(x, 2, RngStream(0, 0))
+            kmeanspp_indices(x, 2, RngStream(0, 0))
 
     def test_bad_k_rejected(self):
         with pytest.raises(ConfigError):
-            kmeanspp_init(np.zeros((3, 1)), 5, RngStream(0, 0))
+            kmeanspp_indices(np.zeros((3, 1)), 5, RngStream(0, 0))
 
 
 class TestDefaults:
@@ -403,4 +404,4 @@ class TestDefaults:
 
     def test_generator_set_rejects_duplicates(self):
         with pytest.raises(ConfigError):
-            GeneratorSet((1, 1, 2), "dpp")
+            GeneratorSet((1, 1, 2))

@@ -19,7 +19,7 @@ from dppcluster import (
     similarity_ratio,
 )
 from dppcluster.validation import CandidateScore, ScatterReport, scatter_reports
-from oracles import linear_kernel_scatter
+from oracles import kvi_oracle, linear_kernel_scatter
 
 
 def _clus(labels, threshold=None):
@@ -325,6 +325,58 @@ class TestKvi:
         c2 = _clus([0, 0, 0, 1, 1, 1], threshold=0.8)
         res = kvi([(c2, rep_a), (c1, rep_a)])
         assert res.chosen is c1  # same value, same K: lower threshold wins
+
+
+@st.composite
+def _kvi_candidates(draw):
+    # candidates sharing three reports on a coarse grid of values, at few
+    # thresholds: k < 2, zero between-cluster distances and exact index
+    # ties (in value, in value and k, in all three) all occur often
+    n = 8
+    grid = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+    reports = []
+    for _ in range(3):
+        k = draw(st.sampled_from([2, 4, 3, 1]))
+        pairs = k * (k - 1) // 2
+        b = np.zeros((k, k))
+        if draw(st.booleans()):  # B_tilde = k (k - 1) / d = 4, exactly at k = 2 and 4
+            b[np.triu_indices(k, 1)] = k * (k - 1) / 4
+        else:
+            b[np.triu_indices(k, 1)] = draw(st.lists(grid, min_size=pairs, max_size=pairs))
+        labels = np.arange(n) % k
+        report = ScatterReport(
+            v_s=1.0,
+            w_per_cluster=np.zeros(k),
+            w_v=draw(st.sampled_from([0.0, 0.5])),
+            b_pairwise=b + b.T,
+            b_v=draw(st.sampled_from([0.0, 1.0, 2.0])),
+            sizes=np.bincount(labels),
+            n=n,
+        )
+        reports.append((labels, k, report))
+    picks = st.tuples(st.integers(0, 2), st.sampled_from([None, 0.6, 0.7, 0.8]))
+    out = []
+    for which, threshold in draw(st.lists(picks, min_size=1, max_size=6)):
+        labels, k, report = reports[which]
+        out.append((Clustering(labels, k, threshold=threshold), report))
+    return out
+
+
+class TestKviAgainstOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_kvi_candidates())
+    def test_same_selection_as_oracle(self, candidates):
+        try:
+            expected = kvi_oracle(candidates)
+        except NoCandidates as err:
+            with pytest.raises(NoCandidates) as again:
+                kvi(candidates)
+            assert str(again.value) == str(err)
+            return
+        res = kvi(candidates)
+        assert res.chosen is expected.chosen
+        assert res.scores == expected.scores
+        assert res.alpha == expected.alpha
 
 
 def test_candidate_score_is_frozen():
