@@ -34,7 +34,6 @@ from .errors import (
     SingletonClusterWarning,
 )
 from .kernel import (
-    BandwidthConfig,
     KernelMatrix,
     SpectralDecomposition,
     build_rbf_kernel,

@@ -8,22 +8,21 @@ per outcome rather than aborting the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .consensus import accumulate
-from .errors import ClusterError, NoCandidates
+from .errors import ClusterError, NoCandidates, checked_int
 from .metrics import ari, rn
 from .pipeline import (
     KernelArtifacts,
     PipelineConfig,
     artifacts_pool,
     build_artifacts,
-    _ensemble_draws,
+    defer_tasks,
+    ensemble_draws,
     ensemble_runs,
-    _on_worker,
     select_clustering,
 )
 from .rng import RngStream
@@ -179,21 +178,15 @@ def _prefix_task(partitions, artifacts: KernelArtifacts, cfg: PipelineConfig, tr
 
 
 def _start_cell(artifacts: KernelArtifacts, cfg: PipelineConfig, prefixes, truth, pool):
-    """One method's runs, then one deferred ``(k_hat, ARI)`` per prefix: the
-    result of a task on ``pool``, or computed when called.  A ClusterError
-    of the runs is returned in place of the ensemble."""
+    """One method's runs, then one deferred ``(k_hat, ARI)`` per prefix
+    (``defer_tasks``).  A ClusterError of the runs is returned in place of
+    the ensemble."""
     try:
         ens = ensemble_runs(artifacts, cfg, pool)
     except ClusterError as exc:
         return exc, []
-    if pool is None:
-        return ens, [
-            partial(prefix_selection, artifacts, ens.partitions[:r], cfg, truth) for r in prefixes
-        ]
-    return ens, [
-        pool.submit(_on_worker, _prefix_task, ens.partitions[:r], cfg, truth).result
-        for r in prefixes
-    ]
+    partitions = [ens.partitions[:r] for r in prefixes]
+    return ens, defer_tasks(pool, _prefix_task, partitions, artifacts, cfg, truth)
 
 
 def _finish_cell(out: ReplicaOutcome, ens, scores, prefixes, marks) -> ReplicaOutcome:
@@ -241,6 +234,8 @@ def benchmark(
     Outcomes are identical at every worker count; with one worker
     everything runs in this process.
     """
+    if replicas is not None:
+        replicas = checked_int("replicas", replicas, 1)
     runs = cfg.consensus.runs
     marks = tuple(sorted({int(r) for r in checkpoints if int(r) <= runs}))
     prefixes = sorted({*marks, runs})
@@ -290,7 +285,7 @@ def diversity_series(data, cfg: PipelineConfig, methods: Sequence[str] = ("dpp",
     rows = []
     with artifacts_pool(artifacts, cfg.workers) as pool:
         for method in methods:
-            sizes, logliks = _ensemble_draws(artifacts, replace(cfg, method=method), pool)
+            sizes, logliks = ensemble_draws(artifacts, replace(cfg, method=method), pool)
             for run, (ll, size) in enumerate(zip(logliks, sizes)):
                 rows.append(
                     {

@@ -17,7 +17,7 @@ import click
 from . import io as pkgio
 from .bench import DEFAULT_CHECKPOINTS, benchmark, diversity_series
 from .consensus import ConsensusConfig
-from .errors import ConfigError, DataError, NoCandidates, NumericalError
+from .errors import ConfigError, DataError, NoCandidates, NumericalError, checked_int
 from .pipeline import METHODS, PipelineConfig, run_pipeline
 from .preprocess import PREPROCESSORS
 from .rng import RngStream
@@ -131,6 +131,7 @@ def simulate(scenario_id, use_grid, replicas, max_overlap, seed, out_dir):
     """Generate synthetic benchmark datasets."""
     if (scenario_id is None) == (not use_grid):
         raise ConfigError("choose exactly one of --scenario-id or --grid")
+    checked_int("replicas", replicas, 1)
     if use_grid:
         scenarios = [replace(sp, max_pairwise_overlap=max_overlap) for sp in scenario_grid()]
     else:
@@ -157,7 +158,7 @@ def simulate(scenario_id, use_grid, replicas, max_overlap, seed, out_dir):
         _fail("no dataset could be generated", EXIT_NUMERIC)
 
 
-@main.command()
+@main.command(name="benchmark")
 @click.option("--scenarios", "scenarios_file", type=click.Path(path_type=Path), required=True,
               help="JSON list of scenario ids or spec objects.")
 @click.option("--methods", default="dpp,uniform", show_default=True)
@@ -210,9 +211,6 @@ def benchmark_cmd(scenarios_file, methods, runs, replicas, seed, workers, out_di
             f"ok={row['replicas_ok']} failed={row['replicas_failed']}"
         )
     click.echo(f"tables written under {out_dir}")
-
-
-main.add_command(benchmark_cmd, name="benchmark")
 
 
 @main.command(name="diagnose-diversity")

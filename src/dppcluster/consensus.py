@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoCandidates, ShapeMismatch
+from .errors import ConfigError, NoCandidates, ShapeMismatch, checked_int
 from .partition import Partition, compact_labels
 
 __all__ = [
@@ -70,9 +70,7 @@ class ConsensusConfig:
     a: float = 0.5
 
     def __post_init__(self):
-        if int(self.runs) < 1:
-            raise ConfigError(f"runs must be at least 1, got {self.runs}")
-        object.__setattr__(self, "runs", int(self.runs))
+        object.__setattr__(self, "runs", checked_int("runs", self.runs, 1))
         if not 0.0 < self.tau < 1.0:
             raise ConfigError(f"tau must lie in (0, 1), got {self.tau}")
         if not 0.0 < self.a < 1.0:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the check of the
+integer settings.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 NumericalError -> 4.
@@ -11,6 +12,18 @@ class ClusterError(Exception):
 
 class ConfigError(ClusterError):
     """Invalid configuration value or combination."""
+
+
+def checked_int(name: str, value, minimum: int) -> int:
+    """``value`` as an int; a ConfigError when it is not a whole number of
+    at least ``minimum`` (1.5, NaN, "3" and None are not)."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or whole < minimum:
+        raise ConfigError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return whole
 
 
 class DataError(ClusterError):

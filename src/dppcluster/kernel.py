@@ -28,7 +28,6 @@ import numpy as np
 from .errors import ConfigError, DegenerateData, NumericalFailure, ShapeMismatch
 
 __all__ = [
-    "BandwidthConfig",
     "KernelMatrix",
     "SpectralDecomposition",
     "as_data_matrix",
@@ -158,20 +157,6 @@ def estimate_bandwidth(data, sq_dists: np.ndarray | None = None) -> float:
 
 
 @dataclass(frozen=True)
-class BandwidthConfig:
-    """Squared bandwidth estimate plus the dimensionless tuning factor s."""
-
-    sigma2_hat: float
-    s: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.sigma2_hat) and self.sigma2_hat > 0):
-            raise ConfigError(f"sigma2_hat must be positive, got {self.sigma2_hat!r}")
-        if not (np.isfinite(self.s) and self.s > 0):
-            raise ConfigError(f"bandwidth factor s must be positive, got {self.s!r}")
-
-
-@dataclass(frozen=True)
 class KernelMatrix:
     """The Gaussian kernel exp(d2 / scale) of a squared-distance matrix d2,
     held implicitly.
@@ -233,16 +218,23 @@ class KernelMatrix:
         return np.asarray(self.entries, dtype=dtype)
 
 
-def build_rbf_kernel(data, cfg: BandwidthConfig, sq_dists: np.ndarray | None = None) -> KernelMatrix:
+def build_rbf_kernel(
+    data, sigma2_hat: float, s: float = 1.0, sq_dists: np.ndarray | None = None
+) -> KernelMatrix:
     """Gaussian kernel exp(-d^2 / (2 s sigma2_hat)) over all pairs, held
     implicitly over the shared squared-distance matrix.
 
-    The diagonal is exactly 1 (exp(-0) = 1) and symmetry is inherited from
-    the distances.
+    ``sigma2_hat`` is the squared-bandwidth estimate and ``s`` the
+    dimensionless tuning factor; both must be positive and finite
+    (ConfigError).  The diagonal is exactly 1 (exp(-0) = 1) and symmetry is
+    inherited from the distances.
     """
+    for name, value in (("sigma2_hat", sigma2_hat), ("bandwidth factor s", s)):
+        if not 0.0 < value < math.inf:  # also rejects NaN
+            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     if sq_dists is None:
         sq_dists = pairwise_sq_dists(data)
-    return KernelMatrix(sq_dists, -2.0 * cfg.s * cfg.sigma2_hat)
+    return KernelMatrix(sq_dists, -2.0 * s * sigma2_hat)
 
 
 @dataclass(frozen=True)

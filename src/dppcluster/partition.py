@@ -34,10 +34,6 @@ class Partition:
     def n(self) -> int:
         return self.labels.size
 
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.k)
-
 
 def compact_labels(raw) -> tuple[np.ndarray, int]:
     """Relabel to contiguous ids 0..k-1, preserving the order of the
@@ -55,21 +51,17 @@ def voronoi_assign(data, gens, sq_dists: np.ndarray | None = None) -> Partition:
     it must be exactly symmetric, as ``pairwise_sq_dists`` guarantees,
     because the generators' rows are read in place of their columns.
     Without it, the generators' distances are computed in the same
-    feature order and are bit-equal to those rows.
+    feature order and are bit-equal to those rows.  An index outside
+    [0, n) raises ShapeMismatch.
     """
     idx = np.asarray(getattr(gens, "indices", gens), dtype=int)
     if idx.size == 0:
         raise ConfigError("generator set is empty")
-    if sq_dists is not None:
-        d2 = np.asarray(sq_dists)
-        if idx.max() >= d2.shape[0]:
-            raise ShapeMismatch("generator index out of range")
-        d = d2[idx]  # rows equal columns by symmetry and read contiguously
-    else:
-        x = as_data_matrix(data)
-        if idx.max() >= x.shape[0]:
-            raise ShapeMismatch("generator index out of range")
-        d = sq_dists_between(x[idx], x)
+    rows = np.asarray(sq_dists) if sq_dists is not None else as_data_matrix(data)
+    if idx.min() < 0 or idx.max() >= rows.shape[0]:
+        raise ShapeMismatch(f"generator index out of range [0, {rows.shape[0]})")
+    # a distance row equals its column by symmetry, and reads contiguously
+    d = rows[idx] if sq_dists is not None else sq_dists_between(rows[idx], rows)
     raw = np.argmin(d, axis=0)  # first occurrence wins ties
     labels, k = compact_labels(raw)
     return Partition(labels, k)

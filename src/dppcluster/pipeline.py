@@ -7,8 +7,10 @@ counts merge by integer addition.  Runs are drawn in fixed blocks of
 RUN_BLOCK consecutive run indices, [b RUN_BLOCK, (b + 1) RUN_BLOCK) cut at
 R, and a block is one task whether it runs serially or on a worker: the DPP
 draws of a block run in lockstep, and their rounding depends on the block's
-runs only.  ``bench.benchmark`` opens one pool per dataset
-(``artifacts_pool``) that runs both the run blocks and the prefix
+runs only.  ``defer_tasks`` alone decides where a task runs: it turns
+each task into a callable that returns the task's result, computed in
+this process or on a worker.  ``bench.benchmark`` opens one pool per
+dataset (``artifacts_pool``) that runs both the run blocks and the prefix
 selections of every method; a prefix selection reads only its prefix's
 partitions.  So results are byte-identical at every worker count and in
 whichever order the tasks finish, and a run in a complete block draws the
@@ -23,6 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -34,9 +37,8 @@ from .consensus import (
     accumulate,
     candidate_clusterings,
 )
-from .errors import ConfigError
+from .errors import ConfigError, checked_int
 from .kernel import (
-    BandwidthConfig,
     KernelMatrix,
     SpectralDecomposition,
     build_rbf_kernel,
@@ -64,7 +66,9 @@ __all__ = [
     "EnsembleResult",
     "RunReport",
     "build_artifacts",
+    "defer_tasks",
     "ensemble_runs",
+    "ensemble_draws",
     "select_clustering",
     "run_pipeline",
 ]
@@ -91,10 +95,10 @@ class PipelineConfig:
             raise ConfigError(f"unknown preprocessing {self.preprocessing!r}")
         if not self.s > 0:
             raise ConfigError("bandwidth factor s must be positive")
-        if self.k_max is not None and int(self.k_max) < 2:
-            raise ConfigError("k_max must be at least 2")
-        if int(self.workers) < 1:
-            raise ConfigError("workers must be at least 1")
+        if self.k_max is not None:
+            object.__setattr__(self, "k_max", checked_int("k_max", self.k_max, 2))
+        object.__setattr__(self, "seed", checked_int("seed", self.seed, 0))
+        object.__setattr__(self, "workers", checked_int("workers", self.workers, 1))
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ def build_artifacts(data, s: float = 1.0, preprocessing: str = "none") -> Kernel
     x = apply_preprocessing(data, preprocessing)
     d2 = pairwise_sq_dists(x)
     sigma2 = estimate_bandwidth(x, sq_dists=d2)
-    kernel = build_rbf_kernel(x, BandwidthConfig(sigma2, s), sq_dists=d2)
+    kernel = build_rbf_kernel(x, sigma2, s, sq_dists=d2)
     spectral = eigendecompose(kernel)
     return KernelArtifacts(x, d2, sigma2, kernel, spectral, spectral.log_det_plus_identity())
 
@@ -155,7 +159,7 @@ def _block_draws(runs: range, artifacts: KernelArtifacts, method, seed, k_max):
             k = int(g.integers(2, k_max + 1))
             sets.append(GeneratorSet(kmeanspp_indices(artifacts.data, k, g)))
     return [
-        (gens, dpp_log_likelihood(artifacts.kernel, gens, log_det_norm=artifacts.log_det_norm))
+        (gens, dpp_log_likelihood(artifacts.kernel, gens, artifacts.log_det_norm))
         for gens in sets
     ]
 
@@ -206,27 +210,29 @@ def artifacts_pool(artifacts: KernelArtifacts, workers: int):
     )
 
 
+def defer_tasks(pool, fn, tasks, artifacts: KernelArtifacts, *args) -> list:
+    """One zero-argument callable per task, in task order, returning (or
+    raising) ``fn(task, artifacts, *args)``: run here when called without
+    a pool, or submitted now to ``pool``, an ``artifacts_pool`` of the same
+    artifacts, which pickles ``fn`` by its import path."""
+    if pool is None:
+        return [partial(fn, task, artifacts, *args) for task in tasks]
+    return [pool.submit(_on_worker, fn, task, *args).result for task in tasks]
+
+
 def _map_runs(fn, artifacts: KernelArtifacts, cfg: PipelineConfig, pool=None) -> list:
     """``fn(block, artifacts, method, seed, k_max)`` for every block of
-    RUN_BLOCK runs, flattened in run order: serially, as tasks on ``pool``
-    (an ``artifacts_pool`` of the same artifacts), or on a pool of its own
-    when ``cfg.workers > 1`` and none is given."""
+    RUN_BLOCK runs, flattened in run order, on ``pool`` or, when none is
+    given, on an ``artifacts_pool`` of ``cfg.workers`` of its own."""
     runs = cfg.consensus.runs
     n = artifacts.n
     k_max = cfg.k_max if cfg.k_max is not None else default_k_max(n)
     if k_max > n:
         raise ConfigError(f"k_max={k_max} exceeds n={n}")
-    if pool is None and cfg.workers > 1:
-        with artifacts_pool(artifacts, cfg.workers) as own:
-            return _map_runs(fn, artifacts, cfg, own)
-    rest = (cfg.method, cfg.seed, k_max)
     blocks = [range(top, min(top + RUN_BLOCK, runs)) for top in range(0, runs, RUN_BLOCK)]
-    if pool is None:
-        results = [fn(block, artifacts, *rest) for block in blocks]
-    else:
-        futures = [pool.submit(_on_worker, fn, block, *rest) for block in blocks]
-        results = [future.result() for future in futures]
-    return [run for block in results for run in block]
+    with nullcontext(pool) if pool else artifacts_pool(artifacts, cfg.workers) as pool:
+        calls = defer_tasks(pool, fn, blocks, artifacts, cfg.method, cfg.seed, k_max)
+        return [run for call in calls for run in call()]
 
 
 def ensemble_runs(artifacts: KernelArtifacts, cfg: PipelineConfig, pool=None) -> EnsembleResult:
@@ -239,7 +245,7 @@ def ensemble_runs(artifacts: KernelArtifacts, cfg: PipelineConfig, pool=None) ->
     return EnsembleResult(partitions, sizes, logliks)
 
 
-def _ensemble_draws(
+def ensemble_draws(
     artifacts: KernelArtifacts, cfg: PipelineConfig, pool=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Subset sizes and log-likelihoods of the R runs, equal to those of
@@ -267,9 +273,9 @@ def select_clustering(
 class RunReport:
     """Everything run_pipeline produced, JSON-serializable.
 
-    ``timings`` are wall-clock seconds per stage; they are excluded from the
-    serialized report by default so reports from identical (data, config)
-    pairs compare byte-for-byte.
+    ``timings`` are wall-clock seconds per stage; the text report prints
+    them, and the serialized report leaves them out, so reports from
+    identical (data, config) pairs compare byte-for-byte.
     """
 
     method: str
@@ -294,14 +300,14 @@ class RunReport:
     consensus: ConsensusMatrix
     timings: dict[str, float]
 
-    def to_dict(self, include_timings: bool = False) -> dict:
+    def to_dict(self) -> dict:
         def num(v):
             if v is None:
                 return None
             v = float(v)
             return v if np.isfinite(v) else None
 
-        out = {
+        return {
             "method": self.method,
             "n": self.n,
             "runs": self.runs,
@@ -342,12 +348,9 @@ class RunReport:
                 "log_likelihoods": [num(v) for v in self.log_likelihoods],
             },
         }
-        if include_timings:
-            out["timings"] = {k: float(v) for k, v in self.timings.items()}
-        return out
 
-    def to_json(self, include_timings: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timings), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def run_pipeline(data, cfg: PipelineConfig, truth: Sequence[int] | None = None) -> RunReport:

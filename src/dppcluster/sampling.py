@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateData, ResampleExhausted
+from .errors import ConfigError, DegenerateData, ResampleExhausted, ShapeMismatch
 from .kernel import KernelMatrix, SpectralDecomposition, as_data_matrix
 from .rng import RngStream, as_generator
 
@@ -187,22 +187,23 @@ def sample_dpp_block(
     return [GeneratorSet(tuple(c)) for c in chosen]
 
 
-def dpp_log_likelihood(L, subset, log_det_norm: float | None = None) -> float:
+def dpp_log_likelihood(L, subset, log_det_norm: float) -> float:
     """Log probability mass of a generator subset under the point process.
 
-    Returns ``log det(L_Y) - log det(L + I)``; the normalizer can be passed
-    in precomputed (one ``sum(log1p(eigenvalues))`` per kernel) and is
-    otherwise derived from the eigenvalues of ``L``.  Of a ``KernelMatrix``
-    only the k x k block of the subset is computed.  A singular principal
-    minor (duplicate or linearly dependent rows) reports ``-inf``.
+    Returns ``log det(L_Y) - log det(L + I)``, with the normalizer
+    ``log_det_norm`` = log det(L + I) computed once per kernel
+    (``SpectralDecomposition.log_det_plus_identity``).  Of a
+    ``KernelMatrix`` only the k x k block of the subset is computed.  An
+    index outside [0, n) raises ShapeMismatch.  A singular principal minor
+    (duplicate or linearly dependent rows) reports ``-inf``.
     """
     mat = L if isinstance(L, KernelMatrix) else np.asarray(L, dtype=float)
-    if log_det_norm is None:
-        lam = np.clip(np.linalg.eigvalsh(np.asarray(mat)), 0.0, None)
-        log_det_norm = float(np.log1p(lam).sum())
+    n = mat.n if isinstance(mat, KernelMatrix) else mat.shape[0]
     idx = np.asarray(getattr(subset, "indices", subset), dtype=int)
     if idx.size == 0:
         return -log_det_norm
+    if idx.min() < 0 or idx.max() >= n:
+        raise ShapeMismatch(f"subset index out of range [0, {n})")
     sub = mat[np.ix_(idx, idx)]
     try:
         chol = np.linalg.cholesky(sub)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, GenerationExhausted
+from .errors import ConfigError, GenerationExhausted, checked_int
 from .rng import as_generator
 
 __all__ = [
@@ -71,8 +71,7 @@ class ScenarioSpec:
             )
         if not 0.0 < self.max_pairwise_overlap < 1.0:
             raise ConfigError("max_pairwise_overlap must lie in (0, 1)")
-        if int(self.replicas) < 1:
-            raise ConfigError("replicas must be at least 1")
+        object.__setattr__(self, "replicas", checked_int("replicas", self.replicas, 1))
 
     @property
     def scenario_id(self) -> str:

@@ -62,6 +62,17 @@ class TestBenchmark:
         assert (k10, score10) == (k10b, score10b)
         assert 0.0 <= score10 <= 1.0
 
+    @pytest.mark.parametrize("replicas", [0, -1, 1.5])
+    def test_replicas_must_be_a_positive_whole_number(self, replicas):
+        # zero replicas used to return an empty result
+        def never(_spec, _stream):
+            raise AssertionError("a dataset was generated")
+
+        cfg = PipelineConfig(consensus=ConsensusConfig(runs=10))
+        with pytest.raises(ConfigError, match="replicas"):
+            benchmark([ScenarioSpec(150, "low", "low")], ["dpp"], cfg, replicas=replicas,
+                      generator=never)
+
     def test_generation_failure_recorded_not_fatal(self):
         def failing_generator(spec, stream):
             if stream.stream_id[-1] == 1:

@@ -215,3 +215,47 @@ class TestBenchmarkCommand:
         result = runner.invoke(main, ["benchmark", "--scenarios", str(f), "--out", str(tmp_path / "o")])
         assert result.exit_code == 3
         assert str(f) in result.output and "bogus" in result.output
+
+
+class TestSettingsFailEarly:
+    @pytest.fixture()
+    def scenarios(self, tmp_path):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(["n150-plow-klow"]))
+        return f
+
+    def _argv(self, command, blob_csv, scenarios, tmp_path):
+        data_path, _ = blob_csv
+        out = str(tmp_path / "out")
+        return {
+            "cluster": ["cluster", str(data_path), "--runs", "5"],
+            "simulate": ["simulate", "--scenario-id", "n150-plow-klow", "--replicas", "1",
+                         "--out", out],
+            "benchmark": ["benchmark", "--scenarios", str(scenarios), "--runs", "5",
+                          "--replicas", "1", "--out", out],
+            "diagnose-diversity": ["diagnose-diversity", str(data_path), "--runs", "5",
+                                   "--out", str(tmp_path / "div.csv")],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["cluster", "simulate", "benchmark", "diagnose-diversity"])
+    def test_negative_seed_exits_2(self, runner, blob_csv, scenarios, tmp_path, command):
+        argv = self._argv(command, blob_csv, scenarios, tmp_path) + ["--seed", "-1"]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "seed" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "benchmark"])
+    def test_zero_replicas_exits_2(self, runner, blob_csv, scenarios, tmp_path, command):
+        argv = self._argv(command, blob_csv, scenarios, tmp_path) + ["--replicas", "0"]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert "replicas" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_each_command_registered_once(self, runner):
+        # on click 8.1 a bare @main.command() on benchmark_cmd would also
+        # register it as benchmark-cmd
+        assert sorted(main.commands) == ["benchmark", "cluster", "diagnose-diversity", "simulate"]
+        result = runner.invoke(main, ["--help"])
+        assert "benchmark-cmd" not in result.output

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dppcluster import (
-    Clustering,
     ConfigError,
     ConsensusConfig,
     ConsensusMatrix,
@@ -435,6 +434,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ConsensusConfig(thresholds=(0.7, float("nan")))
 
+    @pytest.mark.parametrize("bad", [0, 2.7, float("nan"), "3"])
+    def test_runs_must_be_a_whole_number(self, bad):
+        # 2.7 used to become 2 runs without a word
+        with pytest.raises(ConfigError, match="runs"):
+            ConsensusConfig(runs=bad)
+
     def test_consensus_matrix_validation(self):
         with pytest.raises(ConfigError):
             ConsensusMatrix(np.array([[10, 3], [3, 9]]), 10)  # bad diagonal
@@ -615,8 +620,3 @@ class TestCounts:
         assert peak < 7.5 * n * n
         head = sum((p[:60, None] == p[None, :60]).astype(int) for p in parts)
         assert np.array_equal(c.counts[:60, :60], head)
-
-
-def test_clustering_sizes_property():
-    c = Clustering(np.array([0, 0, 1]), 2, threshold=0.6)
-    assert c.sizes.tolist() == [2, 1]

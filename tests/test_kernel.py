@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dppcluster import (
-    BandwidthConfig,
+    ConfigError,
     DegenerateData,
     KernelMatrix,
     NumericalFailure,
@@ -90,10 +90,18 @@ class TestBandwidth:
 
 
 class TestRbfKernel:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bandwidth_and_factor_must_be_positive_and_finite(self, bad):
+        x = np.array([[0.0], [1.0], [3.0]])
+        with pytest.raises(ConfigError, match="sigma2_hat"):
+            build_rbf_kernel(x, bad)
+        with pytest.raises(ConfigError, match="bandwidth factor s"):
+            build_rbf_kernel(x, 1.0, bad)
+
     def test_diagonal_exactly_one(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(6, 2))
-        k = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        k = build_rbf_kernel(x, estimate_bandwidth(x))
         assert np.all(np.diag(k.entries) == 1.0)
 
     def test_unit_exponent_value(self):
@@ -101,43 +109,43 @@ class TestRbfKernel:
         sigma2, s = 2.0, 1.5
         d = np.sqrt(2 * s * sigma2)
         x = np.array([[0.0], [d]])
-        k = build_rbf_kernel(x, BandwidthConfig(sigma2, s))
+        k = build_rbf_kernel(x, sigma2, s)
         assert k.entries[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_translation_invariance_exact(self):
         x = np.array([[0.0, 1.0], [2.0, 3.0], [5.0, 1.0]])
-        cfg = BandwidthConfig(estimate_bandwidth(x))
-        k1 = build_rbf_kernel(x, cfg)
-        k2 = build_rbf_kernel(x + np.array([7.0, -3.0]), cfg)
+        sigma2 = estimate_bandwidth(x)
+        k1 = build_rbf_kernel(x, sigma2)
+        k2 = build_rbf_kernel(x + np.array([7.0, -3.0]), sigma2)
         assert np.array_equal(k1.entries, k2.entries)
 
     def test_scale_invariance_with_estimated_bandwidth(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(12, 4))
-        k1 = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        k1 = build_rbf_kernel(x, estimate_bandwidth(x))
         y = 3.7 * x
-        k2 = build_rbf_kernel(y, BandwidthConfig(estimate_bandwidth(y)))
+        k2 = build_rbf_kernel(y, estimate_bandwidth(y))
         assert np.abs(k1.entries - k2.entries).max() <= 1e-12
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(10, 3))
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        cfg = BandwidthConfig(estimate_bandwidth(x))
-        k1 = build_rbf_kernel(x, cfg)
-        k2 = build_rbf_kernel(x @ q.T, cfg)
+        sigma2 = estimate_bandwidth(x)
+        k1 = build_rbf_kernel(x, sigma2)
+        k2 = build_rbf_kernel(x @ q.T, sigma2)
         assert np.abs(k1.entries - k2.entries).max() <= 1e-10
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(30, 5))
-        k = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        k = build_rbf_kernel(x, estimate_bandwidth(x))
         assert np.array_equal(k.entries, k.entries.T)
 
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(15, 2))
-        k = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        k = build_rbf_kernel(x, estimate_bandwidth(x))
         assert k.entries.min() > 0.0
         assert k.entries.max() == 1.0
 
@@ -162,7 +170,7 @@ class TestRbfKernel:
             KernelMatrix(np.zeros((2, 3)), -1.0)
 
     def test_immutability(self):
-        k = build_rbf_kernel(np.array([[0.0], [1.0]]), BandwidthConfig(1.0))
+        k = build_rbf_kernel(np.array([[0.0], [1.0]]), 1.0)
         with pytest.raises(ValueError):
             k.sq_dists[0, 1] = 0.5
         with pytest.raises(ValueError):
@@ -171,7 +179,7 @@ class TestRbfKernel:
     def test_shared_distances_are_not_copied_and_caller_arrays_not_frozen(self):
         x = np.random.default_rng(13).normal(size=(6, 2))
         d2 = pairwise_sq_dists(x)
-        assert build_rbf_kernel(x, BandwidthConfig(1.0), sq_dists=d2).sq_dists is d2
+        assert build_rbf_kernel(x, 1.0, sq_dists=d2).sq_dists is d2
         mine = np.array(d2)
         k = KernelMatrix(mine, -1.0)
         assert mine.flags.writeable and k.sq_dists is not mine
@@ -181,9 +189,9 @@ class TestRbfKernel:
     def test_rows_and_blocks_bit_equal_to_the_dense_kernel(self):
         # against the dense kernel as it was built before it became implicit
         x = np.random.default_rng(14).normal(size=(150, 3))
-        cfg = BandwidthConfig(estimate_bandwidth(x), 0.7)
-        k = build_rbf_kernel(x, cfg)
-        dense = np.exp(pairwise_sq_dists(x) / (-2.0 * cfg.s * cfg.sigma2_hat))
+        sigma2, s = estimate_bandwidth(x), 0.7
+        k = build_rbf_kernel(x, sigma2, s)
+        dense = np.exp(pairwise_sq_dists(x) / (-2.0 * s * sigma2))
         np.fill_diagonal(dense, 1.0)
         for i in (0, 77, 149):
             assert np.array_equal(k[i], dense[i])
@@ -197,7 +205,7 @@ class TestRbfKernel:
         # temporary would take the peak to about 2 * 8 n^2
         n = 1000
         x = np.random.default_rng(15).normal(size=(n, 2))
-        k = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        k = build_rbf_kernel(x, estimate_bandwidth(x))
         tracemalloc.start()
         try:
             dense = k.entries
@@ -220,7 +228,7 @@ class TestEigendecompose:
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(5, 2))
-        k = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        k = build_rbf_kernel(x, estimate_bandwidth(x))
         spec = eigendecompose(k)
         recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
         assert np.abs(recon - k.entries).max() <= 1e-6
@@ -230,7 +238,7 @@ class TestEigendecompose:
     def test_eigenvalue_sum_equals_trace(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(40, 3))
-        k = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        k = build_rbf_kernel(x, estimate_bandwidth(x))
         spec = eigendecompose(k)
         assert spec.eigenvalues.sum() == pytest.approx(40.0, abs=1e-6)
         assert spec.eigenvalues.min() >= 0.0
@@ -268,7 +276,7 @@ class TestEigendecompose:
     def test_implicit_and_dense_kernels_decompose_alike(self):
         # both read the same rows, so they build the same factor
         x = np.random.default_rng(16).normal(size=(200, 3))
-        k = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        k = build_rbf_kernel(x, estimate_bandwidth(x))
         implicit, dense = eigendecompose(k), eigendecompose(k.entries)
         assert np.array_equal(implicit.eigenvalues, dense.eigenvalues)
         assert np.array_equal(implicit.eigenvectors, dense.eigenvectors)
@@ -277,7 +285,7 @@ class TestEigendecompose:
         # the regenerated rows of an implicit kernel are checked as a dense
         # L is: two eigenvalues on the wrong vectors fail
         x = np.random.default_rng(17).normal(size=(150, 2))
-        k = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        k = build_rbf_kernel(x, estimate_bandwidth(x))
         eigh = np.linalg.eigh
 
         def swapped(m):
@@ -311,7 +319,7 @@ class TestEigendecompose:
     @pytest.mark.parametrize("i,j", lower)
     def test_lower_triangle_checked_in_every_block(self, i, j):
         x = np.random.default_rng(11).normal(size=(self.n, 2))
-        mat = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x))).entries.copy()
+        mat = build_rbf_kernel(x, estimate_bandwidth(x)).entries.copy()
         eigendecompose(mat)
         mat[i, j] += 1e-5
         with pytest.raises(NumericalFailure, match="reconstruction residual"):
@@ -325,7 +333,7 @@ class TestEigendecompose:
         rng = np.random.default_rng(0)
         centers = ((0, 0), (3, 0), (0, 3), (3, 3))
         x = np.concatenate([rng.normal(c, 0.3, size=(n // 4, 2)) for c in centers])
-        k = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        k = build_rbf_kernel(x, estimate_bandwidth(x))
         factor = kernel_module._pivoted_cholesky
 
         def factor_then_reset_peak(*args):
@@ -348,7 +356,7 @@ def _line_kernel(points) -> np.ndarray:
     # points 3 apart on a line: distinct points give a well-conditioned
     # kernel, so the numerical rank is the number of distinct points
     x = 3.0 * np.asarray(points, dtype=float)
-    return build_rbf_kernel(x, BandwidthConfig(1.0)).entries
+    return build_rbf_kernel(x, 1.0).entries
 
 
 class TestLowRankEigendecompose:
@@ -364,7 +372,7 @@ class TestLowRankEigendecompose:
         x = np.random.default_rng(data_seed).normal(size=(n, p))
         if duplicates:
             x[n // 2 :] = x[: n - n // 2]
-        mat = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x), s)).entries
+        mat = build_rbf_kernel(x, estimate_bandwidth(x), s).entries
         spec = eigendecompose(mat)
         lam, vec = spec.eigenvalues, spec.eigenvectors
         r = vec.shape[1]
@@ -396,7 +404,7 @@ class TestLowRankEigendecompose:
             mat = _line_kernel(range(9))
         else:
             x = np.random.default_rng(5).normal(size=(n, 3))
-            mat = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x), s)).entries
+            mat = build_rbf_kernel(x, estimate_bandwidth(x), s).entries
         spec = eigendecompose(mat)
         vec = spec.eigenvectors
         assert vec.shape == (n, n)
@@ -495,7 +503,7 @@ class TestAgainstScipy:
             sigma2 = estimate_bandwidth(x)
         except DegenerateData:  # every row the same
             return
-        k = build_rbf_kernel(x, BandwidthConfig(sigma2, s))
+        k = build_rbf_kernel(x, sigma2, s)
         n = k.n
         rank = kernel_module._pivoted_cholesky(k, n).shape[1]
         ref_rank, ref_lam = lapack_pivoted_spectrum(k.entries, PIVOT_TOL)

@@ -68,6 +68,16 @@ class TestVoronoiAssign:
         b = voronoi_assign(x, GeneratorSet((20, 0, 10)))
         assert ari(a.labels, b.labels) == 1.0
 
+    @pytest.mark.parametrize("on_distances", [False, True])
+    @pytest.mark.parametrize("idx", [(0, -1), (0, 5), (-6, 1)])
+    def test_index_outside_the_points_is_rejected(self, on_distances, idx):
+        # n = 5: a negative index does not wrap to the last point on either
+        # path, and one past n is a ShapeMismatch too
+        x = np.arange(10.0).reshape(5, 2)
+        d2 = pairwise_sq_dists(x) if on_distances else None
+        with pytest.raises(ShapeMismatch, match="out of range"):
+            voronoi_assign(x, np.array(idx), sq_dists=d2)
+
     def test_duplicate_generator_point_empties_cell(self):
         # two generators at identical coordinates: the later one gets nothing
         x = np.array([[0.0], [0.0], [5.0]])

@@ -8,6 +8,7 @@ import pytest
 from dppcluster import (
     ConfigError,
     ConsensusConfig,
+    DegenerateData,
     PipelineConfig,
     accumulate,
     build_artifacts,
@@ -15,9 +16,9 @@ from dppcluster import (
     run_pipeline,
 )
 from dppcluster.bench import diversity_series
-from dppcluster.io import read_data_csv, read_labels_csv
+from dppcluster.io import read_data_csv, read_labels_csv, render_report_text
 from dppcluster import pipeline
-from dppcluster.pipeline import METHODS, RUN_BLOCK, _map_runs, artifacts_pool
+from dppcluster.pipeline import METHODS, RUN_BLOCK, _map_runs, artifacts_pool, defer_tasks
 
 
 class TestConfig:
@@ -40,6 +41,19 @@ class TestConfig:
             PipelineConfig(workers=0)
         with pytest.raises(ConfigError):
             PipelineConfig(k_max=1)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("seed", -1), ("seed", 1.5), ("k_max", 2.5), ("workers", 1.5), ("workers", "2")],
+    )
+    def test_integer_settings_must_be_whole(self, field, bad):
+        with pytest.raises(ConfigError, match=field):
+            PipelineConfig(**{field: bad})
+
+    def test_whole_settings_are_stored_as_ints(self):
+        cfg = PipelineConfig(seed=np.int64(3), k_max=4.0, workers=2.0)
+        assert (cfg.seed, cfg.k_max, cfg.workers) == (3, 4, 2)
+        assert all(type(v) is int for v in (cfg.seed, cfg.k_max, cfg.workers))
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -108,7 +122,7 @@ class TestRunPipeline:
         cfg = PipelineConfig(seed=1, consensus=ConsensusConfig(runs=10))
         report = run_pipeline(x, cfg)
         assert "timings" not in report.to_dict()
-        assert "timings" in report.to_dict(include_timings=True)
+        assert "timings:" in render_report_text(report)
 
 
 class TestEnsemble:
@@ -262,3 +276,20 @@ class TestRunBlocks:
             for method in ("dpp", "uniform"):
                 mine = [r for r in series if r["method"] == method]
                 assert mine[: self.B] == [r for r in rows if r["method"] == method][: self.B]
+
+
+def _task_or_fail(task, artifacts, offset):
+    if task == 1:
+        raise DegenerateData(f"task {task} failed")
+    return task * 10 + offset, artifacts.n
+
+
+class TestDeferTasks:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_in_task_order_and_errors_only_when_called(self, blob_data, workers):
+        arts = build_artifacts(blob_data[0])
+        with artifacts_pool(arts, workers) as pool:
+            calls = defer_tasks(pool, _task_or_fail, [3, 1, 0, 2], arts, 7)
+            assert [calls[i]() for i in (0, 2, 3)] == [(37, arts.n), (7, arts.n), (27, arts.n)]
+            with pytest.raises(DegenerateData, match="task 1 failed"):
+                calls[1]()

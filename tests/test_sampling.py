@@ -12,6 +12,7 @@ from dppcluster import (
     GeneratorSet,
     ResampleExhausted,
     RngStream,
+    ShapeMismatch,
     SpectralDecomposition,
     build_artifacts,
     default_k_max,
@@ -303,16 +304,18 @@ class TestLockstepBlock:
 
 class TestLogLikelihood:
     def test_identity_kernel_singleton(self):
-        assert dpp_log_likelihood(np.eye(2), GeneratorSet((0,))) == pytest.approx(
+        # log det(I + I) = 2 log 2 for the 2 x 2 identity
+        norm = 2.0 * np.log(2.0)
+        assert dpp_log_likelihood(np.eye(2), GeneratorSet((0,)), norm) == pytest.approx(
             -np.log(4.0)
         )
 
     def test_duplicate_points_give_minus_inf(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
-        from dppcluster import BandwidthConfig, build_rbf_kernel
+        from dppcluster import build_rbf_kernel
 
-        k = build_rbf_kernel(x, BandwidthConfig(1.0))
-        assert dpp_log_likelihood(k, (0, 1)) == float("-inf")
+        k = build_rbf_kernel(x, 1.0)
+        assert dpp_log_likelihood(k, (0, 1), 0.0) == float("-inf")
 
     def test_power_set_normalization(self, small_kernel_artifacts):
         L = np.asarray(small_kernel_artifacts.kernel)
@@ -326,9 +329,21 @@ class TestLogLikelihood:
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_subset(self, small_kernel_artifacts):
+        # the artifacts' normaliser is log det(L + I) of the dense kernel
         L = np.asarray(small_kernel_artifacts.kernel)
-        val = dpp_log_likelihood(L, ())
-        assert val == pytest.approx(-small_kernel_artifacts.log_det_norm)
+        dense_norm = np.log1p(np.clip(np.linalg.eigvalsh(L), 0.0, None)).sum()
+        val = dpp_log_likelihood(L, (), small_kernel_artifacts.log_det_norm)
+        assert val == pytest.approx(-dense_norm)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("subset", [(0, -1), (4, 5), (-6,)])
+    def test_index_outside_the_points_is_rejected(self, small_kernel_artifacts, dense, subset):
+        # n = 5: a negative index does not wrap to the last point, and one
+        # past n is a ShapeMismatch, for the implicit and the dense kernel
+        L = small_kernel_artifacts.kernel
+        L = np.asarray(L) if dense else L
+        with pytest.raises(ShapeMismatch, match="out of range"):
+            dpp_log_likelihood(L, subset, small_kernel_artifacts.log_det_norm)
 
 
 class TestSampleUniform:
@@ -405,3 +420,16 @@ class TestDefaults:
     def test_generator_set_rejects_duplicates(self):
         with pytest.raises(ConfigError):
             GeneratorSet((1, 1, 2))
+
+
+class TestRngStream:
+    @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (0, -1), (0, (2, -3))])
+    def test_negative_seed_or_stream_id_is_a_config_error(self, seed, stream_id):
+        # numpy's SeedSequence would end in a bare ValueError on first draw
+        with pytest.raises(ConfigError, match=">= 0"):
+            RngStream(seed, stream_id)
+
+    def test_nested_ids_address_the_same_stream(self):
+        a, b = RngStream(4, [1, 2]), RngStream(4, (1, 2))
+        assert a.stream_id == (1, 2)
+        assert a.generator.random() == b.generator.random()

@@ -26,6 +26,12 @@ class TestScenarioGrid:
         with pytest.raises(ConfigError):
             ScenarioSpec(150, "low", "large")
 
+    @pytest.mark.parametrize("replicas", [0, 1.5])
+    def test_replicas_must_be_a_positive_whole_number(self, replicas):
+        # 1.5 used to pass here and end the benchmark in a TypeError
+        with pytest.raises(ConfigError, match="replicas"):
+            ScenarioSpec(150, "low", "low", replicas=replicas)
+
     def test_level_ranges(self):
         for lo, hi in P_RANGES.values():
             assert 2 <= lo <= hi <= 20

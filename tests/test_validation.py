@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dppcluster import (
-    BandwidthConfig,
     Clustering,
     ConfigError,
     DegenerateScatter,
@@ -62,7 +61,7 @@ class TestScatter:
     def test_b_pairwise_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(20, 2))
-        L = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        L = build_rbf_kernel(x, estimate_bandwidth(x))
         labels = rng.integers(0, 3, size=20)
         labels[:3] = [0, 1, 2]
         rep = scatter(L, _clus(labels))
@@ -72,7 +71,7 @@ class TestScatter:
 
     def test_singleton_cluster_warns_and_scores_zero(self):
         x = np.array([0.0, 0.5, 9.0])
-        L = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        L = build_rbf_kernel(x, estimate_bandwidth(x))
         with pytest.warns(SingletonClusterWarning):
             rep = scatter(L, _clus([0, 0, 1]))
         assert rep.w_per_cluster[1] == 0.0
@@ -83,7 +82,7 @@ class TestScatter:
 
     def test_kernel_matrix_shape_mismatch_matches_dense(self):
         x = np.random.default_rng(5).normal(size=(6, 2))
-        L = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        L = build_rbf_kernel(x, estimate_bandwidth(x))
         short = _clus([0, 0, 1, 1, 1])
         with pytest.raises(ConfigError) as implicit:
             scatter(L, short)
@@ -137,7 +136,7 @@ class TestStreamedScatterProperties:
         # each candidate scored from the implicit kernel beside the others
         # scores as it does alone on the dense kernel
         x, clusterings = inputs
-        L = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        L = build_rbf_kernel(x, estimate_bandwidth(x))
         for clus, rep in zip(clusterings, scatter_reports(L, clusterings)):
             dense = scatter(L.entries, clus)
             _assert_reports_close(scatter(L, clus), dense, rtol=1e-12)
@@ -152,7 +151,7 @@ class TestStreamedScatterProperties:
         n, m, k = 400, 40, 20
         rng = np.random.default_rng(0)
         x = rng.normal(size=(n, 2))
-        L = build_rbf_kernel(x, BandwidthConfig(estimate_bandwidth(x)))
+        L = build_rbf_kernel(x, estimate_bandwidth(x))
         cands = [
             _clus(rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)])))
             for _ in range(m)
