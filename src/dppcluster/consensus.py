@@ -175,8 +175,10 @@ def co_membership_counts(partitions, n: int) -> np.ndarray:
     flops of one symmetric product, and no n x n float temporary), and each
     block is cast to the count type before it is added, so the sum is
     integer arithmetic; no entry exceeds R, so it cannot overflow.  The
-    lower triangle is copied from the upper one at the end.  Each run's
-    cluster ids wait for their batch in the narrowest integer type that
+    lower triangle is copied from the upper one at the end.  A
+    ``Partition``'s ids and k are used as they are, compact by
+    construction; raw label arrays go through ``compact_labels``.  Each
+    run's cluster ids wait for their batch in the narrowest integer type that
     holds n, and one batch's indicators exist at a time.  Partial counts
     from disjoint batches of runs can be added together, in a type that
     holds their total, so accumulation parallelizes and is order-invariant.
@@ -187,12 +189,12 @@ def co_membership_counts(partitions, n: int) -> np.ndarray:
         lab = np.asarray(getattr(part, "labels", part))
         if lab.shape != (n,):
             raise ShapeMismatch(f"partition has {lab.shape} labels, expected ({n},)")
-        ids, inverse = np.unique(lab, return_inverse=True)
-        if used + ids.size > n:  # over the column budget: start a new batch
+        lab, k = (lab, part.k) if isinstance(part, Partition) else compact_labels(lab)
+        if used + k > n:  # over the column budget: start a new batch
             batches.append([])
             used = 0
-        batches[-1].append((inverse.ravel().astype(label_type), ids.size))
-        used += ids.size
+        batches[-1].append((lab.astype(label_type), k))
+        used += k
         runs += 1
     counts = np.zeros((n, n), dtype=np.min_scalar_type(runs))
     every = np.arange(n)

@@ -1,13 +1,23 @@
-"""Gaussian similarity kernel: bandwidth estimation, the implicit kernel
-matrix, spectral decomposition.
+"""Gaussian similarity kernel: bandwidth estimation, the matrix-free
+kernel matrix, spectral decomposition.
 
 The kernel is the one similarity structure shared by the generator sampler,
 the consensus machinery and the validation indices.  It is defined once per
-dataset by the pairwise squared distances and the bandwidth, and treated as
-immutable afterwards, so it can be read from any number of concurrent
-workers.  It is held implicitly: ``KernelMatrix`` keeps the distances and
-exponentiates only the rows and blocks a caller asks for, so no n x n
-kernel exists unless a caller materialises one.
+dataset by the data and the bandwidth, and treated as immutable afterwards,
+so it can be read from any number of concurrent workers.  No n x n array
+backs it: ``KernelMatrix`` keeps the (n, p) data and computes each row,
+block or diagonal a caller asks for from the data, so neither the kernel nor
+the squared distances exist unless a caller materialises them.
+
+Entries come two ways.  Exact entries add the squared feature differences
+in feature order, as scipy's ``pdist`` does, so each is bit-equal to
+exp(d2 / scale) over the distances ``pairwise_sq_dists`` returns; the
+bandwidth, the pivoted factor and the subset blocks of the likelihood read
+these.  Expanded entries take d2 = |x|^2 + |y|^2 - 2 x.y of the centred
+data from one matrix product per block, about a tenth of the cost; they
+differ from the exact ones by at most a rounding bound that grows with p
+(``expansion_error``), and serve passes over the whole kernel that only
+need that accuracy, or that fall back to exact entries near a decision.
 
 The Gaussian kernel of clustered data has low numerical rank, so its
 eigensystem comes from a pivoted Cholesky factor L ~ F F^T (Harbrecht,
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,13 +63,16 @@ RECONSTRUCTION_TOL = 1e-6
 # 4.95e-7 at this tolerance (n = 1500, rank 369).
 PIVOT_TOL = 5e-7
 
-# Rows per block of the reconstruction check: its temporaries are two
+# Rows per block of the reconstruction check: its temporaries are a few
 # blocks of 64 n floats, and thinner blocks ran slower at n = 5000.
 _CHECK_ROWS = 64
 
-# Rows per block of the pairwise distances: a block and its per-feature
-# difference stay within a few megabytes of cache at n = 1500.
+# Rows per block of the bandwidth pass.
 _DIST_ROWS = 64
+
+# Doubles per chunk of per-feature differences in exact distances: chunks
+# of about 10 rows of 8 features at n = 1500 stay in cache and ran fastest.
+_CHUNK = 2**16
 
 
 def as_data_matrix(values) -> np.ndarray:
@@ -79,72 +93,106 @@ def as_data_matrix(values) -> np.ndarray:
     return x
 
 
-def sq_dists_between(a: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """Squared Euclidean distances between the rows of ``a`` (m, p) and of
-    ``b`` (w, p), as an (m, w) array, written to ``out`` when given;
-    ``scratch`` is an optional second (m, w) array for the differences.
+def expansion_error(p: int) -> float:
+    """Rounding bound of the centred expansion over p features, relative to
+    (|x - c| + |y - c|)^2 for centre c: |x|^2 + |y|^2 - 2 x.y computed from
+    the centred rows differs from the exact squared distance of x and y by
+    at most this times that square.
 
-    The squared differences are added feature by feature in feature order,
-    the summation of scipy's ``pdist``/``cdist``, so every entry is
-    bit-equal to theirs.  Overflow to infinity is left quiet: the bandwidth
-    estimate reports it.
+    To first order in the unit roundoff eps the parts are 2 eps for
+    centring the rows, (p + 2) eps for the exact summation and (2 p + 6) eps
+    for the products and sums of the expansion; the bound leaves room for
+    the roundings of the norms and scalings around them.
     """
-    shape = (a.shape[0], b.shape[0])
-    out = np.empty(shape) if out is None else out
-    diff = np.empty(shape) if scratch is None else scratch
-    a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)  # one contiguous row per feature
+    return (4 * p + 16) * np.finfo(float).eps
+
+
+def _add_squares(diff: np.ndarray, out: np.ndarray) -> None:
+    """out = sum over f in order of diff[f]^2, squaring ``diff`` in place."""
+    np.square(diff, out=diff)
+    np.copyto(out, diff[0])
+    for f in range(1, diff.shape[0]):
+        out += diff[f]
+
+
+def _feature_sq_dists(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the squared distances between ``a`` and ``b`` to ``out``.
+
+    ``a`` and ``b`` are feature-major, (p, ...), and their trailing axes
+    broadcast to ``out.shape``.  The squared differences are added feature
+    by feature in feature order, the summation of scipy's ``pdist`` and
+    ``cdist``, so every entry is bit-equal to theirs whatever the shape.
+    Past _CHUNK differences, runs in chunks along the first axis of
+    ``out``.  Overflow to infinity is left quiet: the bandwidth estimate
+    reports it.
+    """
+    p = a.shape[0]
     with np.errstate(over="ignore"):
-        np.subtract(a[0, :, None], b[0], out=out)
-        np.multiply(out, out, out=out)
-        for f in range(1, a.shape[0]):
-            np.subtract(a[f, :, None], b[f], out=diff)
-            np.multiply(diff, diff, out=diff)
-            out += diff
+        if p * out.size <= _CHUNK:  # one chunk; also a 0-d out
+            _add_squares(np.subtract(a, b), out)
+            return out
+        step = max(1, _CHUNK // (p * math.prod(out.shape[1:])))
+        diff = np.empty((p, step) + out.shape[1:])
+        for top in range(0, out.shape[0], step):
+            acc = out[top : top + step]
+            part = diff[:, : acc.shape[0]]
+            np.subtract(
+                a if a.shape[1] == 1 else a[:, top : top + step],
+                b if b.shape[1] == 1 else b[:, top : top + step],
+                out=part,
+            )
+            _add_squares(part, acc)
     return out
+
+
+def sq_dists_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` (m, p) and of
+    ``b`` (w, p), as a new (m, w) array, bit-equal to scipy's ``cdist``."""
+    a, b = np.ascontiguousarray(np.transpose(a)), np.ascontiguousarray(np.transpose(b))
+    return _feature_sq_dists(a[:, :, None], b[:, None, :], np.empty((a.shape[1], b.shape[1])))
 
 
 def pairwise_sq_dists(data) -> np.ndarray:
     """All pairwise squared Euclidean distances as a read-only, exactly
-    symmetric (n, n) array with zero diagonal.
+    symmetric (n, n) array with zero diagonal, bit-equal to
+    ``squareform(pdist(x, "sqeuclidean"))``.
 
-    Built in blocks of _DIST_ROWS rows of the upper trapezoid, each mirrored
-    into the lower one, and bit-equal to ``squareform(pdist(x,
-    "sqeuclidean"))``.  Computed once per dataset and shared between the
-    kernel and Voronoi assignment.
+    Nothing on the clustering path builds it: it is the reference the
+    kernel's entries are defined against.  (x - y)^2 and (y - x)^2 are the
+    same float, so the matrix is symmetric as computed.
     """
     x = as_data_matrix(data)
-    n = x.shape[0]
-    out = np.empty((n, n))
-    buffers = np.empty((2, min(n, _DIST_ROWS) * n))  # one block and its differences
-    for top in range(0, n, _DIST_ROWS):
-        rows = x[top : top + _DIST_ROWS]
-        shape = (rows.shape[0], n - top)
-        block, scratch = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
-        sq_dists_between(rows, x[top:], block, scratch)
-        out[top : top + shape[0], top:] = block
-        out[top:, top : top + shape[0]] = block.T
+    out = sq_dists_between(x, x)
     out.setflags(write=False)
     return out
 
 
-def estimate_bandwidth(data, sq_dists: np.ndarray | None = None) -> float:
+def estimate_bandwidth(data) -> float:
     """Squared-bandwidth estimate: the mean of all pairwise squared
     Euclidean distances.
 
-    Raises DegenerateData when every observation coincides, in which case
-    the caller must supply an explicit bandwidth instead, and when the
-    squared distances overflow to infinity.
+    The distances of the upper triangle are computed _DIST_ROWS rows at a
+    time and copied, row by row, into one condensed vector in the order
+    ``pdist`` returns, whose mean is taken as numpy takes it: the estimate
+    is bit-equal to the mean of ``pdist``.  Raises DegenerateData when
+    every observation coincides, in which case the caller must supply an
+    explicit bandwidth instead, and when the squared distances overflow to
+    infinity.
     """
-    d2 = pairwise_sq_dists(data) if sq_dists is None else np.asarray(sq_dists, dtype=float)
-    # the upper triangle in row order, the order pdist returns, copied row
-    # by row: no n x n mask
-    n = d2.shape[0]
+    x = as_data_matrix(data)
+    n = x.shape[0]
+    cols = np.ascontiguousarray(x.T)
     vals = np.empty(n * (n - 1) // 2)
+    buffer = np.empty(min(n, _DIST_ROWS) * n)
     start = 0
-    for i in range(n - 1):
-        row = d2[i, i + 1 :]
-        vals[start : start + row.size] = row
-        start += row.size
+    for top in range(0, n - 1, _DIST_ROWS):
+        m = min(_DIST_ROWS, n - top)
+        block = buffer[: m * (n - top)].reshape(m, n - top)
+        _feature_sq_dists(cols[:, top : top + m, None], cols[:, None, top:], block)
+        for i in range(m):
+            row = block[i, i + 1 :]
+            vals[start : start + row.size] = row
+            start += row.size
     with np.errstate(over="ignore"):
         sigma2 = float(vals.mean())
     if not np.isfinite(sigma2):
@@ -156,57 +204,123 @@ def estimate_bandwidth(data, sq_dists: np.ndarray | None = None) -> float:
     return sigma2
 
 
+def _two_axes(index) -> tuple:
+    """The row and the column selector of an index into an n x n matrix."""
+    index = index if isinstance(index, tuple) else (index,)
+    if len(index) == 2 and index[0] is not Ellipsis and index[1] is not Ellipsis:
+        return index
+    for at, part in enumerate(index):
+        if part is Ellipsis:
+            index = index[:at] + (slice(None),) * (3 - len(index)) + index[at + 1 :]
+            break
+    index += (slice(None),) * (2 - len(index))
+    if len(index) != 2:
+        raise IndexError(f"too many indices for a kernel matrix: {len(index)}")
+    return index
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
-    """The Gaussian kernel exp(d2 / scale) of a squared-distance matrix d2,
-    held implicitly.
+    """The Gaussian kernel exp(d2 / scale) of the rows of ``data``, d2 their
+    squared Euclidean distances, held as the (n, p) data.
 
-    ``scale`` is -2 s sigma2_hat.  d2 must be square, exactly symmetric,
-    nonnegative and zero on the diagonal, so the kernel is exactly
-    symmetric with unit diagonal and entries in [0, 1].  The distances are
-    kept read-only: a read-only float64 array is shared (``pairwise_sq_dists``
-    returns one), anything else is copied.
+    ``scale`` is -2 s sigma2_hat, finite and negative, so the kernel is
+    exactly symmetric with unit diagonal and entries in [0, 1].  The data
+    must be finite (``as_data_matrix``) and is kept read-only: a read-only
+    float64 array is shared, anything else is copied.
 
-    Indexing (``K[i]``, ``K[a:b, c:]``, ``K[np.ix_(idx, idx)]``) returns a
-    new array holding exp(d2[index] / scale), exponentiated in place, so a
-    row or block costs its own size and nothing else; every entry is
-    bit-equal to the same entry of ``entries``.  ``entries`` (and
-    ``np.asarray``) materialise the dense n x n kernel, read-only, anew on
-    every access.
+    Indexing returns a new array of exact entries computed from the data:
+    a row ``K[i]``, row and column slices ``K[a:b, c:]``, a block
+    ``K[np.ix_(rows, cols)]``, pairs elementwise (``K[idx, idx]`` is a
+    diagonal) and ``K[...]``, with numpy's index semantics and the 0-d
+    array of one entry.  A result costs its own size plus a chunk of
+    per-feature differences, and every entry is bit-equal to
+    exp(pairwise_sq_dists(data) / scale) at the same index.  ``entries``
+    (and ``np.asarray``) materialise the dense n x n kernel, read-only,
+    anew on every access.  ``expanded_block`` gives row blocks from the
+    centred expansion instead, for passes over the whole kernel; its
+    centred rows (``expansion``) also serve ``voronoi_assign``.
     """
 
-    sq_dists: np.ndarray
+    data: np.ndarray
     scale: float
 
     def __post_init__(self):
-        d2 = np.asarray(self.sq_dists, dtype=float)
-        if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
-            raise ShapeMismatch(f"distance matrix must be square, got shape {d2.shape}")
-        if not all(
-            np.array_equal(d2[top : top + _CHECK_ROWS, top:], d2[top:, top : top + _CHECK_ROWS].T)
-            for top in range(0, d2.shape[0], _CHECK_ROWS)
-        ):
-            raise NumericalFailure("squared distances are not exactly symmetric")
-        if not np.all(d2.diagonal() == 0.0):
-            raise NumericalFailure("squared-distance diagonal must be exactly 0")
-        if not d2.min(initial=0.0) >= 0.0:
-            raise NumericalFailure("squared distances must be nonnegative")
+        x = as_data_matrix(self.data)
+        if x.flags.writeable:
+            x = x.copy()
+            x.setflags(write=False)
         scale = float(self.scale)
         if not (np.isfinite(scale) and scale < 0.0):
             raise NumericalFailure(f"kernel scale must be finite and negative, got {scale!r}")
-        if d2.flags.writeable:
-            d2 = d2.copy()
-            d2.setflags(write=False)
-        object.__setattr__(self, "sq_dists", d2)
+        object.__setattr__(self, "data", x)
         object.__setattr__(self, "scale", scale)
 
     @property
     def n(self) -> int:
-        return self.sq_dists.shape[0]
+        return self.data.shape[0]
+
+    @cached_property
+    def _features(self) -> np.ndarray:
+        # one contiguous row per feature, which the exact entries read
+        return np.ascontiguousarray(self.data.T)
+
+    @cached_property
+    def expansion(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The centred expansion of the data, computed once per kernel:
+        ``left`` and ``right`` with left_i . right_j = d2'_ij / scale for
+        the rows xc = data - mean, left_i = [xc_i, h_i, 1] and right_j =
+        [-2 xc_j / scale, 1, h_j], h = |xc|^2 / scale; and |xc|^2."""
+        xc = self.data - self.data.mean(axis=0)
+        sq = np.einsum("ij,ij->i", xc, xc)
+        h = sq / self.scale
+        ones = np.ones_like(h)
+        left = np.column_stack([xc, h, ones])
+        right = np.column_stack([xc * (-2.0 / self.scale), ones, h])
+        return left, right, sq
 
     def __getitem__(self, index) -> np.ndarray:
-        out = np.asarray(self.sq_dists[index] / self.scale)  # a new array, 0-d for one entry
+        rows, cols = _two_axes(index)
+        features = self._features
+        a, b = features[:, rows], features[:, cols]
+        ra, rb = a.ndim - 1, b.ndim - 1
+        if isinstance(rows, (slice, int, np.integer)) or isinstance(cols, (slice, int, np.integer)):
+            # an outer product: row axes first, then column axes
+            a = a.reshape(a.shape + (1,) * rb)
+            b = b.reshape(b.shape[:1] + (1,) * ra + b.shape[1:])
+        elif ra != rb:  # two index arrays, broadcast against each other
+            a = a.reshape(a.shape[:1] + (1,) * (rb - ra) + a.shape[1:])
+            b = b.reshape(b.shape[:1] + (1,) * (ra - rb) + b.shape[1:])
+        # axes of one broadcast to the other; a mismatch raises in the subtraction
+        shape = tuple(v if u == 1 else u for u, v in zip(a.shape[1:], b.shape[1:]))
+        out = _feature_sq_dists(a, b, np.empty(shape))
+        np.divide(out, self.scale, out=out)
         return np.exp(out, out=out)
+
+    def expanded_block(self, top: int, stop: int, start: int = 0) -> tuple[np.ndarray, float]:
+        """Rows [top, stop) and columns [start, n) of the kernel from the
+        centred expansion, and a bound on their distance from the exact
+        entries.
+
+        One matrix product gives d2' / scale for the block.  Where d2' is
+        within its rounding bound E = expansion_error(p) reach^2 of 0 (reach
+        = max |xc_i| + max |xc_j| over the block's rows and columns), the
+        exact d2 may be 0, and the entry is set to exactly 1, as it is for
+        coinciding points and on the diagonal.  An entry left as it is lies
+        within E / |scale| of the exact one, exp's slope being at most 1 on
+        the negative axis, and one set to 1 within 2 E / |scale|; the bound
+        adds expansion_error(p) for the roundings of the quotient and of exp.
+        """
+        left, right, sq = self.expansion
+        block = left[top:stop] @ right[start:].T
+        reach = math.sqrt(sq[top:stop].max(initial=0.0)) + math.sqrt(sq[start:].max(initial=0.0))
+        rounding = expansion_error(self.data.shape[1])
+        near_zero = rounding * reach * reach / -self.scale
+        np.copyto(block, 0.0, where=block > -near_zero)
+        np.exp(block, out=block)
+        if start <= top:
+            np.fill_diagonal(block[:, top - start :], 1.0)
+        return block, float(2.0 * near_zero + rounding)
 
     @property
     def entries(self) -> np.ndarray:
@@ -218,23 +332,19 @@ class KernelMatrix:
         return np.asarray(self.entries, dtype=dtype)
 
 
-def build_rbf_kernel(
-    data, sigma2_hat: float, s: float = 1.0, sq_dists: np.ndarray | None = None
-) -> KernelMatrix:
-    """Gaussian kernel exp(-d^2 / (2 s sigma2_hat)) over all pairs, held
-    implicitly over the shared squared-distance matrix.
+def build_rbf_kernel(data, sigma2_hat: float, s: float = 1.0) -> KernelMatrix:
+    """Gaussian kernel exp(-d^2 / (2 s sigma2_hat)) over all pairs of rows
+    of ``data``, held as the data.
 
     ``sigma2_hat`` is the squared-bandwidth estimate and ``s`` the
     dimensionless tuning factor; both must be positive and finite
-    (ConfigError).  The diagonal is exactly 1 (exp(-0) = 1) and symmetry is
-    inherited from the distances.
+    (ConfigError).  The diagonal is exactly 1 (exp(-0) = 1) and the kernel
+    is exactly symmetric.
     """
     for name, value in (("sigma2_hat", sigma2_hat), ("bandwidth factor s", s)):
         if not 0.0 < value < math.inf:  # also rejects NaN
             raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-    if sq_dists is None:
-        sq_dists = pairwise_sq_dists(data)
-    return KernelMatrix(sq_dists, -2.0 * s * sigma2_hat)
+    return KernelMatrix(data, -2.0 * s * sigma2_hat)
 
 
 @dataclass(frozen=True)
@@ -357,9 +467,13 @@ def eigendecompose(L) -> SpectralDecomposition:
     upper trapezoid, and no n x n temporary is made.  A dense L's blocks
     are compared with the same rows of L and, transposed, with the same
     columns, so every entry of both triangles is checked.  A
-    ``KernelMatrix`` is exactly symmetric by construction (its distances
-    are checked for it), so its upper trapezoid covers every entry; those
-    rows are regenerated block by block from the distances.
+    ``KernelMatrix`` is exactly symmetric by construction, so its upper
+    trapezoid covers every entry.  Its blocks come from the centred
+    expansion (``KernelMatrix.expanded_block``); a block whose residual
+    is within the expansion's bound of RECONSTRUCTION_TOL, or above it, is
+    compared again with exact entries.  So the check passes exactly when
+    the residual against the exact kernel is within the tolerance, at the
+    cost of one matrix product per block.
     """
     if isinstance(L, KernelMatrix):
         mat, n, dense = L, L.n, False
@@ -386,16 +500,23 @@ def eigendecompose(L) -> SpectralDecomposition:
     np.fill_diagonal(gram, gram.diagonal() - 1.0)
     if not np.abs(gram).max(initial=0.0) <= 1e-8:
         raise NumericalFailure("eigenvectors lost orthonormality")
-    # V diag(lam) V^T as W W^T with W = V sqrt(lam), one row block of its
-    # upper trapezoid at a time: the flops of one symmetric rank-r update
-    w = vec * np.sqrt(lam[: vec.shape[1]])
+    # V diag(lam) V^T one row block of its upper trapezoid at a time, the
+    # flops of one symmetric rank-r update; only a block's rows are scaled,
+    # so no second n x r array is made
+    lam_r = lam[: vec.shape[1]]
     residual = 0.0
     for top in range(0, n, _CHECK_ROWS):
         rows = slice(top, top + _CHECK_ROWS)
-        block = w[rows] @ w[top:].T
+        block = (vec[rows] * lam_r) @ vec[top:].T
         if dense:
             lower = block - mat[top:, rows].T
             residual = np.max((residual, np.abs(lower, out=lower).max()))  # keeps NaN
+        else:
+            expanded, bound = mat.expanded_block(top, top + _CHECK_ROWS, top)
+            expanded -= block
+            if np.abs(expanded, out=expanded).max() <= RECONSTRUCTION_TOL - bound:
+                residual = np.max((residual, expanded.max()))
+                continue
         block -= mat[rows, top:]
         residual = np.max((residual, np.abs(block, out=block).max()))
     if not residual <= RECONSTRUCTION_TOL:

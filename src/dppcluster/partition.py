@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatch
-from .kernel import as_data_matrix, sq_dists_between
+from .kernel import KernelMatrix, as_data_matrix, expansion_error, sq_dists_between
 
 __all__ = ["Partition", "compact_labels", "voronoi_assign", "lloyd_kmeans"]
 
@@ -42,29 +42,68 @@ def compact_labels(raw) -> tuple[np.ndarray, int]:
     return labels.astype(np.int64), int(uniq.size)
 
 
-def voronoi_assign(data, gens, sq_dists: np.ndarray | None = None) -> Partition:
+def _compact_ids(raw: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """``compact_labels`` of ids in [0, k), from their counts."""
+    counts = np.bincount(raw, minlength=k)
+    if counts.all():
+        return raw, k
+    kept = counts > 0
+    return (np.cumsum(kept) - 1)[raw], int(kept.sum())
+
+
+def voronoi_assign(data, gens) -> Partition:
     """Assign every observation to its nearest generator.
 
-    Ties go to the earliest generator in ``gens.indices``; cells emptied by
-    ties are removed and labels compacted.  ``sq_dists`` may carry the shared
-    pairwise squared-distance matrix to avoid recomputing distances per run;
-    it must be exactly symmetric, as ``pairwise_sq_dists`` guarantees,
-    because the generators' rows are read in place of their columns.
-    Without it, the generators' distances are computed in the same
-    feature order and are bit-equal to those rows.  An index outside
-    [0, n) raises ShapeMismatch.
+    ``data`` is the (n, p) data or a ``KernelMatrix`` over it, whose
+    centred rows (``KernelMatrix.expansion``) are computed once per kernel
+    and shared by every call.  Ties go to the earliest generator in
+    ``gens.indices``; cells emptied by ties are removed and labels
+    compacted.  An index outside [0, n) raises ShapeMismatch.
+
+    The labels are those of the exact squared distances
+    (``sq_dists_between(x[idx], x)``, first generator on ties), found
+    without computing most of them.  With the data centred, one matrix
+    product gives every point x its key |g|^2 - 2 g.x for every generator
+    g, the squared distance less |x|^2.  Each key lies within
+    expansion_error(p) (|x| + max |g|)^2 <= tol / 2, tol =
+    4 expansion_error(p) (|x|^2 + max |g|^2), of the exact distance less
+    |x|^2 (``expansion_error``).  So a point whose least key is the only one
+    within tol of it has the same nearest generator under the exact
+    distances; the few others (ties, coinciding generators, points nearly
+    equidistant from two) get their exact distances and the first-on-ties
+    argmin.
     """
     idx = np.asarray(getattr(gens, "indices", gens), dtype=int)
     if idx.size == 0:
         raise ConfigError("generator set is empty")
-    rows = np.asarray(sq_dists) if sq_dists is not None else as_data_matrix(data)
-    if idx.min() < 0 or idx.max() >= rows.shape[0]:
-        raise ShapeMismatch(f"generator index out of range [0, {rows.shape[0]})")
-    # a distance row equals its column by symmetry, and reads contiguously
-    d = rows[idx] if sq_dists is not None else sq_dists_between(rows[idx], rows)
-    raw = np.argmin(d, axis=0)  # first occurrence wins ties
-    labels, k = compact_labels(raw)
-    return Partition(labels, k)
+    if isinstance(data, KernelMatrix):
+        x, (rows, _, sq) = data.data, data.expansion
+    else:  # rows [x - mean, 0, 1], laid out as the kernel's
+        x = as_data_matrix(data)
+        rows = np.zeros((x.shape[0], x.shape[1] + 2))
+        xc = np.subtract(x, x.mean(axis=0), out=rows[:, :-2])
+        rows[:, -1] = 1.0
+        sq = np.einsum("ij,ij->i", xc, xc)
+    n, p = x.shape
+    if idx.min() < 0 or idx.max() >= n:
+        raise ShapeMismatch(f"generator index out of range [0, {n})")
+    k = idx.size
+    # generators [-2 g, 0, |g|^2] against rows [x, *, 1]: the product is the keys
+    gens_aug = np.zeros((k, p + 2))
+    np.multiply(rows[idx, :p], -2.0, out=gens_aug[:, :p])
+    gens_aug[:, -1] = sq[idx]
+    keys = gens_aug @ rows.T
+    tol = sq + sq[idx].max()
+    tol *= 4.0 * expansion_error(p)
+    tol += keys.min(axis=0)
+    # per point: how many keys lie within tol of the least, and, when one
+    # does, its generator (NaN keys leave none)
+    count, at = np.array([[1.0] * k, range(k)]) @ (keys <= tol)
+    best = at.astype(np.intp)
+    near = np.flatnonzero(count != 1.0)
+    if near.size:
+        best[near] = sq_dists_between(x[near], x[idx]).argmin(axis=1)
+    return Partition(*_compact_ids(best, k))
 
 
 def lloyd_kmeans(data, init_centers, max_iter: int = 100, tol: float = 1e-6) -> Partition:

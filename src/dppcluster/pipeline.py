@@ -20,6 +20,7 @@ same at every R.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -44,7 +45,6 @@ from .kernel import (
     build_rbf_kernel,
     eigendecompose,
     estimate_bandwidth,
-    pairwise_sq_dists,
 )
 from .metrics import ari, rn
 from .partition import Partition, lloyd_kmeans, voronoi_assign
@@ -93,8 +93,8 @@ class PipelineConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.preprocessing not in PREPROCESSORS:
             raise ConfigError(f"unknown preprocessing {self.preprocessing!r}")
-        if not self.s > 0:
-            raise ConfigError("bandwidth factor s must be positive")
+        if not 0.0 < self.s < math.inf:  # also rejects NaN
+            raise ConfigError(f"bandwidth factor s must be positive and finite, got {self.s!r}")
         if self.k_max is not None:
             object.__setattr__(self, "k_max", checked_int("k_max", self.k_max, 2))
         object.__setattr__(self, "seed", checked_int("seed", self.seed, 0))
@@ -103,10 +103,16 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class KernelArtifacts:
-    """Immutable per-dataset state shared by all runs."""
+    """Immutable per-dataset state shared by all runs.
+
+    ``data`` is the preprocessed data, the read-only array the kernel
+    holds.  ``sq_dists`` is always None: no distance matrix is stored, as
+    the kernel computes its entries from the data.  The field stays because
+    the benchmark's tracer (``perfbench/tracing.py``) reads it.
+    """
 
     data: np.ndarray
-    sq_dists: np.ndarray
+    sq_dists: None
     sigma2_hat: float
     kernel: KernelMatrix
     spectral: SpectralDecomposition
@@ -118,14 +124,15 @@ class KernelArtifacts:
 
 
 def build_artifacts(data, s: float = 1.0, preprocessing: str = "none") -> KernelArtifacts:
-    """Preprocess, then build the shared distance matrix, the kernel over
-    it, and the spectral decomposition for a dataset."""
+    """Preprocess, then estimate the bandwidth and build the kernel and its
+    spectral decomposition for a dataset; no n x n array is kept."""
     x = apply_preprocessing(data, preprocessing)
-    d2 = pairwise_sq_dists(x)
-    sigma2 = estimate_bandwidth(x, sq_dists=d2)
-    kernel = build_rbf_kernel(x, sigma2, s, sq_dists=d2)
+    sigma2 = estimate_bandwidth(x)
+    kernel = build_rbf_kernel(x, sigma2, s)
     spectral = eigendecompose(kernel)
-    return KernelArtifacts(x, d2, sigma2, kernel, spectral, spectral.log_det_plus_identity())
+    return KernelArtifacts(
+        kernel.data, None, sigma2, kernel, spectral, spectral.log_det_plus_identity()
+    )
 
 
 @dataclass
@@ -170,8 +177,8 @@ def _block_runs(runs: range, artifacts: KernelArtifacts, method, seed, k_max):
     for gens, loglik in _block_draws(runs, artifacts, method, seed, k_max):
         if method == "kmeans":  # Lloyd refinement from the k-means++ seeds
             part = lloyd_kmeans(data, data[list(gens.indices)])
-        else:
-            part = voronoi_assign(data, gens, sq_dists=artifacts.sq_dists)
+        else:  # on the kernel's centred rows, shared by the runs
+            part = voronoi_assign(artifacts.kernel, gens)
         out.append((part.labels, part.k, len(gens), loglik))
     return out
 
@@ -371,8 +378,8 @@ def run_pipeline(data, cfg: PipelineConfig, truth: Sequence[int] | None = None) 
     ens = ensemble_runs(artifacts, cfg)
     timings["runs"] = time.perf_counter() - t0
     # nothing after the runs reads the eigenvectors: free them before the
-    # consensus matrix is built; selection streams kernel rows from the
-    # distances the kernel holds
+    # consensus matrix is built; selection computes kernel row blocks from
+    # the data the kernel holds
     kernel, sigma2_hat = artifacts.kernel, artifacts.sigma2_hat
     del artifacts
 

@@ -36,9 +36,8 @@ __all__ = [
 # configuration is degenerate.
 EPS_BETWEEN = 1e-12
 
-# Kernel rows per block of the scatter pass: a KernelMatrix block is
-# exponentiated from its distances, so no more than 64 n kernel entries
-# exist at a time.
+# Kernel rows per block of the scatter pass: no more than 64 n entries of a
+# KernelMatrix exist at a time.
 _SCATTER_ROWS = 64
 
 
@@ -71,7 +70,10 @@ def _scatter_pass(mat, n: int, parts) -> list[tuple[np.ndarray, np.ndarray]]:
     diag = np.empty(n)
     KE = np.empty_like(E)
     for top in range(0, n, _SCATTER_ROWS):
-        rows = mat[top : top + _SCATTER_ROWS]
+        if isinstance(mat, KernelMatrix):
+            rows = mat.expanded_block(top, top + _SCATTER_ROWS)[0]
+        else:
+            rows = mat[top : top + _SCATTER_ROWS]
         diag[top : top + rows.shape[0]] = rows.diagonal(top)
         KE[top : top + rows.shape[0]] = rows @ E
 
@@ -91,10 +93,13 @@ def scatter_reports(L, clusterings) -> list[ScatterReport]:
     kernel ``L``, from one pass over the rows of L per n + 1 indicator
     columns.
 
-    ``L`` is a ``KernelMatrix``, which is read _SCATTER_ROWS rows at a time
-    and never materialised, or any symmetric Gram matrix, so tests can
+    ``L`` is a ``KernelMatrix`` or any symmetric Gram matrix, so tests can
     drive it with a plain dot-product kernel where every quantity has a
-    closed coordinate form.  Let E_c hold the 0/1 membership indicator of
+    closed coordinate form.  A ``KernelMatrix`` is never materialised: its
+    rows are computed _SCATTER_ROWS at a time from the centred expansion
+    (``KernelMatrix.expanded_block``), one matrix product per block with an
+    exact unit diagonal, each entry within the block's rounding bound of
+    the exact kernel.  Let E_c hold the 0/1 membership indicator of
     cluster a of clustering c in column a.  The pass keeps the diagonal of
     L and the n x (1 + sum of k_c) product KE = L [1 | E_1 | ... | E_m], the
     column of ones being the whole sample as one cluster, and every

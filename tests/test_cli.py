@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dppcluster import pipeline
 from dppcluster.cli import main
 
 
@@ -73,6 +74,19 @@ class TestClusterCommand:
         result = runner.invoke(main, ["cluster", str(data_path), "--tau", "0.97"])
         assert result.exit_code == 2
         assert "threshold grid" in result.output
+
+    @pytest.mark.parametrize("s", ["inf", "nan", "0"])
+    def test_bad_bandwidth_factor_exits_2_before_the_bandwidth_pass(
+        self, runner, blob_csv, monkeypatch, s
+    ):
+        def no_pass(*_args, **_kwargs):
+            raise AssertionError("the bandwidth pass ran")
+
+        monkeypatch.setattr(pipeline, "estimate_bandwidth", no_pass)
+        data_path, _ = blob_csv
+        result = runner.invoke(main, ["cluster", str(data_path), "--s", s])
+        assert result.exit_code == 2, result.output
+        assert "bandwidth factor s must be positive and finite" in result.output
 
     def test_nan_threshold_exits_2(self, runner, blob_csv):
         data_path, _ = blob_csv

@@ -100,6 +100,31 @@ def test_diff_names_moved_consensus(tool, tmp_path):
     assert tool.main(["diff", str(tmp_path / "old.json"), str(tmp_path / "new.json")]) == 1
 
 
+def test_diff_names_moved_bandwidth_and_spectrum(tool, tmp_path):
+    old = _result("aa", 4.0, [[1, 2]], 2.5)
+    old["datasets"]["d"].update(sigma2_hat=(1.5).hex(), spectrum_sha256="s")
+    lines = tool.diff(old, old)
+    assert "datasets moved (0): none" in lines
+    assert any("sigma2_hat same, spectrum_sha256 same" in line for line in lines)
+    # a record from before they were kept has none to compare
+    assert "datasets moved (0): none" in tool.diff(_result("aa", 4.0, [], 2.5), old)
+
+    def status(new):
+        (tmp_path / "old.json").write_text(json.dumps(old))
+        (tmp_path / "new.json").write_text(json.dumps(new))
+        return tool.main(["diff", str(tmp_path / "old.json"), str(tmp_path / "new.json")])
+
+    assert status(old) == 0
+    for key, value in (("sigma2_hat", (1.5000000000000002).hex()), ("spectrum_sha256", "t")):
+        new = json.loads(json.dumps(old))
+        new["datasets"]["d"][key] = value
+        lines = tool.diff(old, new)
+        assert f"datasets moved (1): d:{key}" in lines
+        assert any(f"{key} moved" in line for line in lines)
+        assert "chosen labels identical in 1 of 1 cases" in lines
+        assert status(new) == 1
+
+
 def test_spectrum_reads_only_the_diagonal(tool, monkeypatch):
     import numpy as np
 
@@ -114,7 +139,13 @@ def test_spectrum_reads_only_the_diagonal(tool, monkeypatch):
         raise AssertionError("the dense kernel was built")
 
     monkeypatch.setattr(KernelMatrix, "__array__", materialised)
-    assert tool._spectrum(arts)["trace_residual"] == expected
+    spectrum = tool._spectrum(arts)
+    assert spectrum["trace_residual"] == expected
+    assert float.fromhex(spectrum["sigma2_hat"]) == arts.sigma2_hat
+    again = dc.build_artifacts(np.random.default_rng(0).normal(size=(30, 2)))
+    assert tool._spectrum(again)["spectrum_sha256"] == spectrum["spectrum_sha256"]
+    other = dc.build_artifacts(np.random.default_rng(0).normal(size=(30, 2)), s=0.5)
+    assert tool._spectrum(other)["spectrum_sha256"] != spectrum["spectrum_sha256"]
 
 
 def test_draws_follow_the_pipeline(tool):

@@ -65,17 +65,19 @@ class TestBandwidth:
             estimate_bandwidth(np.ones((4, 2)))
 
     def test_shared_distance_matrix_path(self):
+        # the mean of the off-diagonal entries of the distance matrix
         rng = np.random.default_rng(1)
         x = rng.normal(size=(8, 2))
         d2 = pairwise_sq_dists(x)
-        assert estimate_bandwidth(x) == pytest.approx(estimate_bandwidth(x, sq_dists=d2))
+        assert estimate_bandwidth(x) == pytest.approx(d2.sum() / (8 * 7))
 
     def test_shared_distance_matrix_path_bit_equal(self):
-        # the upper triangle is read in pdist's order, so the means agree
-        # to the last bit
+        # the upper triangle is computed in 64-row blocks and copied in
+        # pdist's order, so the mean agrees with the mean of the distance
+        # matrix's upper triangle to the last bit
         x = np.random.default_rng(11).normal(size=(300, 4))
         d2 = pairwise_sq_dists(x)
-        assert estimate_bandwidth(x, sq_dists=d2) == estimate_bandwidth(x)
+        assert estimate_bandwidth(x) == d2[np.triu_indices(300, 1)].mean()
 
     def test_overflowing_distances_rejected(self):
         # squared distances near 1e320 overflow to inf, quietly: the only
@@ -85,8 +87,6 @@ class TestBandwidth:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DegenerateData, match="overflow"):
                 estimate_bandwidth(x)
-            with pytest.raises(DegenerateData, match="overflow"):
-                estimate_bandwidth(x, sq_dists=pairwise_sq_dists(x))
 
 
 class TestRbfKernel:
@@ -150,41 +150,42 @@ class TestRbfKernel:
         assert k.entries.max() == 1.0
 
     def test_kernel_matrix_validation(self):
-        # the kernel is checked through its squared distances: asymmetric
-        # distances, a nonzero one on the diagonal (a kernel diagonal other
-        # than 1) and a negative one (a kernel entry above 1)
-        with pytest.raises(NumericalFailure):
-            KernelMatrix(np.array([[0.0, 0.5], [0.3, 0.0]]), -1.0)  # asymmetric
-        with pytest.raises(NumericalFailure):
-            KernelMatrix(np.array([[0.1, 0.5], [0.5, 0.0]]), -1.0)  # bad diagonal
-        with pytest.raises(NumericalFailure):
-            KernelMatrix(np.array([[0.0, -0.5], [-0.5, 0.0]]), -1.0)  # out of range
+        # the kernel is checked through its data: a non-finite entry, or a
+        # single observation
+        with pytest.raises(DegenerateData, match="NaN"):
+            KernelMatrix(np.array([[0.0, 0.5], [np.nan, 0.0]]), -1.0)
+        with pytest.raises(DegenerateData, match="NaN"):
+            KernelMatrix(np.array([[0.0, np.inf], [0.3, 0.0]]), -1.0)
+        with pytest.raises(DegenerateData, match="two observations"):
+            KernelMatrix(np.array([[0.0, 0.5]]), -1.0)
 
     @pytest.mark.parametrize("scale", [0.0, 1.0, -np.inf, np.nan])
     def test_kernel_scale_must_be_finite_and_negative(self, scale):
         with pytest.raises(NumericalFailure, match="scale"):
             KernelMatrix(np.zeros((2, 2)), scale)
 
-    def test_kernel_distances_must_be_square(self):
+    def test_kernel_data_must_be_a_matrix(self):
         with pytest.raises(ShapeMismatch):
-            KernelMatrix(np.zeros((2, 3)), -1.0)
+            KernelMatrix(np.zeros((2, 3, 2)), -1.0)
+        assert KernelMatrix(np.zeros(3), -1.0).data.shape == (3, 1)  # one feature
 
     def test_immutability(self):
         k = build_rbf_kernel(np.array([[0.0], [1.0]]), 1.0)
         with pytest.raises(ValueError):
-            k.sq_dists[0, 1] = 0.5
+            k.data[0, 0] = 0.5
         with pytest.raises(ValueError):
             k.entries[0, 1] = 0.5
 
-    def test_shared_distances_are_not_copied_and_caller_arrays_not_frozen(self):
+    def test_read_only_data_is_shared_and_caller_arrays_not_frozen(self):
         x = np.random.default_rng(13).normal(size=(6, 2))
-        d2 = pairwise_sq_dists(x)
-        assert build_rbf_kernel(x, 1.0, sq_dists=d2).sq_dists is d2
-        mine = np.array(d2)
-        k = KernelMatrix(mine, -1.0)
-        assert mine.flags.writeable and k.sq_dists is not mine
-        mine[0, 1] = 7.0
-        assert k.sq_dists[0, 1] == d2[0, 1]
+        frozen = x.copy()
+        frozen.setflags(write=False)
+        assert KernelMatrix(frozen, -1.0).data is frozen
+        k = build_rbf_kernel(x, 1.0)
+        assert x.flags.writeable and k.data is not x
+        before = k[0, 1]
+        x[0, 1] = 7.0
+        assert k[0, 1] == before and k.data[0, 1] != 7.0
 
     def test_rows_and_blocks_bit_equal_to_the_dense_kernel(self):
         # against the dense kernel as it was built before it became implicit
@@ -214,6 +215,98 @@ class TestRbfKernel:
             tracemalloc.stop()
         assert dense.shape == (n, n)
         assert peak <= 1.1 * 8 * n * n
+
+
+@st.composite
+def _small_data(draw, max_n=40):
+    # small n and p <= 6, raw normal or integer-grid rows (exact ties),
+    # optionally with copied rows and a 1e6 offset on every feature
+    n = draw(st.integers(2, max_n))
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        x = rng.integers(-2, 3, size=(n, p)).astype(float)
+    else:
+        x = rng.normal(size=(n, p))
+    if draw(st.booleans()):
+        x[rng.integers(0, n, size=n // 2)] = x[rng.integers(0, n, size=n // 2)]
+    if draw(st.booleans()):
+        x += 1e6
+    return x
+
+
+class TestMatrixFreeKernel:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(x=_small_data(), s=st.floats(0.05, 4.0), seed=st.integers(0, 2**16))
+    def test_every_index_form_bit_equal_to_the_dense_kernel(self, x, s, seed):
+        n = x.shape[0]
+        scale = -2.0 * s * max(float(x.var(axis=0).sum()), 1e-3)
+        k = KernelMatrix(x, scale)
+        dense = np.exp(pairwise_sq_dists(x) / scale)
+        rng = np.random.default_rng(seed)
+        i, j = (int(v) for v in rng.integers(0, n, size=2))
+        a, b = sorted(int(v) for v in rng.integers(0, n + 1, size=2))
+        idx = rng.integers(0, n, size=rng.integers(1, 8))
+        jdx = rng.integers(0, n, size=idx.size)
+        every = np.arange(n)
+        indices = [
+            i,
+            -1,
+            (i, j),
+            slice(a, b),
+            (slice(a, b), slice(b, None)),
+            (slice(None), slice(a, b)),
+            (slice(a, b), j),
+            np.ix_(idx, idx),
+            np.ix_(idx, jdx),
+            (idx, jdx),
+            (every, every),
+            (idx, slice(a, b)),
+            (slice(a, b), idx),
+            ...,
+        ]
+        for index in indices:
+            got, want = k[index], dense[index]
+            assert got.shape == np.shape(want), index
+            assert np.array_equal(got, want), index
+        assert np.all(k[every, every] == 1.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(x=_small_data(max_n=150), s=st.floats(0.05, 4.0), top=st.integers(0, 149))
+    def test_expanded_blocks_within_their_bound(self, x, s, top):
+        n = x.shape[0]
+        top = top % n
+        scale = -2.0 * s * max(float(x.var(axis=0).sum()), 1e-3)
+        k = KernelMatrix(x, scale)
+        for start in (0, top):
+            block, bound = k.expanded_block(top, top + 64, start)
+            exact = k[top : top + 64, start:]
+            assert block.shape == exact.shape
+            assert np.abs(block - exact).max() <= bound
+            assert bound < 1e-10
+            assert np.all(block.diagonal(top - start) == 1.0)
+            coinciding = pairwise_sq_dists(x)[top : top + 64, start:] == 0.0
+            assert np.all(block[coinciding] == 1.0)
+
+    def test_check_verdict_is_the_exact_one(self, monkeypatch):
+        # at a tolerance equal to the exact residual the check passes, one
+        # ulp below it fails: the expanded blocks cannot decide there, so
+        # the check falls back to exact entries
+        x = np.random.default_rng(18).normal(size=(150, 3))
+        k = build_rbf_kernel(x, estimate_bandwidth(x))
+        spec = eigendecompose(k)
+        vec = spec.eigenvectors
+        lam = spec.eigenvalues[: vec.shape[1]]
+        step = kernel_module._CHECK_ROWS
+        exact = max(
+            np.abs((vec[top : top + step] * lam) @ vec[top:].T - k[top : top + step, top:]).max()
+            for top in range(0, k.n, step)
+        )
+        monkeypatch.setattr(kernel_module, "RECONSTRUCTION_TOL", exact)
+        eigendecompose(k)
+        monkeypatch.setattr(kernel_module, "RECONSTRUCTION_TOL", np.nextafter(exact, 0.0))
+        with pytest.raises(NumericalFailure, match="reconstruction residual"):
+            eigendecompose(k)
 
 
 class TestEigendecompose:

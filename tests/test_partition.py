@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dppcluster import (
     Clustering,
     ConfigError,
     GeneratorSet,
+    KernelMatrix,
     Partition,
     ShapeMismatch,
     ari,
     lloyd_kmeans,
     voronoi_assign,
 )
-from dppcluster.kernel import pairwise_sq_dists
+from dppcluster.kernel import pairwise_sq_dists, sq_dists_between
 from dppcluster.partition import compact_labels
 from oracles import lloyd_oracle, wcss
 
@@ -40,17 +43,18 @@ class TestVoronoiAssign:
         assert part_rev.labels[1] == part_rev.labels[2]
 
     def test_shared_distance_matrix_matches_direct(self):
+        # the labels of the distance matrix's generator rows
         rng = np.random.default_rng(1)
         x = rng.normal(size=(20, 3))
         d2 = pairwise_sq_dists(x)
         gens = GeneratorSet((1, 5, 9))
-        a = voronoi_assign(x, gens)
-        b = voronoi_assign(x, gens, sq_dists=d2)
-        assert np.array_equal(a.labels, b.labels)
+        expected, k = compact_labels(np.argmin(d2[list(gens.indices)], axis=0))
+        part = voronoi_assign(x, gens)
+        assert np.array_equal(part.labels, expected) and part.k == k
 
     def test_grid_ties_match_first_nearest_loop(self):
-        # integer grid points tie constantly; both distance paths must give
-        # each point the first generator at its smallest distance
+        # integer grid points tie constantly; each point must get the first
+        # generator at its smallest distance
         rng = np.random.default_rng(3)
         x = rng.integers(0, 3, size=(60, 2)).astype(float)
         d2 = pairwise_sq_dists(x)
@@ -58,8 +62,7 @@ class TestVoronoiAssign:
             idx = rng.choice(60, size=6, replace=False)
             first = [min(range(6), key=lambda g: (d2[i, idx[g]], g)) for i in range(60)]
             expected, _ = compact_labels(first)
-            for part in (voronoi_assign(x, idx), voronoi_assign(x, idx, sq_dists=d2)):
-                assert np.array_equal(part.labels, expected)
+            assert np.array_equal(voronoi_assign(x, idx).labels, expected)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
@@ -68,21 +71,56 @@ class TestVoronoiAssign:
         b = voronoi_assign(x, GeneratorSet((20, 0, 10)))
         assert ari(a.labels, b.labels) == 1.0
 
-    @pytest.mark.parametrize("on_distances", [False, True])
+    @pytest.mark.parametrize("listed", [False, True])
     @pytest.mark.parametrize("idx", [(0, -1), (0, 5), (-6, 1)])
-    def test_index_outside_the_points_is_rejected(self, on_distances, idx):
-        # n = 5: a negative index does not wrap to the last point on either
-        # path, and one past n is a ShapeMismatch too
+    def test_index_outside_the_points_is_rejected(self, listed, idx):
+        # n = 5: a negative index does not wrap to the last point, whether
+        # the indices come as a list or an array, and one past n is a
+        # ShapeMismatch too
         x = np.arange(10.0).reshape(5, 2)
-        d2 = pairwise_sq_dists(x) if on_distances else None
         with pytest.raises(ShapeMismatch, match="out of range"):
-            voronoi_assign(x, np.array(idx), sq_dists=d2)
+            voronoi_assign(x, list(idx) if listed else np.array(idx))
 
     def test_duplicate_generator_point_empties_cell(self):
         # two generators at identical coordinates: the later one gets nothing
         x = np.array([[0.0], [0.0], [5.0]])
         part = voronoi_assign(x, GeneratorSet((0, 1, 2)))
         assert part.k == 2
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 60),
+        p=st.integers(1, 6),
+        grid=st.booleans(),
+        copies=st.booleans(),
+        offset=st.sampled_from([0.0, 1e6]),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_exact_first_on_ties_argmin(self, n, p, grid, copies, offset, k, seed):
+        # integer grids put points equidistant from two generators, copied
+        # rows put generators at equal coordinates, and the offset leaves the
+        # matrix-product keys of uncentred data no correct digit
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, size=(n, p)).astype(float) if grid else rng.normal(size=(n, p))
+        if copies:
+            x[rng.integers(0, n, size=n // 2)] = x[rng.integers(0, n, size=n // 2)]
+        x += offset
+        idx = rng.choice(n, size=min(k, n), replace=False)
+        expected, k_expected = compact_labels(np.argmin(sq_dists_between(x[idx], x), axis=0))
+        # on the data, and on a kernel's shared centred rows
+        for data in (x, KernelMatrix(x, -1.0)):
+            part = voronoi_assign(data, idx)
+            assert np.array_equal(part.labels, expected) and part.k == k_expected
+
+    def test_equidistant_points_and_coinciding_generators(self):
+        # point 2 is equidistant from generators 0 and 4, generators 1 and 3
+        # share coordinates: ties go to the earliest generator listed
+        x = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [2.0, 0.0], [2.0, 2.0]]) + 1e6
+        for data in (x, KernelMatrix(x, -1.0)):
+            part = voronoi_assign(data, GeneratorSet((4, 3, 0, 1)))
+            assert part.labels.tolist() == [2, 1, 0, 1, 0]
+            assert part.k == 3
 
 
 class TestLloydKmeans:

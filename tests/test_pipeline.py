@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -10,9 +11,11 @@ from dppcluster import (
     ConsensusConfig,
     DegenerateData,
     PipelineConfig,
+    RngStream,
     accumulate,
     build_artifacts,
     ensemble_runs,
+    generate_mixture_fixed,
     run_pipeline,
 )
 from dppcluster.bench import diversity_series
@@ -41,6 +44,12 @@ class TestConfig:
             PipelineConfig(workers=0)
         with pytest.raises(ConfigError):
             PipelineConfig(k_max=1)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bandwidth_factor_must_be_positive_and_finite(self, bad):
+        # the message build_rbf_kernel gives, before any O(n^2) pass
+        with pytest.raises(ConfigError, match="bandwidth factor s must be positive and finite"):
+            PipelineConfig(s=bad)
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -293,3 +302,31 @@ class TestDeferTasks:
             assert [calls[i]() for i in (0, 2, 3)] == [(37, arts.n), (7, arts.n), (27, arts.n)]
             with pytest.raises(DegenerateData, match="task 1 failed"):
                 calls[1]()
+
+
+class TestMemoryGuard:
+    # The peaks of build_artifacts and run_pipeline on one fixed dataset,
+    # in units of one n x n float64 array (8 n^2 bytes), measured at 0.85
+    # and 1.39; the n x n distance matrix they held before took them to
+    # 1.68 and 2.35.  Each bound lies about half an array above its
+    # measurement, so one more such array would exceed it.
+    n = 600
+    bounds = {"build_artifacts": 1.3, "run_pipeline": 1.9}
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return generate_mixture_fixed(self.n, 4, 4, RngStream(7, 0)).data
+
+    @pytest.mark.parametrize("stage", sorted(bounds))
+    def test_no_square_float_array(self, data, stage):
+        call = {
+            "build_artifacts": lambda: build_artifacts(data),
+            "run_pipeline": lambda: run_pipeline(data, PipelineConfig(seed=3)),
+        }[stage]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.bounds[stage] * 8 * self.n * self.n

@@ -134,11 +134,13 @@ class TestStreamedScatterProperties:
     @given(_scatter_inputs(count=3))
     def test_implicit_kernel_and_batches_match_dense_single(self, inputs):
         # each candidate scored from the implicit kernel beside the others
-        # scores as it does alone on the dense kernel
+        # scores as it does alone on the dense kernel of the same entries,
+        # the expanded ones the scatter pass reads
         x, clusterings = inputs
         L = build_rbf_kernel(x, estimate_bandwidth(x))
+        entries = np.vstack([L.expanded_block(top, top + 64)[0] for top in range(0, L.n, 64)])
         for clus, rep in zip(clusterings, scatter_reports(L, clusterings)):
-            dense = scatter(L.entries, clus)
+            dense = scatter(entries, clus)
             _assert_reports_close(scatter(L, clus), dense, rtol=1e-12)
             _assert_reports_close(rep, dense, rtol=1e-12)
             assert np.all(dense.w_per_cluster[dense.sizes == 1] == 0.0)

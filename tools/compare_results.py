@@ -13,10 +13,13 @@ largest relative change in any candidate float or in the selection's
 cases it also compares a digest of the consensus matrix,
 ``report.consensus.entries`` as float64 bytes.  For the ``bench.benchmark``
 cells it prints K, ARI and whether the cell moved.  It reports, per
-dataset, the share of DPP draws that are identical and the change in E|Y|
-against trace R = trace L - sum(lambda).  Like diff(1), ``diff`` exits 1
-when any case's labels, report digest or consensus digest or any benchmark
-cell moved and 0 when none did.
+dataset, the share of DPP draws that are identical, the change in E|Y|
+against trace R = trace L - sum(lambda), and whether the bandwidth
+estimate ``sigma2_hat`` (kept as ``float.hex``) or the spectrum (a sha256
+of the eigenvalue and eigenvector bytes) moved.  Like diff(1), ``diff``
+exits 1 when any case's labels, report digest or consensus digest, any
+benchmark cell, or any dataset's ``sigma2_hat`` or spectrum moved, and 0
+when none did.
 
 Cases:
 - ``iris``: ``run_pipeline`` on ``tests/data/iris.csv`` with the defaults;
@@ -69,15 +72,19 @@ def _spectrum(artifacts) -> dict:
     """Facts of one dataset's decomposition the diff compares."""
     import numpy as np
 
-    lam = artifacts.spectral.eigenvalues
+    lam, vec = artifacts.spectral.eigenvalues, artifacts.spectral.eigenvectors
     every = np.arange(artifacts.n)
     trace = artifacts.kernel[every, every].sum()  # the diagonal only, not the n x n kernel
+    spectrum = hashlib.sha256(np.ascontiguousarray(lam, dtype=np.float64).tobytes())
+    spectrum.update(np.ascontiguousarray(vec, dtype=np.float64).tobytes())
     return {
         "n": artifacts.n,
-        "rank": int(artifacts.spectral.eigenvectors.shape[1]),
+        "rank": int(vec.shape[1]),
         "expected_size": float((lam / (1.0 + lam)).sum()),
         "trace_residual": float(trace - lam.sum()),
         "log_det_norm": float(artifacts.log_det_norm),
+        "sigma2_hat": float(artifacts.sigma2_hat).hex(),
+        "spectrum_sha256": spectrum.hexdigest(),
     }
 
 
@@ -255,11 +262,26 @@ def moved_cells(old: dict, new: dict) -> list[str]:
     return [name for name, a in old.get("benchmark", {}).items() if a != new_cells.get(name)]
 
 
+DATASET_KEYS = ("sigma2_hat", "spectrum_sha256")
+
+
+def moved_datasets(old: dict, new: dict) -> list[str]:
+    """``dataset:key`` for each dataset whose ``sigma2_hat`` or spectrum
+    digest differs; a record from before they were kept has none."""
+    return [
+        f"{name}:{key}"
+        for name, a in old["datasets"].items()
+        for key in DATASET_KEYS
+        if key in a and a[key] != new["datasets"].get(name, {}).get(key)
+    ]
+
+
 def any_case_moved(old: dict, new: dict) -> bool:
     """Whether any case's chosen labels, report digest or consensus digest
-    differ, or any benchmark cell moved; only the ``run_pipeline`` cases
-    carry a consensus digest."""
-    return bool(moved_cells(old, new)) or any(
+    differ, any benchmark cell moved, or any dataset's ``sigma2_hat`` or
+    spectrum moved; only the ``run_pipeline`` cases carry a consensus
+    digest."""
+    return bool(moved_cells(old, new)) or bool(moved_datasets(old, new)) or any(
         a.get(key) != new["cases"][name].get(key)
         for name, a in old["cases"].items()
         for key in ("labels_sha256", "report_sha256", "consensus_sha256")
@@ -303,6 +325,7 @@ def diff(old: dict, new: dict) -> list[str]:
     lines.append(f"consensus digests moved ({len(consensus_moved)}): "
                  f"{', '.join(consensus_moved) or 'none'}")
     lines.append(f"benchmark cells moved ({len(cells_moved)}): {', '.join(cells_moved) or 'none'}")
+    datasets_moved = moved_datasets(old, new)
     for name, a in old["datasets"].items():
         b = new["datasets"][name]
         lines.append(
@@ -312,6 +335,10 @@ def diff(old: dict, new: dict) -> list[str]:
             f"trace R {a['trace_residual']:.2e}>{b['trace_residual']:.2e}, "
             f"log det(L+I) {a['log_det_norm']:.6f}>{b['log_det_norm']:.6f}"
         )
+        for key in DATASET_KEYS:
+            if key in a:
+                lines[-1] += f", {key} {'moved' if f'{name}:{key}' in datasets_moved else 'same'}"
+    lines.append(f"datasets moved ({len(datasets_moved)}): {', '.join(datasets_moved) or 'none'}")
     per_dataset: dict[str, list[int]] = {}
     for key, draws in old["draws"].items():
         same = sum(x == y for x, y in zip(draws, new["draws"][key]))
@@ -324,7 +351,8 @@ def diff(old: dict, new: dict) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    """Run a command; the exit status is 1 when ``diff`` saw a case move."""
+    """Run a command; the exit status is 1 when ``diff`` saw a case, a
+    benchmark cell or a dataset's bandwidth or spectrum move."""
     if len(argv) == 3 and argv[0] == "run":
         run(Path(argv[1]), Path(argv[2]))
     elif len(argv) == 3 and argv[0] == "_collect":
