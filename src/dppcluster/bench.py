@@ -13,9 +13,10 @@ from typing import Sequence
 import numpy as np
 
 from .consensus import accumulate
-from .errors import ClusterError, NoCandidates, checked_int
+from .errors import ClusterError, ConfigError, NoCandidates, checked_int
 from .metrics import ari, rn
 from .pipeline import (
+    METHODS,
     KernelArtifacts,
     PipelineConfig,
     artifacts_pool,
@@ -211,6 +212,14 @@ def _finish_cell(out: ReplicaOutcome, ens, scores, prefixes, marks) -> ReplicaOu
     return out
 
 
+def _checked_methods(methods: Sequence[str]) -> list[str]:
+    """``methods`` as a list of one or more METHODS, none twice (ConfigError)."""
+    methods = list(methods)
+    if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
+        raise ConfigError(f"each method must be one of {METHODS}, named once; got {methods}")
+    return methods
+
+
 def benchmark(
     scenarios: Sequence[ScenarioSpec],
     methods: Sequence[str],
@@ -234,6 +243,7 @@ def benchmark(
     Outcomes are identical at every worker count; with one worker
     everything runs in this process.
     """
+    methods = _checked_methods(methods)
     if replicas is not None:
         replicas = checked_int("replicas", replicas, 1)
     runs = cfg.consensus.runs
@@ -281,18 +291,15 @@ def diversity_series(data, cfg: PipelineConfig, methods: Sequence[str] = ("dpp",
     """Per-run subset log-likelihoods for each sampling method on one
     dataset; the rows behind the diversity histograms.  With
     ``cfg.workers > 1`` one pool runs the draws of every method."""
+    methods = _checked_methods(methods)
     artifacts = build_artifacts(data, s=cfg.s, preprocessing=cfg.preprocessing)
     rows = []
     with artifacts_pool(artifacts, cfg.workers) as pool:
         for method in methods:
             sizes, logliks = ensemble_draws(artifacts, replace(cfg, method=method), pool)
-            for run, (ll, size) in enumerate(zip(logliks, sizes)):
-                rows.append(
-                    {
-                        "method": method,
-                        "run": run,
-                        "log_likelihood": float(ll),
-                        "subset_size": int(size),
-                    }
-                )
+            rows += [
+                {"method": method, "run": run, "log_likelihood": float(ll),
+                 "subset_size": int(size)}
+                for run, (ll, size) in enumerate(zip(logliks, sizes))
+            ]
     return rows

@@ -9,11 +9,11 @@ backs it: ``KernelMatrix`` keeps the (n, p) data and computes each row,
 block or diagonal a caller asks for from the data, so neither the kernel nor
 the squared distances exist unless a caller materialises them.
 
-Entries come two ways.  Exact entries add the squared feature differences
+Entries come two ways (the bandwidth reads neither: one pass over the
+centred data gives it).  Exact entries add the squared feature differences
 in feature order, as scipy's ``pdist`` does, so each is bit-equal to
 exp(d2 / scale) over the distances ``pairwise_sq_dists`` returns; the
-bandwidth, the pivoted factor and the subset blocks of the likelihood read
-these.  Expanded entries take d2 = |x|^2 + |y|^2 - 2 x.y of the centred
+pivoted factor and the subset blocks of the likelihood read these.  Expanded entries take d2 = |x|^2 + |y|^2 - 2 x.y of the centred
 data from one matrix product per block, about a tenth of the cost; they
 differ from the exact ones by at most a rounding bound that grows with p
 (``expansion_error``), and serve passes over the whole kernel that only
@@ -66,9 +66,6 @@ PIVOT_TOL = 5e-7
 # Rows per block of the reconstruction check: its temporaries are a few
 # blocks of 64 n floats, and thinner blocks ran slower at n = 5000.
 _CHECK_ROWS = 64
-
-# Rows per block of the bandwidth pass.
-_DIST_ROWS = 64
 
 # Doubles per chunk of per-feature differences in exact distances: chunks
 # of about 10 rows of 8 features at n = 1500 stay in cache and ran fastest.
@@ -123,8 +120,7 @@ def _feature_sq_dists(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarr
     by feature in feature order, the summation of scipy's ``pdist`` and
     ``cdist``, so every entry is bit-equal to theirs whatever the shape.
     Past _CHUNK differences, runs in chunks along the first axis of
-    ``out``.  Overflow to infinity is left quiet: the bandwidth estimate
-    reports it.
+    ``out``.  Overflow to infinity is left quiet.
     """
     p = a.shape[0]
     with np.errstate(over="ignore"):
@@ -167,39 +163,38 @@ def pairwise_sq_dists(data) -> np.ndarray:
     return out
 
 
+def _centred(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``x`` less their mean, xc, and their squared norms |xc|^2."""
+    xc = x - x.mean(axis=0)
+    return xc, np.einsum("ij,ij->i", xc, xc)
+
+
 def estimate_bandwidth(data) -> float:
     """Squared-bandwidth estimate: the mean of all pairwise squared
     Euclidean distances.
 
-    The distances of the upper triangle are computed _DIST_ROWS rows at a
-    time and copied, row by row, into one condensed vector in the order
-    ``pdist`` returns, whose mean is taken as numpy takes it: the estimate
-    is bit-equal to the mean of ``pdist``.  Raises DegenerateData when
-    every observation coincides, in which case the caller must supply an
-    explicit bandwidth instead, and when the squared distances overflow to
-    infinity.
+    The sum over the pairs i < j of |x_i - x_j|^2 is n sum_i |x_i - m|^2
+    for the mean m, so one pass over the centred rows xc gives it.  The
+    rounding error d of the computed mean would add n |d|^2, which on data
+    far from the origin can exceed the spread itself; the corrected
+    two-pass form (Chan, Golub & LeVeque 1983) takes it out: sigma2 =
+    2 (sum_i |xc_i|^2 - |sum_i xc_i|^2 / n) / (n - 1).  Raises
+    DegenerateData when every observation coincides, in which case the
+    caller must supply an explicit bandwidth instead, and when the squared
+    distances overflow to infinity.
     """
     x = as_data_matrix(data)
     n = x.shape[0]
-    cols = np.ascontiguousarray(x.T)
-    vals = np.empty(n * (n - 1) // 2)
-    buffer = np.empty(min(n, _DIST_ROWS) * n)
-    start = 0
-    for top in range(0, n - 1, _DIST_ROWS):
-        m = min(_DIST_ROWS, n - top)
-        block = buffer[: m * (n - top)].reshape(m, n - top)
-        _feature_sq_dists(cols[:, top : top + m, None], cols[:, None, top:], block)
-        for i in range(m):
-            row = block[i, i + 1 :]
-            vals[start : start + row.size] = row
-            start += row.size
-    with np.errstate(over="ignore"):
-        sigma2 = float(vals.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc, sq = _centred(x)
+        drift = xc.sum(axis=0)
+        sigma2 = 2.0 * float(sq.sum() - drift @ drift / n) / (n - 1)
     if not np.isfinite(sigma2):
         raise DegenerateData(
             "squared distances overflow: their mean is not finite; rescale the data"
         )
-    if sigma2 <= 0.0:
+    # the rounding of identical rows can leave a tiny sigma2 either side of 0
+    if sigma2 <= 0.0 or (x == x[0]).all():
         raise DegenerateData("all observations identical; bandwidth is undefined")
     return sigma2
 
@@ -271,8 +266,7 @@ class KernelMatrix:
         ``left`` and ``right`` with left_i . right_j = d2'_ij / scale for
         the rows xc = data - mean, left_i = [xc_i, h_i, 1] and right_j =
         [-2 xc_j / scale, 1, h_j], h = |xc|^2 / scale; and |xc|^2."""
-        xc = self.data - self.data.mean(axis=0)
-        sq = np.einsum("ij,ij->i", xc, xc)
+        xc, sq = _centred(self.data)
         h = sq / self.scale
         ones = np.ones_like(h)
         left = np.column_stack([xc, h, ones])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatch
-from .kernel import KernelMatrix, as_data_matrix, expansion_error, sq_dists_between
+from .kernel import KernelMatrix, _centred, as_data_matrix, expansion_error, sq_dists_between
 
 __all__ = ["Partition", "compact_labels", "voronoi_assign", "lloyd_kmeans"]
 
@@ -80,10 +80,8 @@ def voronoi_assign(data, gens) -> Partition:
         x, (rows, _, sq) = data.data, data.expansion
     else:  # rows [x - mean, 0, 1], laid out as the kernel's
         x = as_data_matrix(data)
-        rows = np.zeros((x.shape[0], x.shape[1] + 2))
-        xc = np.subtract(x, x.mean(axis=0), out=rows[:, :-2])
-        rows[:, -1] = 1.0
-        sq = np.einsum("ij,ij->i", xc, xc)
+        xc, sq = _centred(x)
+        rows = np.column_stack([xc, np.zeros_like(sq), np.ones_like(sq)])
     n, p = x.shape
     if idx.min() < 0 or idx.max() >= n:
         raise ShapeMismatch(f"generator index out of range [0, {n})")

@@ -5,8 +5,9 @@ via breadth-first search, small-cluster merging as a pure-Python loop over
 member lists, candidate clusterings from both at every threshold, the
 agreement index via raw pair counting with exact rationals, subset
 probabilities via dense determinant enumeration, exact DPP draws by
-re-orthonormalising the whole basis after every pick, and scatter
-statistics via explicit coordinates under a dot-product kernel.  scipy,
+re-orthonormalising the whole basis after every pick, scatter
+statistics via explicit coordinates under a dot-product kernel, and the
+bandwidth as an exact rational mean over every pair.  scipy,
 which the package no longer imports on its clustering path, is the
 reference for distances and for the pivoted Cholesky factor.  Two rules
 are kept here in the form the package used before it was simplified:
@@ -310,6 +311,15 @@ def lloyd_oracle(x: np.ndarray, centers: np.ndarray, max_iter: int = 100, tol: f
 def scipy_sq_dists(x: np.ndarray) -> np.ndarray:
     """All pairwise squared Euclidean distances by scipy's ``pdist``."""
     return squareform(pdist(x, metric="sqeuclidean"))
+
+
+def exact_mean_sq_dist(x: np.ndarray) -> Fraction:
+    """The mean of the squared Euclidean distances over all pairs of rows,
+    in exact rational arithmetic on the float entries."""
+    rows = [[Fraction(v) for v in row] for row in np.asarray(x, dtype=float).tolist()]
+    pairs = list(itertools.combinations(rows, 2))
+    total = sum(sum((a - b) ** 2 for a, b in zip(u, v)) for u, v in pairs)
+    return total / len(pairs)
 
 
 def scipy_sq_dists_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:

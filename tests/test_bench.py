@@ -62,6 +62,17 @@ class TestBenchmark:
         assert (k10, score10) == (k10b, score10b)
         assert 0.0 <= score10 <= 1.0
 
+    @pytest.mark.parametrize("methods", [["dpp", "uniform", "dpp"], ["dpp", "dpx"], []])
+    def test_methods_must_be_known_and_distinct(self, methods):
+        # a repeated method used to report one replica as two
+        def never(_spec, _stream):
+            raise AssertionError("a dataset was generated")
+
+        cfg = PipelineConfig(consensus=ConsensusConfig(runs=10))
+        with pytest.raises(ConfigError, match="named once"):
+            benchmark([ScenarioSpec(150, "low", "low")], methods, cfg, replicas=1,
+                      generator=never)
+
     @pytest.mark.parametrize("replicas", [0, -1, 1.5])
     def test_replicas_must_be_a_positive_whole_number(self, replicas):
         # zero replicas used to return an empty result
@@ -305,6 +316,15 @@ class TestDiversitySeries:
         assert diversity_series(data, cfg, methods=methods) == expected
         with pytest.raises(ConfigError, match="exceeds n"):
             diversity_series(data, replace(cfg, k_max=151))
+
+    def test_methods_must_be_distinct(self, monkeypatch, mini_dataset):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("artifacts were built")
+
+        monkeypatch.setattr(bench, "build_artifacts", forbidden)
+        cfg = PipelineConfig(consensus=ConsensusConfig(runs=10))
+        with pytest.raises(ConfigError, match="named once"):
+            diversity_series(mini_dataset.data, cfg, methods=("dpp", "dpp"))
 
     def test_pool_rows_match_serial(self, mini_dataset):
         cfg = PipelineConfig(seed=8, consensus=ConsensusConfig(runs=12))

@@ -223,6 +223,18 @@ class TestBenchmarkCommand:
         assert "must be one of" in result.output
         assert not out.exists()
 
+    def test_repeated_method_exits_2_before_any_run(self, runner, tmp_path):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(["n150-plow-klow"]))
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["benchmark", "--scenarios", str(f), "--methods", "dpp,dpp", "--runs", "10",
+                   "--replicas", "1", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert "named once" in result.output
+        assert not out.exists()
+
     def test_unknown_scenario_key_exits_3(self, runner, tmp_path):
         f = tmp_path / "s.json"
         f.write_text(json.dumps([{"n": 150, "bogus": 1}]))

@@ -123,6 +123,19 @@ def test_diff_names_moved_bandwidth_and_spectrum(tool, tmp_path):
         assert any(f"{key} moved" in line for line in lines)
         assert "chosen labels identical in 1 of 1 cases" in lines
         assert status(new) == 1
+    new = json.loads(json.dumps(old))
+    new["datasets"]["d"]["sigma2_hat"] = (1.5000000000000002).hex()
+    assert any(line.endswith("sigma2_hat moved 1 ulp, spectrum_sha256 same")
+               for line in tool.diff(old, new))
+
+
+def test_ulps_apart(tool):
+    assert tool.ulps_apart((1.5).hex(), (1.5).hex()) == 0
+    assert tool.ulps_apart((1.5).hex(), (1.5000000000000002).hex()) == 1
+    assert tool.ulps_apart((1.5000000000000002).hex(), (1.5).hex()) == 1
+    # across a power of two the spacing halves
+    assert tool.ulps_apart((2.0).hex(), (1.9999999999999996).hex()) == 2
+    assert tool.ulps_apart((2.0).hex(), (2.0000000000000009).hex()) == 2
 
 
 def test_spectrum_reads_only_the_diagonal(tool, monkeypatch):

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,12 @@ from dppcluster import (
 from dppcluster import kernel as kernel_module
 from dppcluster.kernel import PIVOT_TOL, as_data_matrix, sq_dists_between
 from dppcluster.partition import compact_labels
-from oracles import lapack_pivoted_spectrum, scipy_sq_dists, scipy_sq_dists_between
+from oracles import (
+    exact_mean_sq_dist,
+    lapack_pivoted_spectrum,
+    scipy_sq_dists,
+    scipy_sq_dists_between,
+)
 
 
 class TestDataValidation:
@@ -61,8 +67,16 @@ class TestBandwidth:
         assert s2 == pytest.approx(2.5**2 * s1, rel=1e-12)
 
     def test_identical_points_rejected(self):
-        with pytest.raises(DegenerateData):
-            estimate_bandwidth(np.ones((4, 2)))
+        # the mean of 0.1 or 1/3 is rounded, so the centred rows are not 0;
+        # sum_i |xc_i|^2 alone would leave a positive estimate (4.8e-29 for
+        # the 0.1 rows), and the correction may leave one either side of 0
+        for x in (np.ones((4, 2)), np.full((1500, 3), 0.1), np.full((7, 2), 1 / 3)):
+            with pytest.raises(DegenerateData, match="all observations identical"):
+                estimate_bandwidth(x)
+
+    def test_rows_one_ulp_apart_are_not_identical(self):
+        x = np.array([[1e6, 2.0], [np.nextafter(1e6, 2e6), 2.0]])
+        assert estimate_bandwidth(x) == pytest.approx(np.spacing(1e6) ** 2, rel=1e-12)
 
     def test_shared_distance_matrix_path(self):
         # the mean of the off-diagonal entries of the distance matrix
@@ -71,13 +85,41 @@ class TestBandwidth:
         d2 = pairwise_sq_dists(x)
         assert estimate_bandwidth(x) == pytest.approx(d2.sum() / (8 * 7))
 
-    def test_shared_distance_matrix_path_bit_equal(self):
-        # the upper triangle is computed in 64-row blocks and copied in
-        # pdist's order, so the mean agrees with the mean of the distance
-        # matrix's upper triangle to the last bit
-        x = np.random.default_rng(11).normal(size=(300, 4))
-        d2 = pairwise_sq_dists(x)
-        assert estimate_bandwidth(x) == d2[np.triu_indices(300, 1)].mean()
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 24),
+        p=st.integers(1, 8),
+        offset=st.sampled_from([0.0, -3.7, 1e3, 314159.27, -1e6, 1e8]),
+        noise=st.sampled_from([1e-8, 1e-4, 1.0, 1e3, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_exact_pairwise_mean(self, n, p, offset, noise, seed):
+        # data far from the origin with a spread near its rounding unit, and
+        # integer grids (noise None): a form without the correction for the
+        # rounded mean misses here by up to the spread itself
+        rng = np.random.default_rng(seed)
+        if noise is None:
+            x = offset + rng.integers(-3, 4, size=(n, p)).astype(float)
+        else:
+            x = offset + noise * rng.normal(size=(n, p))
+        exact = exact_mean_sq_dist(x)
+        if exact == 0:
+            with pytest.raises(DegenerateData):
+                estimate_bandwidth(x)
+            return
+        error = abs(Fraction(estimate_bandwidth(x)) - exact) / exact
+        assert error <= 64 * np.finfo(float).eps
+
+    def test_peak_memory_is_linear(self):
+        # a condensed vector of the pairs would take 16 MB here
+        x = np.random.default_rng(11).normal(size=(2000, 4))
+        tracemalloc.start()
+        try:
+            estimate_bandwidth(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_overflowing_distances_rejected(self):
         # squared distances near 1e320 overflow to inf, quietly: the only

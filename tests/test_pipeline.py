@@ -306,12 +306,14 @@ class TestDeferTasks:
 
 class TestMemoryGuard:
     # The peaks of build_artifacts and run_pipeline on one fixed dataset,
-    # in units of one n x n float64 array (8 n^2 bytes), measured at 0.85
+    # in units of one n x n float64 array (8 n^2 bytes), measured at 0.65
     # and 1.39; the n x n distance matrix they held before took them to
-    # 1.68 and 2.35.  Each bound lies about half an array above its
-    # measurement, so one more such array would exceed it.
+    # 1.68 and 2.35, and the bandwidth's condensed vector of the pairs (half
+    # an array) took build_artifacts to 0.85.  Each bound lies less than
+    # half an array above its measurement, so one more such array, or that
+    # vector, would exceed it.
     n = 600
-    bounds = {"build_artifacts": 1.3, "run_pipeline": 1.9}
+    bounds = {"build_artifacts": 1.0, "run_pipeline": 1.9}
 
     @pytest.fixture(scope="class")
     def data(self):

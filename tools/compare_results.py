@@ -15,8 +15,9 @@ cases it also compares a digest of the consensus matrix,
 cells it prints K, ARI and whether the cell moved.  It reports, per
 dataset, the share of DPP draws that are identical, the change in E|Y|
 against trace R = trace L - sum(lambda), and whether the bandwidth
-estimate ``sigma2_hat`` (kept as ``float.hex``) or the spectrum (a sha256
-of the eigenvalue and eigenvector bytes) moved.  Like diff(1), ``diff``
+estimate ``sigma2_hat`` (kept as ``float.hex``; how many ulps, when it
+moved) or the spectrum (a sha256 of the eigenvalue and eigenvector bytes)
+moved.  Like diff(1), ``diff``
 exits 1 when any case's labels, report digest or consensus digest, any
 benchmark cell, or any dataset's ``sigma2_hat`` or spectrum moved, and 0
 when none did.
@@ -43,6 +44,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -276,6 +278,13 @@ def moved_datasets(old: dict, new: dict) -> list[str]:
     ]
 
 
+def ulps_apart(old_hex: str, new_hex: str) -> int:
+    """How many floats apart two ``float.hex`` values of one sign lie."""
+    old, new = (struct.unpack("<q", struct.pack("<d", float.fromhex(v)))[0]
+                for v in (old_hex, new_hex))
+    return abs(new - old)
+
+
 def any_case_moved(old: dict, new: dict) -> bool:
     """Whether any case's chosen labels, report digest or consensus digest
     differ, any benchmark cell moved, or any dataset's ``sigma2_hat`` or
@@ -337,7 +346,10 @@ def diff(old: dict, new: dict) -> list[str]:
         )
         for key in DATASET_KEYS:
             if key in a:
-                lines[-1] += f", {key} {'moved' if f'{name}:{key}' in datasets_moved else 'same'}"
+                moved_key = f"{name}:{key}" in datasets_moved
+                lines[-1] += f", {key} {'moved' if moved_key else 'same'}"
+                if moved_key and key == "sigma2_hat" and key in b:
+                    lines[-1] += f" {ulps_apart(a[key], b[key])} ulp"
     lines.append(f"datasets moved ({len(datasets_moved)}): {', '.join(datasets_moved) or 'none'}")
     per_dataset: dict[str, list[int]] = {}
     for key, draws in old["draws"].items():
