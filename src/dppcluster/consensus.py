@@ -34,6 +34,12 @@ _CHECK_ENTRIES = 1 << 16
 # run as fast as one symmetric product (measured at n = 1500 and 5000).
 _PRODUCT_ROWS = 256
 
+# Indicator columns per one-hot batch, so a batch takes 4 n BATCH_COLUMNS
+# bytes at any number of runs or clusters; 256 to 512 columns accumulated as
+# fast as batches of n columns at n = 1500.  Selection's scatter passes
+# share the budget.
+BATCH_COLUMNS = 256
+
 
 def _row_blocks(n: int):
     """Consecutive row slices of an n x n matrix, about _CHECK_ENTRIES each."""
@@ -100,8 +106,11 @@ class ConsensusMatrix:
     matrix of evidence accumulation (Fred & Jain 2005).
 
     The counts live in the smallest unsigned type that holds ``runs``
-    (uint8 up to 255 runs, then uint16, then uint32), in a read-only array
-    the matrix owns: the caller's array is copied, never frozen.  The
+    (uint8 up to 255 runs, then uint16, then uint32), in a read-only array.
+    A read-only array of that type is shared, as ``co_membership_counts``
+    returns it, so ``accumulate`` copies nothing; anything else, a writable
+    array or one of another type, is copied, and the caller's array is
+    never frozen.  The
     consensus of a pair is the proportion count / runs.  c / runs is
     strictly increasing in c, and the float64 quotients of distinct counts
     stay distinct (they differ by at least 1/runs, far above their
@@ -129,9 +138,11 @@ class ConsensusMatrix:
             raise ConfigError(f"consensus diagonal must equal runs={runs}")
         if c.min() < 0 or c.max() > runs:
             raise ConfigError(f"consensus counts must lie in [0, runs={runs}]")
-        owned = c.astype(np.min_scalar_type(runs))
-        owned.setflags(write=False)
-        object.__setattr__(self, "counts", owned)
+        count_type = np.min_scalar_type(runs)
+        if c.flags.writeable or c.dtype != count_type:
+            c = c.astype(count_type)
+            c.setflags(write=False)
+        object.__setattr__(self, "counts", c)
         object.__setattr__(self, "runs", runs)
 
     @property
@@ -164,53 +175,68 @@ class Clustering(Partition):
 def co_membership_counts(partitions, n: int) -> np.ndarray:
     """Per-pair count of the runs in which the pair co-clusters, in the
     smallest unsigned type that holds the number of runs R (uint8 for
-    R <= 255, uint16 for R <= 65 535, then uint32).
+    R <= 255, uint16 for R <= 65 535, then uint32), as a read-only array.
 
-    Built as batched one-hot products H Hᵀ.  Each batch stacks one float32
-    0/1 indicator column per cluster into H, taking consecutive runs while
-    their clusters fit in a budget of n columns (always at least one run).
-    A run has at least one cluster, so a batch holds at most n runs and an
-    entry of its product is at most n: exact in float32 for n < 2²⁴.  The
-    product is formed one row block of its upper trapezoid at a time (the
-    flops of one symmetric product, and no n x n float temporary), and each
-    block is cast to the count type before it is added, so the sum is
-    integer arithmetic; no entry exceeds R, so it cannot overflow.  The
-    lower triangle is copied from the upper one at the end.  A
-    ``Partition``'s ids and k are used as they are, compact by
-    construction; raw label arrays go through ``compact_labels``.  Each
-    run's cluster ids wait for their batch in the narrowest integer type that
-    holds n, and one batch's indicators exist at a time.  Partial counts
-    from disjoint batches of runs can be added together, in a type that
-    holds their total, so accumulation parallelizes and is order-invariant.
+    Built as batched one-hot products H Hᵀ.  H stacks one float32 0/1
+    indicator column per cluster of each run, in run order, and a batch
+    takes the next BATCH_COLUMNS of those columns, so a run's clusters may
+    spill into the next batch; the product sums over columns, so the split
+    changes no count.  A point has one 1 among a run's columns, so an entry
+    of a batch's product counts runs of that batch, at most
+    min(BATCH_COLUMNS, R): exact in float32 and in the count type.  One
+    batch buffer of 4 n BATCH_COLUMNS bytes is reused, and the product is
+    formed one row block of its upper trapezoid at a time (the flops of one
+    symmetric product, and 4 n _PRODUCT_ROWS bytes), so besides the counts
+    (n² bytes at R <= 255) the transients are O(n BATCH_COLUMNS) at any R
+    and any number of clusters.  Each block is cast to the count type
+    before it is added, so the sum is integer arithmetic; no entry exceeds
+    R, so it cannot overflow.  The lower triangle is copied from the upper
+    one at the end.  The cost stays n² flops per cluster column, so runs
+    with hundreds of clusters accumulate slower than by comparing labels.
+
+    A ``Partition``'s ids and k are used as they are, compact by
+    construction; raw label arrays go through ``compact_labels`` as their
+    run reaches the batch.  Partial counts from disjoint sets of runs can
+    be added together, in a type that holds their total, so accumulation
+    parallelizes and is order-invariant.
     """
-    label_type = np.min_scalar_type(n)  # every cluster id is below n
-    batches, used, runs = [], n, 0
+    partitions = list(partitions)
+    counts = np.zeros((n, n), dtype=np.min_scalar_type(len(partitions)))
+    hot = np.zeros((n, BATCH_COLUMNS), dtype=np.float32)
+    used = 0  # columns of hot filled
+
+    def add_batch():
+        for top in range(0, n, _PRODUCT_ROWS):
+            end = top + _PRODUCT_ROWS
+            counts[top:end, top:] += (hot[top:end, :used] @ hot[top:, :used].T).astype(counts.dtype)
+        hot[:, :used] = 0.0
+
+    every = np.arange(n)
     for part in partitions:
         lab = np.asarray(getattr(part, "labels", part))
         if lab.shape != (n,):
             raise ShapeMismatch(f"partition has {lab.shape} labels, expected ({n},)")
         lab, k = (lab, part.k) if isinstance(part, Partition) else compact_labels(lab)
-        if used + k > n:  # over the column budget: start a new batch
-            batches.append([])
-            used = 0
-        batches[-1].append((lab.astype(label_type), k))
-        used += k
-        runs += 1
-    counts = np.zeros((n, n), dtype=np.min_scalar_type(runs))
-    every = np.arange(n)
-    for batch in batches:
-        hot = np.zeros((n, sum(width for _, width in batch)), dtype=np.float32)
-        start = 0
-        for lab, width in batch:  # one run's indicator columns at a time
-            hot[:, start : start + width][every, lab] = 1.0
-            start += width
-        for top in range(0, n, _PRODUCT_ROWS):
-            end = top + _PRODUCT_ROWS
-            counts[top:end, top:] += (hot[top:end] @ hot[top:].T).astype(counts.dtype)
-        del hot  # before the next batch's is allocated
+        first = 0  # the run's clusters below this id are in earlier batches
+        while first < k:
+            width = min(k - first, BATCH_COLUMNS - used)
+            cols = hot[:, used : used + width]
+            if width == k:
+                cols[every, lab] = 1.0
+            else:  # clusters first .. first + width - 1 of a run that spills
+                rows = np.flatnonzero((lab >= first) & (lab < first + width))
+                cols[rows, lab[rows] - first] = 1.0
+            first += width
+            used += width
+            if used == BATCH_COLUMNS:
+                add_batch()
+                used = 0
+    if used:
+        add_batch()
     for top in range(0, n, _PRODUCT_ROWS):
         end = top + _PRODUCT_ROWS
         counts[end:, top:end] = counts[top:end, end:].T
+    counts.setflags(write=False)
     return counts
 
 

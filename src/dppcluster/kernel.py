@@ -67,6 +67,11 @@ PIVOT_TOL = 5e-7
 # blocks of 64 n floats, and thinner blocks ran slower at n = 5000.
 _CHECK_ROWS = 64
 
+# Rows per block of V = F (R^-1 U), written over the factor F: a multiple
+# of 12 and of 64, so OpenBLAS's Haswell kernel (12-row tiles) rounds every
+# entry as one product over all rows does (checked at n = 150 to 3000).
+_VEC_ROWS = 192
+
 # Doubles per chunk of per-feature differences in exact distances: chunks
 # of about 10 rows of 8 features at n = 1500 stay in cache and ran fastest.
 _CHUNK = 2**16
@@ -348,7 +353,9 @@ class SpectralDecomposition:
     ``eigenvalues`` holds all n eigenvalues, finite, nonnegative and
     descending, and every one past r is exactly 0; ``eigenvectors`` is
     (n, r), column i paired with ``eigenvalues[i]``.  A full-rank
-    decomposition has r = n.
+    decomposition has r = n.  ``eigendecompose`` writes the eigenvectors
+    over its pivoted Cholesky factor, so they come Fortran-ordered, each
+    column contiguous; values do not depend on the layout.
     """
 
     eigenvalues: np.ndarray
@@ -395,8 +402,11 @@ def _pivoted_cholesky(rows, n: int) -> np.ndarray:
     diagonal.
 
     Returns the (n, r) factor F, rows in natural order and Fortran-ordered,
-    with L ~ F F^T.  Raises NumericalFailure when a residual diagonal entry
-    ends below -PSD_TOL * n, which no PSD matrix leaves, or is NaN.
+    with L ~ F F^T; the rows of F^T grow by doubling, and the spare ones
+    are given back at the end (``ndarray.resize`` shrinks the buffer in
+    place), so F takes exactly 8 n r bytes.  Raises NumericalFailure when a
+    residual diagonal entry ends below -PSD_TOL * n, which no PSD matrix
+    leaves, or is NaN.
     """
     every = np.arange(n)
     residual = np.array(rows[every, every], dtype=float)
@@ -429,7 +439,8 @@ def _pivoted_cholesky(rows, n: int) -> np.ndarray:
         raise NumericalFailure(
             f"matrix is not PSD within tolerance: residual diagonal {residual.min():.3e}"
         )
-    return g[:t].T
+    g.resize((t, n), refcheck=False)  # no view of g is used past here
+    return g.T
 
 
 def eigendecompose(L) -> SpectralDecomposition:
@@ -443,8 +454,11 @@ def eigendecompose(L) -> SpectralDecomposition:
     representation of Kulesza & Taskar 2012, sec. 3.3).  Only R is formed;
     V is F (R^-1 U), one r x r solve and one n x r x r product, which saves
     building Q (a second LAPACK pass over the factor and its copies, about
-    15 ms at n = 1500, rank 369).  R's conditioning enters V only through
-    that solve, and the orthonormality check below bounds its effect.  The
+    15 ms at n = 1500, rank 369).  The product is written over F, _VEC_ROWS
+    rows at a time, so V takes F's Fortran-ordered buffer (each eigenvector
+    contiguous) and no second n x r array exists beside the factor.  R's
+    conditioning enters V only through that solve, and the orthonormality
+    check below bounds its effect.  The
     eigenvalues past r are exactly 0.  The path is the same at every rank;
     a full-rank kernel (a narrow bandwidth) pays the factor, an n x n QR,
     the solve and the product on top of the n x n eigh.
@@ -482,8 +496,11 @@ def eigendecompose(L) -> SpectralDecomposition:
         vals, u = np.linalg.eigh(r @ r.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"symmetric eigensolver did not converge: {exc}") from exc
-    vec = factor @ np.linalg.solve(r, u[:, ::-1])  # Q U, largest eigenvalue first
-    del factor
+    solve = np.linalg.solve(r, u[:, ::-1])  # largest eigenvalue first
+    vec = factor  # V = Q U = F solve, written over F one row block at a time
+    for top in range(0, n, _VEC_ROWS):
+        rows = slice(top, top + _VEC_ROWS)
+        vec[rows] = vec[rows] @ solve
     if vals.size and vals[0] < -PSD_TOL * n:
         raise NumericalFailure(
             f"matrix is not PSD within tolerance: min eigenvalue {vals[0]:.3e}"

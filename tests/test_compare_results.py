@@ -1,5 +1,6 @@
 """The diff side of ``tools/compare_results.py`` on hand-built records."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -102,10 +103,13 @@ def test_diff_names_moved_consensus(tool, tmp_path):
 
 def test_diff_names_moved_bandwidth_and_spectrum(tool, tmp_path):
     old = _result("aa", 4.0, [[1, 2]], 2.5)
-    old["datasets"]["d"].update(sigma2_hat=(1.5).hex(), spectrum_sha256="s")
+    old["datasets"]["d"].update(
+        sigma2_hat=(1.5).hex(), eigenvalues_sha256="v", eigenvectors_sha256="w"
+    )
     lines = tool.diff(old, old)
     assert "datasets moved (0): none" in lines
-    assert any("sigma2_hat same, spectrum_sha256 same" in line for line in lines)
+    assert any("sigma2_hat same, eigenvalues_sha256 same, eigenvectors_sha256 same" in line
+               for line in lines)
     # a record from before they were kept has none to compare
     assert "datasets moved (0): none" in tool.diff(_result("aa", 4.0, [], 2.5), old)
 
@@ -115,18 +119,23 @@ def test_diff_names_moved_bandwidth_and_spectrum(tool, tmp_path):
         return tool.main(["diff", str(tmp_path / "old.json"), str(tmp_path / "new.json")])
 
     assert status(old) == 0
-    for key, value in (("sigma2_hat", (1.5000000000000002).hex()), ("spectrum_sha256", "t")):
+    for key, value in (("sigma2_hat", (1.5000000000000002).hex()),
+                       ("eigenvalues_sha256", "x"), ("eigenvectors_sha256", "x")):
         new = json.loads(json.dumps(old))
         new["datasets"]["d"][key] = value
         lines = tool.diff(old, new)
         assert f"datasets moved (1): d:{key}" in lines
-        assert any(f"{key} moved" in line for line in lines)
+        line = next(line for line in lines if line.startswith("dataset d:"))
+        assert [f"{k} moved" in line for k in tool.DATASET_KEYS] == [
+            k == key for k in tool.DATASET_KEYS
+        ]
         assert "chosen labels identical in 1 of 1 cases" in lines
         assert status(new) == 1
     new = json.loads(json.dumps(old))
     new["datasets"]["d"]["sigma2_hat"] = (1.5000000000000002).hex()
-    assert any(line.endswith("sigma2_hat moved 1 ulp, spectrum_sha256 same")
-               for line in tool.diff(old, new))
+    assert any(line.endswith(
+        "sigma2_hat moved 1 ulp, eigenvalues_sha256 same, eigenvectors_sha256 same"
+    ) for line in tool.diff(old, new))
 
 
 def test_ulps_apart(tool):
@@ -155,10 +164,14 @@ def test_spectrum_reads_only_the_diagonal(tool, monkeypatch):
     spectrum = tool._spectrum(arts)
     assert spectrum["trace_residual"] == expected
     assert float.fromhex(spectrum["sigma2_hat"]) == arts.sigma2_hat
+    assert spectrum["eigenvalues_sha256"] == hashlib.sha256(lam.tobytes()).hexdigest()
+    vec = np.ascontiguousarray(arts.spectral.eigenvectors)
+    assert spectrum["eigenvectors_sha256"] == hashlib.sha256(vec.tobytes()).hexdigest()
     again = dc.build_artifacts(np.random.default_rng(0).normal(size=(30, 2)))
-    assert tool._spectrum(again)["spectrum_sha256"] == spectrum["spectrum_sha256"]
     other = dc.build_artifacts(np.random.default_rng(0).normal(size=(30, 2)), s=0.5)
-    assert tool._spectrum(other)["spectrum_sha256"] != spectrum["spectrum_sha256"]
+    for key in ("eigenvalues_sha256", "eigenvectors_sha256"):
+        assert tool._spectrum(again)[key] == spectrum[key]
+        assert tool._spectrum(other)[key] != spectrum[key]
 
 
 def test_draws_follow_the_pipeline(tool):

@@ -23,8 +23,10 @@ from dppcluster import (
     spanning_tree,
     threshold_components,
 )
+from dppcluster import consensus
 from dppcluster.consensus import (
     _CHECK_ENTRIES,
+    _PRODUCT_ROWS,
     co_membership_counts,
     default_threshold_grid,
 )
@@ -257,31 +259,40 @@ class TestFastPathsAgainstOracles:
     @given(data=st.data())
     def test_counts_match_pair_counting(self, runs, data):
         # raw ids: unordered, negative, gappy; few ids at large n put many
-        # runs in one batch, many ids at small n one run per batch
+        # runs in one batch, many ids at small n spill runs across batches
+        # of a small column budget
         n = data.draw(st.integers(1, 48))
         low = data.draw(st.integers(-3, 3))
         ids = st.integers(low, low + data.draw(st.integers(0, 8)))
         parts = [np.array(data.draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(runs)]
         brute = sum((p[:, None] == p[None, :]).astype(np.int64) for p in parts)
-        counts = co_membership_counts(parts, n)
-        assert counts.dtype == np.uint8
-        assert np.array_equal(counts, brute)
         cut = data.draw(st.integers(0, runs))
-        split = co_membership_counts(parts[:cut], n) + co_membership_counts(parts[cut:], n)
-        assert np.array_equal(split, brute)
+        for budget in (consensus.BATCH_COLUMNS, data.draw(st.integers(1, 9))):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(consensus, "BATCH_COLUMNS", budget)
+                counts = co_membership_counts(parts, n)
+                split = co_membership_counts(parts[:cut], n) + co_membership_counts(parts[cut:], n)
+            assert counts.dtype == np.uint8
+            assert np.array_equal(counts, brute)
+            assert np.array_equal(split, brute)
 
     @pytest.mark.parametrize(
         "widths",
         [
-            [4, 3, 5],  # sum to exactly n: one batch
-            [4, 3, 6],  # n + 1: the last run opens a second batch
-            [5, 7, 1],  # exactly n, then a one-cluster run opens a second batch
-            [12],  # a single run with k = n
+            [4, 3, 5],  # 12 columns: the budget of 5 splits the second and third runs
+            [4, 3, 6],  # 13 columns: the second and third runs spill
+            [5, 7, 1],  # exactly 5, then a run over two batches, then one column
+            [12],  # a single run with k = n, over three batches of 5
             [12, 12, 1, 12],  # full runs around a one-cluster run
-            [1] * 30,  # many one-cluster runs, all in one batch
+            [1] * 30,  # many one-cluster runs, six full batches of 5
+            [2, 3],  # exactly the budget of 5: one batch
+            [2, 3, 1],  # 5 + 1: the last run opens a second batch
+            [2, 4],  # 5 + 1 with the second run spilling one column
+            [1] * 256,  # R = 256: uint16 counts, exactly the module's budget
+            [3] * 200 + [1] * 57,  # R = 257: a run spills at both budgets
         ],
     )
-    def test_counts_at_column_budget_edges(self, widths):
+    def test_counts_at_column_budget_edges(self, widths, monkeypatch):
         n = 12
         rng = np.random.default_rng(len(widths))
         parts = []
@@ -289,12 +300,14 @@ class TestFastPathsAgainstOracles:
             raw = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
             parts.append(3 * rng.permutation(raw) - 7)  # gappy, negative raw ids
         brute = sum((p[:, None] == p[None, :]).astype(np.int64) for p in parts)
-        counts = co_membership_counts(parts, n)
-        assert counts.dtype == np.uint8
-        assert np.array_equal(counts, brute)
-        for cut in range(len(parts) + 1):
-            split = co_membership_counts(parts[:cut], n) + co_membership_counts(parts[cut:], n)
-            assert np.array_equal(split, brute)
+        for budget in (consensus.BATCH_COLUMNS, 5):
+            monkeypatch.setattr(consensus, "BATCH_COLUMNS", budget)
+            counts = co_membership_counts(parts, n)
+            assert counts.dtype == (np.uint8 if len(parts) <= 255 else np.uint16)
+            assert np.array_equal(counts, brute)
+            for cut in range(0, len(parts) + 1, max(1, len(parts) // 16)):
+                head = co_membership_counts(parts[:cut], n).astype(np.int64)
+                assert np.array_equal(head + co_membership_counts(parts[cut:], n), brute)
 
 
 class TestCandidateClusterings:
@@ -568,6 +581,41 @@ class TestCounts:
         ConsensusMatrix(wide, 2)
         assert wide.flags.writeable
 
+    def test_accumulate_shares_the_built_counts(self, monkeypatch):
+        built = []
+
+        def counts_of(partitions, n):
+            built.append(co_membership_counts(partitions, n))
+            return built[-1]
+
+        monkeypatch.setattr(consensus, "co_membership_counts", counts_of)
+        c = accumulate([_p([0, 0, 1]), _p([0, 1, 1])], 3)
+        assert c.counts is built[0]
+        assert not c.counts.flags.writeable
+
+    def test_read_only_counts_of_the_count_type_are_shared(self):
+        counts = np.array([[2, 1], [1, 2]], dtype=np.uint8)
+        counts.setflags(write=False)
+        assert ConsensusMatrix(counts, 2).counts is counts
+
+    @pytest.mark.parametrize(
+        "dtype, runs, count_type",
+        [(np.int64, 2, np.uint8), (np.uint16, 2, np.uint8), (np.int16, 300, np.uint16)],
+    )
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_other_counts_are_copied(self, dtype, runs, count_type, writeable):
+        # a writable array, or one of another type than the count type
+        # (wider, or signed), is copied, and the caller's array keeps its flags
+        counts = np.full((3, 3), 1, dtype=dtype)
+        np.fill_diagonal(counts, runs)
+        counts.setflags(write=writeable)
+        c = ConsensusMatrix(counts, runs)
+        assert c.counts.dtype == count_type
+        assert not np.shares_memory(c.counts, counts)
+        assert not c.counts.flags.writeable
+        assert counts.flags.writeable == writeable
+        assert np.array_equal(c.counts, counts)
+
     def test_counts_validation(self):
         ConsensusMatrix(np.array([[3, 1], [1, 3]]), 3)
         with pytest.raises(ShapeMismatch):
@@ -578,6 +626,10 @@ class TestCounts:
             ConsensusMatrix(np.array([[3, 1], [2, 3]]), 3)
         with pytest.raises(ConfigError, match="diagonal"):
             ConsensusMatrix(np.array([[3, 1], [1, 2]]), 3)
+        narrow = np.full((2, 2), 255, dtype=np.uint8)  # cannot hold runs = 300
+        narrow.setflags(write=False)
+        with pytest.raises(ConfigError, match="diagonal"):
+            ConsensusMatrix(narrow, 300)
         with pytest.raises(ConfigError, match="lie in"):
             ConsensusMatrix(np.array([[3, 4], [4, 3]]), 3)
         with pytest.raises(ConfigError, match="lie in"):
@@ -587,9 +639,10 @@ class TestCounts:
 
     def test_accumulate_holds_counts_and_one_batch(self):
         # n = 1000, R = 200 runs of 8 clusters: the uint8 counts (n² bytes),
-        # one float32 one-hot batch (at most 4 n²) and the batch's label
-        # indices.  Float64 counts beside a whole n x n float32 product of
-        # the batch took about 17 n².
+        # one float32 one-hot batch of BATCH_COLUMNS columns and one product
+        # block, 3.3 n² in all.  A batch of up to n columns took 6.7 n², and
+        # float64 counts beside a whole n x n float32 product of the batch
+        # about 17 n².
         n = 1000
         rng = np.random.default_rng(0)
         parts = [rng.integers(0, 8, size=n) for _ in range(200)]
@@ -601,13 +654,12 @@ class TestCounts:
             tracemalloc.stop()
         assert peak < 12 * n * n
 
-    def test_accumulate_keeps_narrow_labels_and_one_batch(self):
-        # the same runs: besides the uint8 counts (n² bytes), one float32
-        # one-hot batch (4 n²) and its product block (about n²), only each
-        # run's cluster ids, in uint16 (0.4 n²).  Int64 ids, an int64 n x
-        # (runs in batch) index array and the previous batch still alive
-        # while the next was allocated took about 9 n²; the counts are the
-        # same either way.
+    def test_accumulate_copies_no_labels_and_holds_one_batch(self):
+        # the same runs: besides the uint8 counts, one batch and one product
+        # block; each run's labels are read where they are when the run
+        # reaches a batch.  Int64 ids, an int64 n x (runs in batch) index
+        # array and the previous batch still alive while the next was
+        # allocated took about 9 n²; the counts are the same either way.
         n = 1000
         rng = np.random.default_rng(0)
         parts = [rng.integers(0, 8, size=n) for _ in range(200)]
@@ -620,3 +672,21 @@ class TestCounts:
         assert peak < 7.5 * n * n
         head = sum((p[:60, None] == p[None, :60]).astype(int) for p in parts)
         assert np.array_equal(c.counts[:60, :60], head)
+
+    def test_counts_take_n_squared_bytes_and_linear_transients(self):
+        # n = 2000, R = 200 runs of 8 clusters: the uint8 counts (n² bytes)
+        # beside one batch of BATCH_COLUMNS float32 columns, one product
+        # block of _PRODUCT_ROWS rows and its uint8 cast, measured at
+        # n² + 2.3 x 4 n BATCH_COLUMNS with 256 of each.  A batch of n
+        # columns (4 n² bytes) took n² + 7.9 of those units.
+        n = 2000
+        rng = np.random.default_rng(0)
+        parts = [Partition(rng.integers(0, 8, size=n), 8) for _ in range(200)]
+        tracemalloc.start()
+        try:
+            counts = co_membership_counts(parts, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n + 4 * n * (consensus.BATCH_COLUMNS + 2 * _PRODUCT_ROWS)
+        assert counts.dtype == np.uint8 and not counts.flags.writeable

@@ -17,6 +17,8 @@ from dppcluster import (
     scatter,
     similarity_ratio,
 )
+from dppcluster import validation
+from dppcluster.consensus import BATCH_COLUMNS
 from dppcluster.validation import CandidateScore, ScatterReport, scatter_reports
 from oracles import kvi_oracle, linear_kernel_scatter
 
@@ -148,8 +150,9 @@ class TestStreamedScatterProperties:
 
     def test_many_clusters_split_into_bounded_passes(self):
         # 40 candidates of 20 clusters: 801 indicator columns at n = 400,
-        # scored in passes of at most n + 1 columns, so E and KE together
-        # stay near two n x (n + 1) arrays; in one pass they held 5.8 MB
+        # scored in passes of at most BATCH_COLUMNS columns, so E and KE
+        # together stay near two n x BATCH_COLUMNS arrays; passes of up to
+        # n + 1 columns held 3.8 MB, and one pass 5.8 MB
         n, m, k = 400, 40, 20
         rng = np.random.default_rng(0)
         x = rng.normal(size=(n, 2))
@@ -164,10 +167,37 @@ class TestStreamedScatterProperties:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 2 * 8 * n * (n + 1)
+        assert peak <= 1.5 * 2 * 8 * n * BATCH_COLUMNS
         dense = L.entries
         for clus, rep in zip(cands, reports):
             _assert_reports_close(rep, scatter(dense, clus), rtol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::dppcluster.errors.SingletonClusterWarning")
+    def test_clusterings_wider_than_the_budget_get_their_own_pass(self, monkeypatch):
+        # at a budget of 5 columns: 2 + 2 fill the first pass beside the
+        # whole sample's column, 8 clusters take a pass alone, and 3 + 2
+        # fill the last; each clustering scores as it does alone
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(30, 2))
+        L = build_rbf_kernel(x, estimate_bandwidth(x))
+        cands = [
+            _clus(rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, 30 - k)])))
+            for k in (2, 2, 8, 3, 2)
+        ]
+        alone = [scatter(L, clus) for clus in cands]
+        widths = []
+        pass_of = validation._scatter_pass
+
+        def counted(mat, n, parts):
+            widths.append(sum(k for _, k, _ in parts))
+            return pass_of(mat, n, parts)
+
+        monkeypatch.setattr(validation, "BATCH_COLUMNS", 5)
+        monkeypatch.setattr(validation, "_scatter_pass", counted)
+        reports = scatter_reports(L, cands)
+        assert widths == [5, 8, 5]
+        for rep, single in zip(reports, alone):
+            _assert_reports_close(rep, single, rtol=1e-12)
 
 
 class TestSimilarityRatio:

@@ -16,11 +16,11 @@ cells it prints K, ARI and whether the cell moved.  It reports, per
 dataset, the share of DPP draws that are identical, the change in E|Y|
 against trace R = trace L - sum(lambda), and whether the bandwidth
 estimate ``sigma2_hat`` (kept as ``float.hex``; how many ulps, when it
-moved) or the spectrum (a sha256 of the eigenvalue and eigenvector bytes)
-moved.  Like diff(1), ``diff``
-exits 1 when any case's labels, report digest or consensus digest, any
-benchmark cell, or any dataset's ``sigma2_hat`` or spectrum moved, and 0
-when none did.
+moved), the eigenvalues or the eigenvectors moved; each of the last two is
+a sha256 of its float64 bytes in C order, so a change of layout alone
+moves neither.  Like diff(1), ``diff`` exits 1 when any case's labels,
+report digest or consensus digest, any benchmark cell, or any dataset's
+``sigma2_hat``, eigenvalues or eigenvectors moved, and 0 when none did.
 
 Cases:
 - ``iris``: ``run_pipeline`` on ``tests/data/iris.csv`` with the defaults;
@@ -77,8 +77,10 @@ def _spectrum(artifacts) -> dict:
     lam, vec = artifacts.spectral.eigenvalues, artifacts.spectral.eigenvectors
     every = np.arange(artifacts.n)
     trace = artifacts.kernel[every, every].sum()  # the diagonal only, not the n x n kernel
-    spectrum = hashlib.sha256(np.ascontiguousarray(lam, dtype=np.float64).tobytes())
-    spectrum.update(np.ascontiguousarray(vec, dtype=np.float64).tobytes())
+
+    def digest(values):
+        return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
     return {
         "n": artifacts.n,
         "rank": int(vec.shape[1]),
@@ -86,7 +88,8 @@ def _spectrum(artifacts) -> dict:
         "trace_residual": float(trace - lam.sum()),
         "log_det_norm": float(artifacts.log_det_norm),
         "sigma2_hat": float(artifacts.sigma2_hat).hex(),
-        "spectrum_sha256": spectrum.hexdigest(),
+        "eigenvalues_sha256": digest(lam),
+        "eigenvectors_sha256": digest(vec),
     }
 
 
@@ -264,12 +267,13 @@ def moved_cells(old: dict, new: dict) -> list[str]:
     return [name for name, a in old.get("benchmark", {}).items() if a != new_cells.get(name)]
 
 
-DATASET_KEYS = ("sigma2_hat", "spectrum_sha256")
+DATASET_KEYS = ("sigma2_hat", "eigenvalues_sha256", "eigenvectors_sha256")
 
 
 def moved_datasets(old: dict, new: dict) -> list[str]:
-    """``dataset:key`` for each dataset whose ``sigma2_hat`` or spectrum
-    digest differs; a record from before they were kept has none."""
+    """``dataset:key`` for each dataset whose ``sigma2_hat``, eigenvalue
+    digest or eigenvector digest differs; a record from before they were
+    kept has none."""
     return [
         f"{name}:{key}"
         for name, a in old["datasets"].items()
@@ -287,9 +291,9 @@ def ulps_apart(old_hex: str, new_hex: str) -> int:
 
 def any_case_moved(old: dict, new: dict) -> bool:
     """Whether any case's chosen labels, report digest or consensus digest
-    differ, any benchmark cell moved, or any dataset's ``sigma2_hat`` or
-    spectrum moved; only the ``run_pipeline`` cases carry a consensus
-    digest."""
+    differ, any benchmark cell moved, or any dataset's ``sigma2_hat``,
+    eigenvalues or eigenvectors moved; only the ``run_pipeline`` cases
+    carry a consensus digest."""
     return bool(moved_cells(old, new)) or bool(moved_datasets(old, new)) or any(
         a.get(key) != new["cases"][name].get(key)
         for name, a in old["cases"].items()
@@ -364,7 +368,8 @@ def diff(old: dict, new: dict) -> list[str]:
 
 def main(argv: list[str]) -> int:
     """Run a command; the exit status is 1 when ``diff`` saw a case, a
-    benchmark cell or a dataset's bandwidth or spectrum move."""
+    benchmark cell or a dataset's bandwidth, eigenvalues or eigenvectors
+    move."""
     if len(argv) == 3 and argv[0] == "run":
         run(Path(argv[1]), Path(argv[2]))
     elif len(argv) == 3 and argv[0] == "_collect":
