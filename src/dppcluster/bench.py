@@ -247,7 +247,8 @@ def benchmark(
     if replicas is not None:
         replicas = checked_int("replicas", replicas, 1)
     runs = cfg.consensus.runs
-    marks = tuple(sorted({int(r) for r in checkpoints if int(r) <= runs}))
+    checkpoints = [checked_int("checkpoint", r, 1) for r in checkpoints]
+    marks = tuple(sorted({r for r in checkpoints if r <= runs}))
     prefixes = sorted({*marks, runs})
     outcomes: list[ReplicaOutcome] = []
     for s_idx, spec in enumerate(scenarios):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .consensus import ConsensusMatrix
-from .errors import CsvFormatError, DataError
+from .errors import CsvFormatError
 from .simgen import LabeledDataset, ScenarioSpec
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "write_consensus_csv",
     "render_report_text",
     "save_dataset",
-    "load_dataset",
     "write_rows_csv",
 ]
 
@@ -169,20 +168,6 @@ def save_dataset(dataset: LabeledDataset, outdir, scenario: ScenarioSpec | None 
         },
     }
     (outdir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
-def load_dataset(indir) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Load a dataset saved by save_dataset: (features, labels, meta)."""
-    indir = Path(indir)
-    features = read_data_csv(indir / "features.csv")
-    labels = read_labels_csv(indir / "labels.csv")
-    if labels.size != features.shape[0]:
-        raise DataError(
-            f"{indir}: {features.shape[0]} feature rows but {labels.size} labels"
-        )
-    meta_path = indir / "meta.json"
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
-    return features, labels, meta
 
 
 def write_rows_csv(rows: list[dict], path) -> None:

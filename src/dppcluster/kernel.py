@@ -2,30 +2,28 @@
 kernel matrix, spectral decomposition.
 
 The kernel is the one similarity structure shared by the generator sampler,
-the consensus machinery and the validation indices.  It is defined once per
-dataset by the data and the bandwidth, and treated as immutable afterwards,
-so it can be read from any number of concurrent workers.  No n x n array
-backs it: ``KernelMatrix`` keeps the (n, p) data and computes each row,
-block or diagonal a caller asks for from the data, so neither the kernel nor
-the squared distances exist unless a caller materialises them.
+the consensus machinery and the validation indices, defined once per
+dataset by the data and the bandwidth and immutable afterwards, so any
+number of concurrent workers can read it.  No n x n array backs it:
+``KernelMatrix`` keeps the (n, p) data and computes each row, block or
+diagonal a caller asks for.
 
-Entries come two ways (the bandwidth reads neither: one pass over the
+Entries come two ways; the bandwidth reads neither (one pass over the
 centred data gives it).  Exact entries add the squared feature differences
 in feature order, as scipy's ``pdist`` does, so each is bit-equal to
-exp(d2 / scale) over the distances ``pairwise_sq_dists`` returns; the
-pivoted factor and the subset blocks of the likelihood read these.  Expanded entries take d2 = |x|^2 + |y|^2 - 2 x.y of the centred
-data from one matrix product per block, about a tenth of the cost; they
-differ from the exact ones by at most a rounding bound that grows with p
-(``expansion_error``), and serve passes over the whole kernel that only
-need that accuracy, or that fall back to exact entries near a decision.
+exp(d2 / scale) over ``pairwise_sq_dists``; the pivoted factor and the
+likelihood's subset blocks read these.  Expanded entries take d2 = |x|^2 +
+|y|^2 - 2 x.y of the centred data from one matrix product per block, a
+tenth of the cost, within a rounding bound that grows with p
+(``expansion_error``); they serve the one pass over the whole kernel, the
+scatter statistics of the validation indices.
 
 The Gaussian kernel of clustered data has low numerical rank, so its
 eigensystem comes from a pivoted Cholesky factor L ~ F F^T (Harbrecht,
-Peters & Schneider 2012) that reads one kernel row per pivot, and an r x r
-problem, r the rank of F; the decomposition holds r eigenvectors and n
-eigenvalues, zero past r.  Everything here is numpy: the factor is a loop
-over kernel rows, with no LAPACK ``dpstrf`` and no n x n work copy, and the
-QR and the r x r eigh are numpy's, so scipy stays off the clustering path.
+Peters & Schneider 2012), one kernel row per pivot, and an r x r problem,
+r the rank of F, and is certified from F alone (``eigendecompose``).
+Everything here is numpy, with no LAPACK ``dpstrf`` and no n x n work
+copy, so scipy stays off the clustering path.
 """
 
 from __future__ import annotations
@@ -57,14 +55,15 @@ PSD_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-6
 
 # The pivoted Cholesky factor stops once every residual diagonal entry is at
-# or below this.  The residual is PSD, so |R_ij| <= sqrt(R_ii R_jj) <= the
-# tolerance, and the reconstruction check sees almost exactly that: 9.9e-7 at
-# a tolerance of 1e-6, where rounding could cross RECONSTRUCTION_TOL, and
-# 4.95e-7 at this tolerance (n = 1500, rank 369).
+# or below this, which bounds every entry of the PSD residual: 4.95e-7 at
+# n = 1500 (rank 369), and 9.9e-7 at 1e-6, too near RECONSTRUCTION_TOL.
 PIVOT_TOL = 5e-7
 
-# Rows per block of the reconstruction check: its temporaries are a few
-# blocks of 64 n floats, and thinner blocks ran slower at n = 5000.
+# Row 1-norm of W = F_2 F_1^-1 that ``eigendecompose`` allows; 28 the most measured.
+_GROWTH = 64.0
+
+# Rows per block of the dense reconstruction check: its temporaries are a
+# few blocks of 64 n floats, and thinner blocks ran slower at n = 5000.
 _CHECK_ROWS = 64
 
 # Rows per block of V = F (R^-1 U), written over the factor F: a multiple
@@ -296,30 +295,21 @@ class KernelMatrix:
         np.divide(out, self.scale, out=out)
         return np.exp(out, out=out)
 
-    def expanded_block(self, top: int, stop: int, start: int = 0) -> tuple[np.ndarray, float]:
-        """Rows [top, stop) and columns [start, n) of the kernel from the
-        centred expansion, and a bound on their distance from the exact
-        entries.
-
-        One matrix product gives d2' / scale for the block.  Where d2' is
-        within its rounding bound E = expansion_error(p) reach^2 of 0 (reach
-        = max |xc_i| + max |xc_j| over the block's rows and columns), the
-        exact d2 may be 0, and the entry is set to exactly 1, as it is for
-        coinciding points and on the diagonal.  An entry left as it is lies
-        within E / |scale| of the exact one, exp's slope being at most 1 on
-        the negative axis, and one set to 1 within 2 E / |scale|; the bound
-        adds expansion_error(p) for the roundings of the quotient and of exp.
-        """
+    def expanded_block(self, top: int, stop: int) -> np.ndarray:
+        """Rows [top, stop) of the kernel from the centred expansion, one
+        matrix product for d2' / scale.  Where d2' is within its rounding
+        bound E = expansion_error(p) reach^2 of 0 (reach = max |xc| over the
+        rows plus over all rows), the exact d2 may be 0, and the entry is 1,
+        as on the diagonal.  Every entry is within 2 E / |scale| +
+        expansion_error(p) of the exact one, exp's slope being at most 1."""
         left, right, sq = self.expansion
-        block = left[top:stop] @ right[start:].T
-        reach = math.sqrt(sq[top:stop].max(initial=0.0)) + math.sqrt(sq[start:].max(initial=0.0))
-        rounding = expansion_error(self.data.shape[1])
-        near_zero = rounding * reach * reach / -self.scale
+        block = left[top:stop] @ right.T
+        reach = math.sqrt(sq[top:stop].max(initial=0.0)) + math.sqrt(sq.max())
+        near_zero = expansion_error(self.data.shape[1]) * reach * reach / -self.scale
         np.copyto(block, 0.0, where=block > -near_zero)
         np.exp(block, out=block)
-        if start <= top:
-            np.fill_diagonal(block[:, top - start :], 1.0)
-        return block, float(2.0 * near_zero + rounding)
+        np.fill_diagonal(block[:, top:], 1.0)
+        return block
 
     @property
     def entries(self) -> np.ndarray:
@@ -447,41 +437,51 @@ def eigendecompose(L) -> SpectralDecomposition:
     """Symmetric eigendecomposition of a PSD kernel, exact for its pivoted
     Cholesky approximation F F^T.
 
-    ``L`` is a ``KernelMatrix``, read one row or block at a time, or any
-    dense square matrix.  The (n, r) factor F (``_pivoted_cholesky``) has
-    the QR decomposition F = Q R, and the spectrum comes from the r x r
-    matrix R R^T = U diag(lambda) U^T, giving V = Q U (the dual
-    representation of Kulesza & Taskar 2012, sec. 3.3).  Only R is formed;
-    V is F (R^-1 U), one r x r solve and one n x r x r product, which saves
-    building Q (a second LAPACK pass over the factor and its copies, about
-    15 ms at n = 1500, rank 369).  The product is written over F, _VEC_ROWS
-    rows at a time, so V takes F's Fortran-ordered buffer (each eigenvector
-    contiguous) and no second n x r array exists beside the factor.  R's
-    conditioning enters V only through that solve, and the orthonormality
-    check below bounds its effect.  The
-    eigenvalues past r are exactly 0.  The path is the same at every rank;
-    a full-rank kernel (a narrow bandwidth) pays the factor, an n x n QR,
-    the solve and the product on top of the n x n eigh.
+    ``L`` is a ``KernelMatrix``, read one row at a time, or any dense square
+    matrix.  The (n, r) factor F (``_pivoted_cholesky``) has the QR
+    decomposition F = Q R, and the spectrum comes from the r x r matrix
+    R R^T = U Lam U^T, Lam = diag(lambda), giving V = Q U (the dual
+    representation of Kulesza & Taskar 2012, sec. 3.3).  Only R is formed:
+    V = F S for S = R^-1 U, one r x r solve and one n x r x r product
+    written over F, _VEC_ROWS rows at a time, so V takes F's Fortran-ordered
+    buffer and no second n x r array exists (building Q cost about 15 ms
+    more at n = 1500, rank 369).  A full-rank kernel takes the same path:
+    the factor, an n x n QR, the solve and the product, and the n x n eigh.
 
     Eigenvalues in [-PSD_TOL * n, 0) are clamped to zero; anything more
     negative aborts with NumericalFailure, as do a residual diagonal entry
     of the factor below -PSD_TOL * n, a non-convergent solver, loss of
-    orthonormality, or a reconstruction residual against L above
-    RECONSTRUCTION_TOL.  The decomposed matrix F F^T is PSD by
-    construction, and what it leaves out of L is bounded only by that
-    residual: an indefinite L within RECONSTRUCTION_TOL of F F^T passes.
+    orthonormality (which bounds the effect of R's conditioning on V), or a
+    residual max |L - V Lam V^T| above RECONSTRUCTION_TOL.  A dense L is
+    compared entry by entry, in row blocks of V Lam V^T's upper trapezoid
+    checked against rows and, transposed, columns of L, as an indefinite L
+    may pass a test of the diagonal.
 
-    The reconstruction check runs in row blocks of V diag(lambda) V^T's
-    upper trapezoid, and no n x n temporary is made.  A dense L's blocks
-    are compared with the same rows of L and, transposed, with the same
-    columns, so every entry of both triangles is checked.  A
-    ``KernelMatrix`` is exactly symmetric by construction, so its upper
-    trapezoid covers every entry.  Its blocks come from the centred
-    expansion (``KernelMatrix.expanded_block``); a block whose residual
-    is within the expansion's bound of RECONSTRUCTION_TOL, or above it, is
-    compared again with exact entries.  So the check passes exactly when
-    the residual against the exact kernel is within the tolerance, at the
-    cost of one matrix product per block.
+    A ``KernelMatrix`` is certified from its factor in O(n r + r^3), with
+    no entry read after the factor.  To first order in the unit roundoff u,
+    with g = (r + 3) u for an r-term inner product and d = 1 - rowsum(F o F)
+    from F as returned: E = L - F F^T has diagonal d within g, and pivot
+    rows that hold the backward error of the factor's columns, at most g
+    (Higham 2002, ch. 10).  Off the pivots, E is the Schur complement of the
+    pivot block F_1 F_1^T in A = L - E_P, E_P being E on the pivot rows and
+    columns; so for y on two such rows i, j, y^T E y = z^T A z with z =
+    (y, -W^T y), W = F_2 F_1^-1.  A = K + Psi for the exact kernel K, which
+    is PSD, and |Psi| <= c = (p + 6) u + g, (p + 6) u bounding the rounding
+    of exp(d2 / scale) over p features.  For omega the largest row 1-norm
+    of W, y^T E y >= -c |z|_1^2 >= -tau |y|^2, tau = 2 c (1 + omega)^2, so
+    |E_ij| <= max d + g + tau; omega would take an O(n r^2) pass, and the
+    bound takes it as at most _GROWTH.  Next, with Q = F R^-1, F S Lam S^T
+    F^T - F F^T = Q G Q^T for G = R (S Lam S^T - I) R^T: an entry is at
+    most |G|_F times two row norms of Q, which carry the QR's backward
+    error (Higham, ch. 19) and are within r 1e-8 of 1 as V's are.
+    Evaluated in that order, G rounds by at most g (sigma + 2 n |S Lam S^T
+    - I|_F), sigma = |S Lam^1/2|_F^2 (about r), where (R S) Lam (R S)^T -
+    R R^T may round by g n; and rounding V = F S adds 2 g sqrt(sigma).  So
+    max |L - V Lam V^T| <= max |d| + |G|_F + rho, rho the sum of these
+    terms (5e-10 at n = 5000, rank 509), and the check requires that to be
+    at most RECONSTRUCTION_TOL, and min d >= -rho.  As E is PSD up to rho,
+    the DPPs of L and F F^T differ in total variation by at most
+    1 - exp(-tr E) <= tr E = sum d (Affandi, Kulesza, Fox & Taskar 2013).
     """
     if isinstance(L, KernelMatrix):
         mat, n, dense = L, L.n, False
@@ -491,6 +491,8 @@ def eigendecompose(L) -> SpectralDecomposition:
             raise ShapeMismatch(f"expected a square matrix, got shape {mat.shape}")
         n, dense = mat.shape[0], True
     factor = _pivoted_cholesky(mat, n)
+    if not dense:  # diag(L - F F^T), before V is written over F
+        gap = 1.0 - np.einsum("ij,ij->i", factor, factor)
     r = np.linalg.qr(factor, mode="r")
     try:
         vals, u = np.linalg.eigh(r @ r.T)
@@ -511,27 +513,37 @@ def eigendecompose(L) -> SpectralDecomposition:
     np.fill_diagonal(gram, gram.diagonal() - 1.0)
     if not np.abs(gram).max(initial=0.0) <= 1e-8:
         raise NumericalFailure("eigenvectors lost orthonormality")
-    # V diag(lam) V^T one row block of its upper trapezoid at a time, the
-    # flops of one symmetric rank-r update; only a block's rows are scaled,
-    # so no second n x r array is made
     lam_r = lam[: vec.shape[1]]
-    residual = 0.0
-    for top in range(0, n, _CHECK_ROWS):
-        rows = slice(top, top + _CHECK_ROWS)
-        block = (vec[rows] * lam_r) @ vec[top:].T
-        if dense:
+    if dense:
+        # the flops of one symmetric rank-r update; only a block's rows are
+        # scaled, so no second n x r array is made
+        residual = 0.0
+        for top in range(0, n, _CHECK_ROWS):
+            rows = slice(top, top + _CHECK_ROWS)
+            block = (vec[rows] * lam_r) @ vec[top:].T
             lower = block - mat[top:, rows].T
             residual = np.max((residual, np.abs(lower, out=lower).max()))  # keeps NaN
-        else:
-            expanded, bound = mat.expanded_block(top, top + _CHECK_ROWS, top)
-            expanded -= block
-            if np.abs(expanded, out=expanded).max() <= RECONSTRUCTION_TOL - bound:
-                residual = np.max((residual, expanded.max()))
-                continue
-        block -= mat[rows, top:]
-        residual = np.max((residual, np.abs(block, out=block).max()))
-    if not residual <= RECONSTRUCTION_TOL:
+            block -= mat[rows, top:]
+            residual = np.max((residual, np.abs(block, out=block).max()))
+    else:
+        residual = _certificate(gap, r, solve, lam_r, L.data.shape[1])
+    if not residual <= RECONSTRUCTION_TOL:  # also fails on NaN
         raise NumericalFailure(
             f"spectral reconstruction residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:g}"
         )
     return SpectralDecomposition(lam, vec)
+
+
+def _certificate(gap, rfac, solve, lam, p: int) -> float:
+    """The bound max |d| + |G|_F + rho of ``eigendecompose`` for d = ``gap``,
+    R = ``rfac``, S = ``solve``, Lam = ``lam``; inf when min d < -rho."""
+    unit = np.finfo(float).eps / 2
+    gamma = (lam.size + 3) * unit
+    sigma = float(np.einsum("ij,ij,j->", solve, solve, lam))
+    x = (solve * lam) @ solve.T  # S Lam S^T - I
+    np.fill_diagonal(x, x.diagonal() - 1.0)
+    rho = gamma * ((1.0 + math.sqrt(sigma)) ** 2 + 2 * gap.size * float(np.linalg.norm(x)))
+    x = rfac @ x  # one r x r temporary at a time
+    g_norm = float(np.linalg.norm(x @ rfac.T))
+    rho += 2 * ((p + 6) * unit + gamma) * (1.0 + _GROWTH) ** 2 + lam.size * 1e-8 * g_norm
+    return float(np.abs(gap).max()) + g_norm + rho if gap.min() >= -rho else math.inf

@@ -20,6 +20,7 @@ import numpy as np
 from .consensus import BATCH_COLUMNS, Clustering
 from .errors import ConfigError, DegenerateScatter, NoCandidates, SingletonClusterWarning
 from .kernel import KernelMatrix
+from .partition import Partition
 
 __all__ = [
     "ScatterReport",
@@ -71,7 +72,7 @@ def _scatter_pass(mat, n: int, parts) -> list[tuple[np.ndarray, np.ndarray]]:
     KE = np.empty_like(E)
     for top in range(0, n, _SCATTER_ROWS):
         if isinstance(mat, KernelMatrix):
-            rows = mat.expanded_block(top, top + _SCATTER_ROWS)[0]
+            rows = mat.expanded_block(top, top + _SCATTER_ROWS)
         else:
             rows = mat[top : top + _SCATTER_ROWS]
         diag[top : top + rows.shape[0]] = rows.diagonal(top)
@@ -95,25 +96,25 @@ def scatter_reports(L, clusterings) -> list[ScatterReport]:
 
     ``L`` is a ``KernelMatrix`` or any symmetric Gram matrix, so tests can
     drive it with a plain dot-product kernel where every quantity has a
-    closed coordinate form.  A ``KernelMatrix`` is never materialised: its
-    rows are computed _SCATTER_ROWS at a time from the centred expansion
-    (``KernelMatrix.expanded_block``), one matrix product per block with an
-    exact unit diagonal, each entry within the block's rounding bound of
-    the exact kernel.  Let E_c hold the 0/1 membership indicator of
-    cluster a of clustering c in column a.  The pass keeps the diagonal of
-    L and the n x (1 + sum of k_c) product KE = L [1 | E_1 | ... | E_m], the
-    column of ones being the whole sample as one cluster, and every
-    statistic is read from those two: the kernel block sums E_c^T KE_c,
-    divided by the cluster sizes into block means M_c, and member i's
-    squared distance to its cluster mean, L_ii - 2 KE_c[i, c_i] / |c_i| +
-    M_c[c_i, c_i].  Sums are divided by counts afterwards, as a mean is,
-    rather than weighted by 1/|a| in the products.  When 1 + sum of k_c
-    exceeds ``consensus.BATCH_COLUMNS``, the clusterings are split in order
-    into passes of at most that many columns, so E and KE take at most
-    16 n BATCH_COLUMNS bytes; a clustering with more clusters than that
-    has a pass of its own.  Each pass reads every row of L again.  The
-    default settings rarely need a second pass: the candidates of the
-    n = 1500 benchmark dataset take 51 and 61 columns at seeds 0 and 1.
+    closed coordinate form.  A clustering is a ``Partition`` or raw labels,
+    which must use ids 0..k-1 with no empty cluster (ConfigError).  A
+    ``KernelMatrix`` is never materialised: its rows come _SCATTER_ROWS at
+    a time from ``KernelMatrix.expanded_block``, with an exact unit
+    diagonal and every entry within its rounding bound of the exact kernel.
+    Let E_c hold the 0/1 membership indicator of cluster a of clustering c
+    in column a.  The pass keeps the diagonal of L and the n x (1 + sum of
+    k_c) product KE = L [1 | E_1 | ... | E_m], the column of ones being the
+    whole sample as one cluster, and every statistic is read from those
+    two: the kernel block sums E_c^T KE_c, divided by the cluster sizes
+    into block means M_c, and member i's squared distance to its cluster
+    mean, L_ii - 2 KE_c[i, c_i] / |c_i| + M_c[c_i, c_i].  Sums are divided
+    by counts afterwards, as a mean is, rather than weighted by 1/|a| in
+    the products.  When 1 + sum of k_c exceeds ``consensus.BATCH_COLUMNS``,
+    the clusterings are split in order into passes of at most that many
+    columns, so E and KE take at most 16 n BATCH_COLUMNS bytes; a
+    clustering with more clusters than that has a pass of its own.  Each
+    pass reads every row of L again; the candidates of the n = 1500
+    benchmark dataset take 51 and 61 columns at seeds 0 and 1, one pass.
 
     Warns (SingletonClusterWarning) for each clustering with a cluster of
     size one; its within-scattering is exactly zero.
@@ -123,8 +124,9 @@ def scatter_reports(L, clusterings) -> list[ScatterReport]:
     shape = mat.shape if dense else (L.n, L.n)
     parts = []
     for clustering in clusterings:
-        labels = np.asarray(getattr(clustering, "labels", clustering), dtype=np.int64)
-        k = int(getattr(clustering, "k", labels.max() + 1))
+        if not isinstance(clustering, Partition):  # raw ids: 0..k-1, none unused
+            clustering = Partition(clustering, int(np.max(clustering, initial=-1)) + 1)
+        labels, k = clustering.labels, clustering.k
         if shape != (labels.size, labels.size):
             raise ConfigError(f"kernel is {shape}, labels have length {labels.size}")
         if k < 2:

@@ -339,6 +339,17 @@ def lapack_pivoted_spectrum(mat: np.ndarray, tol: float) -> tuple[int, np.ndarra
     return int(rank), lam
 
 
+def reconstruction_residual(entries, spectral) -> float:
+    """max |L - V diag(lambda) V^T| of a decomposition against the dense
+    ``entries``, its products summed in extended precision (np.longdouble,
+    64-bit mantissa on x86-64) so that their rounding stays far below that
+    of the float64 decomposition."""
+    vec = spectral.eigenvectors.astype(np.longdouble)
+    lam = spectral.eigenvalues[: vec.shape[1]].astype(np.longdouble)
+    diff = np.asarray(entries, dtype=np.longdouble) - (vec * lam) @ vec.T
+    return float(np.abs(diff).max())
+
+
 def kvi_oracle(candidates) -> SelectionResult:
     """``validation.kvi`` as it kept its candidates in four structures
     (usable, excluded, ranked and a position counter), the reference for

@@ -84,6 +84,18 @@ class TestBenchmark:
             benchmark([ScenarioSpec(150, "low", "low")], ["dpp"], cfg, replicas=replicas,
                       generator=never)
 
+    @pytest.mark.parametrize("checkpoints", [(-5, 10), (0, 10), (2.7,), (10, "20")])
+    def test_checkpoints_must_be_positive_whole_numbers(self, checkpoints):
+        # -5 used to report the first 15 runs as trajectory[-5], 0 failed
+        # every cell, and 2.7 silently became 2
+        def never(_spec, _stream):
+            raise AssertionError("a dataset was generated")
+
+        cfg = PipelineConfig(consensus=ConsensusConfig(runs=20))
+        with pytest.raises(ConfigError, match="checkpoint"):
+            benchmark([ScenarioSpec(150, "low", "low")], ["dpp"], cfg, replicas=1,
+                      checkpoints=checkpoints, generator=never)
+
     def test_generation_failure_recorded_not_fatal(self):
         def failing_generator(spec, stream):
             if stream.stream_id[-1] == 1:

@@ -14,7 +14,6 @@ from dppcluster import (
     run_pipeline,
 )
 from dppcluster.io import (
-    load_dataset,
     read_data_csv,
     read_labels_csv,
     render_report_text,
@@ -115,7 +114,9 @@ class TestDatasetRoundTrip:
     def test_save_load(self, tmp_path):
         ds = generate_mixture_fixed(50, 2, 2, RngStream(0, 0), max_pairwise_overlap=0.05)
         save_dataset(ds, tmp_path / "d", scenario=ScenarioSpec(150, "low", "low"), seed=0)
-        x, labels, meta = load_dataset(tmp_path / "d")
+        x = read_data_csv(tmp_path / "d" / "features.csv")
+        labels = read_labels_csv(tmp_path / "d" / "labels.csv")
+        meta = json.loads((tmp_path / "d" / "meta.json").read_text())
         assert np.allclose(x, ds.data)
         # labels are re-encoded by first appearance; structure must agree
         from dppcluster import ari

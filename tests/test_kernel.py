@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dppcluster import (
@@ -21,11 +21,12 @@ from dppcluster import (
     voronoi_assign,
 )
 from dppcluster import kernel as kernel_module
-from dppcluster.kernel import PIVOT_TOL, as_data_matrix, sq_dists_between
+from dppcluster.kernel import PIVOT_TOL, as_data_matrix, expansion_error, sq_dists_between
 from dppcluster.partition import compact_labels
 from oracles import (
     exact_mean_sq_dist,
     lapack_pivoted_spectrum,
+    reconstruction_residual,
     scipy_sq_dists,
     scipy_sq_dists_between,
 )
@@ -316,39 +317,134 @@ class TestMatrixFreeKernel:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(x=_small_data(max_n=150), s=st.floats(0.05, 4.0), top=st.integers(0, 149))
     def test_expanded_blocks_within_their_bound(self, x, s, top):
-        n = x.shape[0]
+        n, p = x.shape
         top = top % n
         scale = -2.0 * s * max(float(x.var(axis=0).sum()), 1e-3)
         k = KernelMatrix(x, scale)
-        for start in (0, top):
-            block, bound = k.expanded_block(top, top + 64, start)
-            exact = k[top : top + 64, start:]
-            assert block.shape == exact.shape
-            assert np.abs(block - exact).max() <= bound
-            assert bound < 1e-10
-            assert np.all(block.diagonal(top - start) == 1.0)
-            coinciding = pairwise_sq_dists(x)[top : top + 64, start:] == 0.0
-            assert np.all(block[coinciding] == 1.0)
+        # the bound of the docstring: 2 E / |scale| + expansion_error(p)
+        sq = k.expansion[2]
+        reach = np.sqrt(sq[top : top + 64].max()) + np.sqrt(sq.max())
+        bound = 2.0 * expansion_error(p) * reach**2 / -scale + expansion_error(p)
+        block = k.expanded_block(top, top + 64)
+        exact = k[top : top + 64]
+        assert block.shape == exact.shape
+        assert np.abs(block - exact).max() <= bound
+        assert bound < 1e-10
+        assert np.all(block.diagonal(top) == 1.0)
+        coinciding = pairwise_sq_dists(x)[top : top + 64] == 0.0
+        assert np.all(block[coinciding] == 1.0)
 
-    def test_check_verdict_is_the_exact_one(self, monkeypatch):
-        # at a tolerance equal to the exact residual the check passes, one
-        # ulp below it fails: the expanded blocks cannot decide there, so
-        # the check falls back to exact entries
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(x=_small_data(), s=st.floats(0.05, 4.0))
+    @example(x=np.array([[0.0], [5.0], [10.0]]), s=0.05)  # full rank
+    def test_certificate_bounds_the_exact_residual(self, x, s):
+        # duplicated rows, integer grids, 1e6 offsets and full rank: the
+        # bound that replaces the entry-by-entry check is never below the
+        # residual against the exact entries, and passes
+        k = KernelMatrix(x, -2.0 * s * max(float(x.var(axis=0).sum()), 1e-3))
+        certificate, bounds = kernel_module._certificate, []
+
+        def kept(*args):
+            bounds.append(certificate(*args))
+            return bounds[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel_module, "_certificate", kept)
+            spec = eigendecompose(k)
+        residual = reconstruction_residual(k.entries, spec)
+        assert residual <= bounds[0] <= kernel_module.RECONSTRUCTION_TOL
+
+    def test_factor_perturbed_after_the_loop_fails_both_checks(self, monkeypatch):
+        # d is read from the factor as returned, not from the loop's running
+        # tally, so +1e-5 on the first pivot's entry fails the certificate as
+        # it fails the entry-by-entry pass of a dense L
         x = np.random.default_rng(18).normal(size=(150, 3))
         k = build_rbf_kernel(x, estimate_bandwidth(x))
-        spec = eigendecompose(k)
-        vec = spec.eigenvectors
-        lam = spec.eigenvalues[: vec.shape[1]]
-        step = kernel_module._CHECK_ROWS
-        exact = max(
-            np.abs((vec[top : top + step] * lam) @ vec[top:].T - k[top : top + step, top:]).max()
-            for top in range(0, k.n, step)
-        )
-        monkeypatch.setattr(kernel_module, "RECONSTRUCTION_TOL", exact)
-        eigendecompose(k)
-        monkeypatch.setattr(kernel_module, "RECONSTRUCTION_TOL", np.nextafter(exact, 0.0))
+        factor = kernel_module._pivoted_cholesky
+
+        def perturbed(*args):
+            f = factor(*args)
+            f[0, 0] += 1e-5  # ties go to the first row: row 0 is the first pivot
+            return f
+
+        monkeypatch.setattr(kernel_module, "_pivoted_cholesky", perturbed)
+        for mat in (k, k.entries):
+            with pytest.raises(NumericalFailure, match="reconstruction residual"):
+                eigendecompose(mat)
+
+    def test_negative_residual_diagonal_fails_the_certificate(self, monkeypatch):
+        # +1e-8 leaves every entry of L - V Lam V^T within the tolerance, so
+        # the dense pass accepts; but d = diag(L - F F^T) falls to -2e-8,
+        # below its rounding, which no factor of a PSD kernel leaves
+        x = np.random.default_rng(18).normal(size=(150, 3))
+        k = build_rbf_kernel(x, estimate_bandwidth(x))
+        factor = kernel_module._pivoted_cholesky
+
+        def perturbed(*args):
+            f = factor(*args)
+            f[0, 0] += 1e-8
+            return f
+
+        monkeypatch.setattr(kernel_module, "_pivoted_cholesky", perturbed)
+        eigendecompose(k.entries)
         with pytest.raises(NumericalFailure, match="reconstruction residual"):
             eigendecompose(k)
+
+    def test_no_kernel_entry_read_after_the_factor(self, monkeypatch):
+        x = np.random.default_rng(19).normal(size=(150, 3))
+        k = build_rbf_kernel(x, estimate_bandwidth(x))
+        factor, reads = kernel_module._pivoted_cholesky, []
+
+        def factor_then_mark(*args):
+            out = factor(*args)
+            reads.append("factor")
+            return out
+
+        def spy(name):
+            real = getattr(KernelMatrix, name)
+
+            def read(self, *args):
+                reads.append(name)
+                return real(self, *args)
+
+            return read
+
+        monkeypatch.setattr(kernel_module, "_pivoted_cholesky", factor_then_mark)
+        for name in ("__getitem__", "expanded_block"):
+            monkeypatch.setattr(KernelMatrix, name, spy(name))
+        eigendecompose(k)
+        assert reads[-1] == "factor" and "__getitem__" in reads
+
+    @staticmethod
+    def _multiplier_growth(k) -> float:
+        # the largest row 1-norm of W = F_2 F_1^-1, which the certificate
+        # takes to be at most _GROWTH; the pivots are the single rows read
+        pivots = []
+
+        class Rows:
+            def __getitem__(self, index):
+                if isinstance(index, int):
+                    pivots.append(index)
+                return k[index]
+
+        f = kernel_module._pivoted_cholesky(Rows(), k.n)
+        return np.abs(np.linalg.solve(f[pivots].T, f.T)).sum(axis=0).max()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(x=_small_data(max_n=150), s=st.floats(0.05, 4.0))
+    def test_multiplier_growth_within_the_certificates_allowance(self, x, s):
+        k = KernelMatrix(x, -2.0 * s * max(float(x.var(axis=0).sum()), 1e-3))
+        assert self._multiplier_growth(k) <= kernel_module._GROWTH
+
+    def test_multiplier_growth_on_large_rank_data(self):
+        # uniform points in 5-d and 8 overlapping clusters in 8-d, the kinds
+        # of data with the largest growth measured: 27.5 (rank 561) and 25.4
+        # (rank 925) here
+        rng = np.random.default_rng(0)
+        clusters = rng.normal(0.0, 3.0, size=(8, 8))[rng.integers(0, 8, 1500)]
+        for x in (rng.random((1500, 5)), clusters + rng.normal(size=(1500, 8))):
+            k = build_rbf_kernel(x, estimate_bandwidth(x))
+            assert self._multiplier_growth(k) <= kernel_module._GROWTH
 
 
 class TestEigendecompose:

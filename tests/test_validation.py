@@ -92,6 +92,23 @@ class TestScatter:
             scatter(L.entries, short)
         assert str(implicit.value) == str(dense.value) == "kernel is (6, 6), labels have length 5"
 
+    def test_raw_labels_score_as_their_clustering(self):
+        x = np.random.default_rng(6).normal(size=(6, 2))
+        L = build_rbf_kernel(x, estimate_bandwidth(x))
+        labels = [0, 1, 1, 0, 2, 2]
+        _assert_reports_close(scatter(L, labels), scatter(L, _clus(labels)), rtol=0)
+
+    @pytest.mark.parametrize("labels", [[0, 0, 2, 2], [0, 1, -1, -1]])
+    def test_raw_labels_with_a_gap_or_a_negative_id_rejected(self, labels):
+        # a gap left an empty cluster with nan scatter; a negative id got
+        # numpy's ValueError from bincount
+        x = np.random.default_rng(7).normal(size=(4, 2))
+        for raw in (labels, np.array(labels)):
+            with pytest.raises(ConfigError, match="contiguous ids"):
+                scatter(x @ x.T, raw)
+            with pytest.raises(ConfigError, match="contiguous ids"):
+                scatter_reports(x @ x.T, [_clus([0, 1, 0, 1]), raw])
+
 
 @st.composite
 def _scatter_inputs(draw, count=1):
@@ -140,7 +157,7 @@ class TestStreamedScatterProperties:
         # the expanded ones the scatter pass reads
         x, clusterings = inputs
         L = build_rbf_kernel(x, estimate_bandwidth(x))
-        entries = np.vstack([L.expanded_block(top, top + 64)[0] for top in range(0, L.n, 64)])
+        entries = np.vstack([L.expanded_block(top, top + 64) for top in range(0, L.n, 64)])
         for clus, rep in zip(clusterings, scatter_reports(L, clusterings)):
             dense = scatter(entries, clus)
             _assert_reports_close(scatter(L, clus), dense, rtol=1e-12)
