@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import io as pkgio
-from .bench import DEFAULT_CHECKPOINTS, benchmark, diversity_series
+from .bench import benchmark, diversity_series
 from .consensus import ConsensusConfig
 from .errors import ConfigError, DataError, NoCandidates, NumericalError, checked_int
 from .pipeline import METHODS, PipelineConfig, run_pipeline

@@ -47,7 +47,7 @@ def read_data_csv(path) -> np.ndarray:
     data cell is fatal, reported with its 1-based row and column.
     """
     path = Path(path)
-    text = path.read_text().splitlines()
+    text = path.read_text(encoding="utf-8-sig").splitlines()
     lines = [(i + 1, ln) for i, ln in enumerate(text) if ln.strip()]
     if not lines:
         raise CsvFormatError(f"{path}: file is empty")
@@ -85,7 +85,7 @@ def read_labels_csv(path) -> np.ndarray:
     integer codes by first appearance."""
     path = Path(path)
     tokens = []
-    for raw in path.read_text().splitlines():
+    for raw in path.read_text(encoding="utf-8-sig").splitlines():
         raw = raw.strip()
         if not raw:
             continue

@@ -22,8 +22,9 @@ The Gaussian kernel of clustered data has low numerical rank, so its
 eigensystem comes from a pivoted Cholesky factor L ~ F F^T (Harbrecht,
 Peters & Schneider 2012), one kernel row per pivot, and an r x r problem,
 r the rank of F, and is certified from F alone (``eigendecompose``).
-Everything here is numpy, with no LAPACK ``dpstrf`` and no n x n work
-copy, so scipy stays off the clustering path.
+That, the subset likelihoods and Voronoi assignment take a ``KernelMatrix``
+and no dense matrix.  Everything here is numpy, with no LAPACK ``dpstrf``
+and no n x n work copy, so scipy stays off the clustering path.
 """
 
 from __future__ import annotations
@@ -61,10 +62,6 @@ PIVOT_TOL = 5e-7
 
 # Row 1-norm of W = F_2 F_1^-1 that ``eigendecompose`` allows; 28 the most measured.
 _GROWTH = 64.0
-
-# Rows per block of the dense reconstruction check: its temporaries are a
-# few blocks of 64 n floats, and thinner blocks ran slower at n = 5000.
-_CHECK_ROWS = 64
 
 # Rows per block of V = F (R^-1 U), written over the factor F: a multiple
 # of 12 and of 64, so OpenBLAS's Haswell kernel (12-row tiles) rounds every
@@ -379,17 +376,17 @@ class SpectralDecomposition:
 
 
 def _pivoted_cholesky(rows, n: int) -> np.ndarray:
-    """Pivoted Cholesky factor of the n x n PSD matrix whose rows ``rows[i]``
-    gives, stopped once every residual diagonal entry is at most PIVOT_TOL.
+    """Pivoted Cholesky factor of the n x n PSD kernel ``rows``, stopped
+    once every residual diagonal entry is at most PIVOT_TOL.
 
-    ``rows`` is a dense matrix or a ``KernelMatrix``; each step reads one
-    row, so an implicit kernel is never materialised and no n x n work
-    array is made.  Step t takes the largest residual diagonal entry d_i
-    (the first, on ties) and computes column t of the factor as
-    (L[i] - sum over s < t of G[s, i] G[s]) / sqrt(d_i), set to exactly 0
-    on the earlier pivots and to sqrt(d_i) on i, the entries a factor
-    triangular in pivot order holds; its squares then lower the residual
-    diagonal.
+    ``rows`` is a ``KernelMatrix``, or anything indexed as one (``rows[i]``
+    a row, ``rows[idx, idx]`` the diagonal); each step reads one row, so
+    the kernel is never materialised and no n x n work array is made.
+    Step t takes the largest residual diagonal entry d_i (the first, on
+    ties) and computes column t of the factor as (L[i] - sum over s < t of
+    G[s, i] G[s]) / sqrt(d_i), set to exactly 0 on the earlier pivots and
+    to sqrt(d_i) on i, the entries a factor triangular in pivot order
+    holds; its squares then lower the residual diagonal.
 
     Returns the (n, r) factor F, rows in natural order and Fortran-ordered,
     with L ~ F F^T; the rows of F^T grow by doubling, and the spare ones
@@ -434,13 +431,13 @@ def _pivoted_cholesky(rows, n: int) -> np.ndarray:
 
 
 def eigendecompose(L) -> SpectralDecomposition:
-    """Symmetric eigendecomposition of a PSD kernel, exact for its pivoted
-    Cholesky approximation F F^T.
+    """Symmetric eigendecomposition of a Gaussian kernel, exact for its
+    pivoted Cholesky approximation F F^T.
 
-    ``L`` is a ``KernelMatrix``, read one row at a time, or any dense square
-    matrix.  The (n, r) factor F (``_pivoted_cholesky``) has the QR
-    decomposition F = Q R, and the spectrum comes from the r x r matrix
-    R R^T = U Lam U^T, Lam = diag(lambda), giving V = Q U (the dual
+    ``L`` is a ``KernelMatrix``, read one row at a time; anything else
+    raises ConfigError.  The (n, r) factor F (``_pivoted_cholesky``) has
+    the QR decomposition F = Q R, and the spectrum comes from the r x r
+    matrix R R^T = U Lam U^T, Lam = diag(lambda), giving V = Q U (the dual
     representation of Kulesza & Taskar 2012, sec. 3.3).  Only R is formed:
     V = F S for S = R^-1 U, one r x r solve and one n x r x r product
     written over F, _VEC_ROWS rows at a time, so V takes F's Fortran-ordered
@@ -452,13 +449,10 @@ def eigendecompose(L) -> SpectralDecomposition:
     negative aborts with NumericalFailure, as do a residual diagonal entry
     of the factor below -PSD_TOL * n, a non-convergent solver, loss of
     orthonormality (which bounds the effect of R's conditioning on V), or a
-    residual max |L - V Lam V^T| above RECONSTRUCTION_TOL.  A dense L is
-    compared entry by entry, in row blocks of V Lam V^T's upper trapezoid
-    checked against rows and, transposed, columns of L, as an indefinite L
-    may pass a test of the diagonal.
+    bound on max |L - V Lam V^T| above RECONSTRUCTION_TOL.
 
-    A ``KernelMatrix`` is certified from its factor in O(n r + r^3), with
-    no entry read after the factor.  To first order in the unit roundoff u,
+    That bound is certified from the factor in O(n r + r^3), with no kernel
+    entry read after the factor.  To first order in the unit roundoff u,
     with g = (r + 3) u for an r-term inner product and d = 1 - rowsum(F o F)
     from F as returned: E = L - F F^T has diagonal d within g, and pivot
     rows that hold the backward error of the factor's columns, at most g
@@ -483,16 +477,12 @@ def eigendecompose(L) -> SpectralDecomposition:
     the DPPs of L and F F^T differ in total variation by at most
     1 - exp(-tr E) <= tr E = sum d (Affandi, Kulesza, Fox & Taskar 2013).
     """
-    if isinstance(L, KernelMatrix):
-        mat, n, dense = L, L.n, False
-    else:
-        mat = np.asarray(L, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ShapeMismatch(f"expected a square matrix, got shape {mat.shape}")
-        n, dense = mat.shape[0], True
-    factor = _pivoted_cholesky(mat, n)
-    if not dense:  # diag(L - F F^T), before V is written over F
-        gap = 1.0 - np.einsum("ij,ij->i", factor, factor)
+    if not isinstance(L, KernelMatrix):
+        raise ConfigError(f"eigendecompose takes a KernelMatrix, got {type(L).__name__}")
+    n = L.n
+    factor = _pivoted_cholesky(L, n)
+    # d = diag(L - F F^T), read before V is written over F
+    gap = 1.0 - np.einsum("ij,ij->i", factor, factor)
     r = np.linalg.qr(factor, mode="r")
     try:
         vals, u = np.linalg.eigh(r @ r.T)
@@ -513,20 +503,7 @@ def eigendecompose(L) -> SpectralDecomposition:
     np.fill_diagonal(gram, gram.diagonal() - 1.0)
     if not np.abs(gram).max(initial=0.0) <= 1e-8:
         raise NumericalFailure("eigenvectors lost orthonormality")
-    lam_r = lam[: vec.shape[1]]
-    if dense:
-        # the flops of one symmetric rank-r update; only a block's rows are
-        # scaled, so no second n x r array is made
-        residual = 0.0
-        for top in range(0, n, _CHECK_ROWS):
-            rows = slice(top, top + _CHECK_ROWS)
-            block = (vec[rows] * lam_r) @ vec[top:].T
-            lower = block - mat[top:, rows].T
-            residual = np.max((residual, np.abs(lower, out=lower).max()))  # keeps NaN
-            block -= mat[rows, top:]
-            residual = np.max((residual, np.abs(block, out=block).max()))
-    else:
-        residual = _certificate(gap, r, solve, lam_r, L.data.shape[1])
+    residual = _certificate(gap, r, solve, lam[: vec.shape[1]], L.data.shape[1])
     if not residual <= RECONSTRUCTION_TOL:  # also fails on NaN
         raise NumericalFailure(
             f"spectral reconstruction residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:g}"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatch
-from .kernel import KernelMatrix, _centred, as_data_matrix, expansion_error, sq_dists_between
+from .kernel import KernelMatrix, as_data_matrix, expansion_error, sq_dists_between
 
 __all__ = ["Partition", "compact_labels", "voronoi_assign", "lloyd_kmeans"]
 
@@ -54,11 +54,11 @@ def _compact_ids(raw: np.ndarray, k: int) -> tuple[np.ndarray, int]:
 def voronoi_assign(data, gens) -> Partition:
     """Assign every observation to its nearest generator.
 
-    ``data`` is the (n, p) data or a ``KernelMatrix`` over it, whose
-    centred rows (``KernelMatrix.expansion``) are computed once per kernel
-    and shared by every call.  Ties go to the earliest generator in
-    ``gens.indices``; cells emptied by ties are removed and labels
-    compacted.  An index outside [0, n) raises ShapeMismatch.
+    ``data`` is a ``KernelMatrix``, whose centred rows (``expansion``) are
+    computed once per kernel and shared by every call; raw (n, p) data is
+    wrapped as one.  Ties go to the earliest generator in ``gens.indices``;
+    cells emptied by ties are removed and labels compacted.  An index
+    outside [0, n) raises ShapeMismatch.
 
     The labels are those of the exact squared distances
     (``sq_dists_between(x[idx], x)``, first generator on ties), found
@@ -76,12 +76,8 @@ def voronoi_assign(data, gens) -> Partition:
     idx = np.asarray(getattr(gens, "indices", gens), dtype=int)
     if idx.size == 0:
         raise ConfigError("generator set is empty")
-    if isinstance(data, KernelMatrix):
-        x, (rows, _, sq) = data.data, data.expansion
-    else:  # rows [x - mean, 0, 1], laid out as the kernel's
-        x = as_data_matrix(data)
-        xc, sq = _centred(x)
-        rows = np.column_stack([xc, np.zeros_like(sq), np.ones_like(sq)])
+    kernel = data if isinstance(data, KernelMatrix) else KernelMatrix(data, -1.0)
+    x, (rows, _, sq) = kernel.data, kernel.expansion
     n, p = x.shape
     if idx.min() < 0 or idx.max() >= n:
         raise ShapeMismatch(f"generator index out of range [0, {n})")

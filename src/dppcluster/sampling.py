@@ -190,21 +190,21 @@ def sample_dpp_block(
 def dpp_log_likelihood(L, subset, log_det_norm: float) -> float:
     """Log probability mass of a generator subset under the point process.
 
-    Returns ``log det(L_Y) - log det(L + I)``, with the normalizer
-    ``log_det_norm`` = log det(L + I) computed once per kernel
-    (``SpectralDecomposition.log_det_plus_identity``).  Of a
-    ``KernelMatrix`` only the k x k block of the subset is computed.  An
-    index outside [0, n) raises ShapeMismatch.  A singular principal minor
+    Returns ``log det(L_Y) - log det(L + I)`` for a ``KernelMatrix`` L (any
+    other type raises ConfigError), of which only the k x k block of the
+    subset is computed; ``log_det_norm`` = log det(L + I) comes once per
+    kernel (``SpectralDecomposition.log_det_plus_identity``).  An index
+    outside [0, n) raises ShapeMismatch.  A singular principal minor
     (duplicate or linearly dependent rows) reports ``-inf``.
     """
-    mat = L if isinstance(L, KernelMatrix) else np.asarray(L, dtype=float)
-    n = mat.n if isinstance(mat, KernelMatrix) else mat.shape[0]
+    if not isinstance(L, KernelMatrix):
+        raise ConfigError(f"dpp_log_likelihood takes a KernelMatrix, got {type(L).__name__}")
     idx = np.asarray(getattr(subset, "indices", subset), dtype=int)
     if idx.size == 0:
         return -log_det_norm
-    if idx.min() < 0 or idx.max() >= n:
-        raise ShapeMismatch(f"subset index out of range [0, {n})")
-    sub = mat[np.ix_(idx, idx)]
+    if idx.min() < 0 or idx.max() >= L.n:
+        raise ShapeMismatch(f"subset index out of range [0, {L.n})")
+    sub = L[np.ix_(idx, idx)]
     try:
         chol = np.linalg.cholesky(sub)
     except np.linalg.LinAlgError:

@@ -2,6 +2,7 @@
 no scipy module until Box-Cox preprocessing or dataset generation asks for
 one."""
 
+import ast
 import json
 import os
 import subprocess
@@ -96,3 +97,37 @@ def test_scipy_imported_on_first_use(use):
     code = f"import json, sys\nbefore = {SCIPY_MODULES}\n{body}\nprint(json.dumps([before, {SCIPY_MODULES}]))"
     before, after = json.loads(_run(code))
     assert before == [] and needed <= set(after)
+
+
+PACKAGE = Path(dppcluster.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_relative_imports(source: str) -> list[str]:
+    """Names bound by a relative ``from .x import ...`` that the module never
+    reads, counting a name listed in ``__all__`` as read (a re-export)."""
+    tree = ast.parse(source)
+    bound = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_relative_imports(path):
+    # a deletion must take the imports it leaves unread with it
+    assert _unused_relative_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_relative_import_detected():
+    source = "from .errors import ConfigError, ShapeMismatch\n__all__ = []\nConfigError\n"
+    assert _unused_relative_imports(source) == ["ShapeMismatch"]

@@ -72,6 +72,12 @@ class TestReadDataCsv:
         with pytest.raises(CsvFormatError):
             read_data_csv(f)
 
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        # a UTF-8 BOM before "1" must not make the first row a header
+        f = tmp_path / "a.csv"
+        f.write_bytes("\ufeff1,2\n3,4\n5,6".encode("utf-8"))
+        assert np.array_equal(read_data_csv(f), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
 
 class TestReadLabelsCsv:
     def test_integer_labels(self, tmp_path):
@@ -88,6 +94,11 @@ class TestReadLabelsCsv:
         f = tmp_path / "l.csv"
         f.write_text("label\n1\n2\n")
         assert read_labels_csv(f).tolist() == [0, 1]
+
+    def test_byte_order_mark_keeps_the_first_label(self, tmp_path):
+        f = tmp_path / "l.csv"
+        f.write_bytes("\ufeff0\n0\n1".encode("utf-8"))
+        assert read_labels_csv(f).tolist() == [0, 0, 1]
 
 
 class TestConsensusExport:

@@ -356,8 +356,9 @@ class TestMatrixFreeKernel:
 
     def test_factor_perturbed_after_the_loop_fails_both_checks(self, monkeypatch):
         # d is read from the factor as returned, not from the loop's running
-        # tally, so +1e-5 on the first pivot's entry fails the certificate as
-        # it fails the entry-by-entry pass of a dense L
+        # tally, so +1e-5 on the first pivot's entry fails both checks of
+        # the certificate: max |d| = 2e-5 exceeds the tolerance, and min d
+        # falls below -rho
         x = np.random.default_rng(18).normal(size=(150, 3))
         k = build_rbf_kernel(x, estimate_bandwidth(x))
         factor = kernel_module._pivoted_cholesky
@@ -368,14 +369,13 @@ class TestMatrixFreeKernel:
             return f
 
         monkeypatch.setattr(kernel_module, "_pivoted_cholesky", perturbed)
-        for mat in (k, k.entries):
-            with pytest.raises(NumericalFailure, match="reconstruction residual"):
-                eigendecompose(mat)
+        with pytest.raises(NumericalFailure, match="reconstruction residual"):
+            eigendecompose(k)
 
     def test_negative_residual_diagonal_fails_the_certificate(self, monkeypatch):
-        # +1e-8 leaves every entry of L - V Lam V^T within the tolerance, so
-        # the dense pass accepts; but d = diag(L - F F^T) falls to -2e-8,
-        # below its rounding, which no factor of a PSD kernel leaves
+        # +1e-8 leaves every entry of L - V Lam V^T within the tolerance,
+        # but d = diag(L - F F^T) falls to -2e-8, below its rounding, which
+        # no factor of a PSD kernel leaves
         x = np.random.default_rng(18).normal(size=(150, 3))
         k = build_rbf_kernel(x, estimate_bandwidth(x))
         factor = kernel_module._pivoted_cholesky
@@ -386,7 +386,6 @@ class TestMatrixFreeKernel:
             return f
 
         monkeypatch.setattr(kernel_module, "_pivoted_cholesky", perturbed)
-        eigendecompose(k.entries)
         with pytest.raises(NumericalFailure, match="reconstruction residual"):
             eigendecompose(k)
 
@@ -447,14 +446,25 @@ class TestMatrixFreeKernel:
             assert self._multiplier_growth(k) <= kernel_module._GROWTH
 
 
+def _far_apart(n: int) -> KernelMatrix:
+    # n points 100 apart: every off-diagonal entry underflows to 0, so the
+    # kernel is the n x n identity
+    return build_rbf_kernel(100.0 * np.arange(float(n)), 1.0)
+
+
 class TestEigendecompose:
     def test_identity_kernel(self):
-        spec = eigendecompose(np.eye(4))
+        spec = eigendecompose(_far_apart(4))
         assert np.allclose(spec.eigenvalues, 1.0)
 
     def test_all_ones_two_by_two(self):
-        spec = eigendecompose(np.ones((2, 2)))
+        # two coincident points
+        spec = eigendecompose(build_rbf_kernel(np.zeros(2), 1.0))
         assert spec.eigenvalues == pytest.approx([2.0, 0.0], abs=1e-12)
+
+    def test_dense_matrix_rejected(self):
+        with pytest.raises(ConfigError, match="ndarray"):
+            eigendecompose(np.eye(3))
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(7)
@@ -477,8 +487,8 @@ class TestEigendecompose:
 
     def test_indefinite_matrix_rejected(self):
         # eigenvalues {3, -1}: far beyond the PSD tolerance
-        with pytest.raises(NumericalFailure):
-            eigendecompose(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(NumericalFailure, match="not PSD"):
+            kernel_module._pivoted_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
 
     def test_solver_failure_reported(self, monkeypatch):
         def boom(_):
@@ -486,35 +496,12 @@ class TestEigendecompose:
 
         monkeypatch.setattr(np.linalg, "eigh", boom)
         with pytest.raises(NumericalFailure, match="converge"):
-            eigendecompose(np.eye(3))
-
-    @staticmethod
-    def _psd_matrix():
-        rng = np.random.default_rng(10)
-        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        return (q * np.arange(1.0, 7.0)) @ q.T
-
-    def test_swapped_eigenvalues_fail_reconstruction(self, monkeypatch):
-        # an orthonormal basis passes the first check; only the
-        # reconstruction can see that two eigenvalues sit on the wrong vectors
-        mat = self._psd_matrix()
-        vals, vecs = np.linalg.eigh(mat)
-        vals[[1, 4]] = vals[[4, 1]]
-        monkeypatch.setattr(np.linalg, "eigh", lambda _: (vals, vecs))
-        with pytest.raises(NumericalFailure, match="reconstruction residual"):
-            eigendecompose(mat)
-
-    def test_implicit_and_dense_kernels_decompose_alike(self):
-        # both read the same rows, so they build the same factor
-        x = np.random.default_rng(16).normal(size=(200, 3))
-        k = build_rbf_kernel(x, estimate_bandwidth(x))
-        implicit, dense = eigendecompose(k), eigendecompose(k.entries)
-        assert np.array_equal(implicit.eigenvalues, dense.eigenvalues)
-        assert np.array_equal(implicit.eigenvectors, dense.eigenvectors)
+            eigendecompose(_far_apart(3))
 
     def test_implicit_kernel_checks_reconstruction(self, monkeypatch):
-        # the regenerated rows of an implicit kernel are checked as a dense
-        # L is: two eigenvalues on the wrong vectors fail
+        # two eigenvalues on the wrong vectors leave V orthonormal, and the
+        # certificate catches the swap through |G|_F, G = R (S Lam S^T - I)
+        # R^T, with no kernel row read after the factor
         x = np.random.default_rng(17).normal(size=(150, 2))
         k = build_rbf_kernel(x, estimate_bandwidth(x))
         eigh = np.linalg.eigh
@@ -529,37 +516,21 @@ class TestEigendecompose:
             eigendecompose(k)
 
     def test_non_orthonormal_basis_fails_orthonormality(self, monkeypatch):
-        mat = self._psd_matrix()
-        vals, vecs = np.linalg.eigh(mat)
-        vecs = vecs.copy()
-        vecs[:, 2] += 1e-3 * vecs[:, 3]
-        monkeypatch.setattr(np.linalg, "eigh", lambda _: (vals, vecs))
+        eigh = np.linalg.eigh
+
+        def skewed(m):
+            vals, vecs = eigh(m)
+            vecs[:, 2] += 1e-3 * vecs[:, 3]
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
         with pytest.raises(NumericalFailure, match="orthonormality"):
-            eigendecompose(mat)
-
-    # n rows in blocks of `step` rows, the last block partial: lower-triangle
-    # entries, which the factorization never reads, inside the first and the
-    # last diagonal block, across the first block edge and in the far corner
-    step = kernel_module._CHECK_ROWS
-    n = 4 * step + step // 2
-    lower = [(step - 1, step - 2), (step, step - 1), (n - 1, n - 2), (n - 1, 0)]
-
-    def test_check_layout(self):
-        assert self.n % self.step != 0 and self.n > 2 * self.step
-
-    @pytest.mark.parametrize("i,j", lower)
-    def test_lower_triangle_checked_in_every_block(self, i, j):
-        x = np.random.default_rng(11).normal(size=(self.n, 2))
-        mat = build_rbf_kernel(x, estimate_bandwidth(x)).entries.copy()
-        eigendecompose(mat)
-        mat[i, j] += 1e-5
-        with pytest.raises(NumericalFailure, match="reconstruction residual"):
-            eigendecompose(mat)
+            eigendecompose(_line_kernel(range(6)))  # rank 6
 
     def test_no_square_temporary_after_the_factor(self, monkeypatch):
-        # after the factor, the decomposition and its blocked reconstruction
-        # check hold less than half an n x n float64 array (a whole n x n
-        # reconstruction took about 9 n² bytes)
+        # after the factor, the decomposition and its certificate hold less
+        # than half an n x n float64 array (a whole n x n reconstruction
+        # took about 9 n² bytes)
         n = 1000
         rng = np.random.default_rng(0)
         centers = ((0, 0), (3, 0), (0, 3), (3, 3))
@@ -583,11 +554,11 @@ class TestEigendecompose:
         assert peak < 4 * n * n
 
 
-def _line_kernel(points) -> np.ndarray:
+def _line_kernel(points) -> KernelMatrix:
     # points 3 apart on a line: distinct points give a well-conditioned
     # kernel, so the numerical rank is the number of distinct points
     x = 3.0 * np.asarray(points, dtype=float)
-    return build_rbf_kernel(x, 1.0).entries
+    return build_rbf_kernel(x, 1.0)
 
 
 class TestLowRankEigendecompose:
@@ -603,8 +574,9 @@ class TestLowRankEigendecompose:
         x = np.random.default_rng(data_seed).normal(size=(n, p))
         if duplicates:
             x[n // 2 :] = x[: n - n // 2]
-        mat = build_rbf_kernel(x, estimate_bandwidth(x), s).entries
-        spec = eigendecompose(mat)
+        k = build_rbf_kernel(x, estimate_bandwidth(x), s)
+        spec = eigendecompose(k)
+        mat = k.entries
         lam, vec = spec.eigenvalues, spec.eigenvectors
         r = vec.shape[1]
         # L = V diag(lam) V^T + R with R PSD, so by Weyl every eigenvalue
@@ -620,11 +592,11 @@ class TestLowRankEigendecompose:
 
     def test_duplicated_points_give_rank_of_distinct_points(self):
         # 6 distinct points of 9: the factor stops at rank 6
-        mat = _line_kernel([0, 1, 2, 3, 4, 5, 0, 1, 2])
-        spec = eigendecompose(mat)
+        k = _line_kernel([0, 1, 2, 3, 4, 5, 0, 1, 2])
+        spec = eigendecompose(k)
         assert spec.eigenvectors.shape == (9, 6)
         assert np.all(spec.eigenvalues[6:] == 0.0)
-        dense = np.linalg.eigvalsh(mat)[::-1]
+        dense = np.linalg.eigvalsh(k.entries)[::-1]
         assert np.abs(spec.eigenvalues - dense).max() <= 1e-12
 
     @pytest.mark.parametrize("n, s", [(9, 1.0), (300, 0.02)])
@@ -632,23 +604,17 @@ class TestLowRankEigendecompose:
         # distinct points, or a narrow bandwidth: r = n, and the factor, the
         # n x n QR and the n x n eigh still give the exact eigensystem
         if n == 9:
-            mat = _line_kernel(range(9))
+            k = _line_kernel(range(9))
         else:
             x = np.random.default_rng(5).normal(size=(n, 3))
-            mat = build_rbf_kernel(x, estimate_bandwidth(x), s).entries
-        spec = eigendecompose(mat)
-        vec = spec.eigenvectors
+            k = build_rbf_kernel(x, estimate_bandwidth(x), s)
+        spec = eigendecompose(k)
+        mat, vec = k.entries, spec.eigenvectors
         assert vec.shape == (n, n)
         dense = np.linalg.eigvalsh(mat)[::-1]
         assert np.abs(spec.eigenvalues - dense).max() <= 1e-12
         assert np.abs(vec.T @ vec - np.eye(n)).max() <= 1e-8
         assert np.abs((vec * spec.eigenvalues) @ vec.T - mat).max() <= 1e-6
-
-    def test_zero_matrix_has_rank_zero(self):
-        spec = eigendecompose(np.zeros((4, 4)))
-        assert spec.eigenvectors.shape == (4, 0)
-        assert np.array_equal(spec.eigenvalues, np.zeros(4))
-        assert spec.log_det_plus_identity() == 0.0
 
     @pytest.mark.parametrize(
         "mat",
@@ -657,7 +623,7 @@ class TestLowRankEigendecompose:
     )
     def test_non_psd_rejected(self, mat):
         with pytest.raises(NumericalFailure, match="not PSD"):
-            eigendecompose(mat)
+            kernel_module._pivoted_cholesky(mat, mat.shape[0])
 
     def test_small_solver_failure_reported(self, monkeypatch):
         def boom(_):
@@ -665,7 +631,8 @@ class TestLowRankEigendecompose:
 
         monkeypatch.setattr(np.linalg, "eigh", boom)
         with pytest.raises(NumericalFailure, match="converge"):
-            eigendecompose(np.ones((3, 3)))  # rank 1: the r x r problem
+            # three coincident points, rank 1: the r x r problem
+            eigendecompose(build_rbf_kernel(np.zeros(3), 1.0))
 
     def test_decomposition_validates_zero_tail(self):
         v = np.ones((2, 1)) / np.sqrt(2.0)

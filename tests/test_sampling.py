@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -15,6 +16,7 @@ from dppcluster import (
     ShapeMismatch,
     SpectralDecomposition,
     build_artifacts,
+    build_rbf_kernel,
     default_k_max,
     dpp_log_likelihood,
     sample_dpp,
@@ -304,25 +306,24 @@ class TestLockstepBlock:
 
 class TestLogLikelihood:
     def test_identity_kernel_singleton(self):
-        # log det(I + I) = 2 log 2 for the 2 x 2 identity
+        # two points 100 apart: the 2 x 2 identity, log det(I + I) = 2 log 2
+        k = build_rbf_kernel(np.array([0.0, 100.0]), 1.0)
         norm = 2.0 * np.log(2.0)
-        assert dpp_log_likelihood(np.eye(2), GeneratorSet((0,)), norm) == pytest.approx(
-            -np.log(4.0)
-        )
+        assert dpp_log_likelihood(k, GeneratorSet((0,)), norm) == pytest.approx(-np.log(4.0))
+
+    def test_dense_matrix_rejected(self):
+        with pytest.raises(ConfigError, match="ndarray"):
+            dpp_log_likelihood(np.eye(2), (0,), 0.0)
 
     def test_duplicate_points_give_minus_inf(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
-        from dppcluster import build_rbf_kernel
-
         k = build_rbf_kernel(x, 1.0)
         assert dpp_log_likelihood(k, (0, 1), 0.0) == float("-inf")
 
     def test_power_set_normalization(self, small_kernel_artifacts):
-        L = np.asarray(small_kernel_artifacts.kernel)
+        L = small_kernel_artifacts.kernel
         norm = small_kernel_artifacts.log_det_norm
         total = 0.0
-        import itertools
-
         for r in range(6):
             for sub in itertools.combinations(range(5), r):
                 total += np.exp(dpp_log_likelihood(L, sub, log_det_norm=norm))
@@ -330,20 +331,20 @@ class TestLogLikelihood:
 
     def test_empty_subset(self, small_kernel_artifacts):
         # the artifacts' normaliser is log det(L + I) of the dense kernel
-        L = np.asarray(small_kernel_artifacts.kernel)
-        dense_norm = np.log1p(np.clip(np.linalg.eigvalsh(L), 0.0, None)).sum()
+        L = small_kernel_artifacts.kernel
+        dense_norm = np.log1p(np.clip(np.linalg.eigvalsh(L.entries), 0.0, None)).sum()
         val = dpp_log_likelihood(L, (), small_kernel_artifacts.log_det_norm)
         assert val == pytest.approx(-dense_norm)
 
-    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("as_array", [False, True])
     @pytest.mark.parametrize("subset", [(0, -1), (4, 5), (-6,)])
-    def test_index_outside_the_points_is_rejected(self, small_kernel_artifacts, dense, subset):
+    def test_index_outside_the_points_is_rejected(self, small_kernel_artifacts, as_array, subset):
         # n = 5: a negative index does not wrap to the last point, and one
-        # past n is a ShapeMismatch, for the implicit and the dense kernel
-        L = small_kernel_artifacts.kernel
-        L = np.asarray(L) if dense else L
+        # past n is a ShapeMismatch, for a tuple and for an array of indices
+        arts = small_kernel_artifacts
+        subset = np.array(subset) if as_array else subset
         with pytest.raises(ShapeMismatch, match="out of range"):
-            dpp_log_likelihood(L, subset, small_kernel_artifacts.log_det_norm)
+            dpp_log_likelihood(arts.kernel, subset, arts.log_det_norm)
 
 
 class TestSampleUniform:
