@@ -41,7 +41,7 @@ from .kernel import (
     estimate_bandwidth,
     pairwise_sq_dists,
 )
-from .metrics import ContingencyTable, ari, contingency, rn
+from .metrics import ari, rn
 from .partition import Partition, lloyd_kmeans, voronoi_assign
 from .pipeline import (
     KernelArtifacts,

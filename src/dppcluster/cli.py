@@ -44,7 +44,7 @@ def _mapped_errors(fn):
             _fail(str(exc), EXIT_NUMERIC)
         except ConfigError as exc:
             _fail(str(exc), EXIT_CONFIG)
-        except (DataError, FileNotFoundError) as exc:
+        except (DataError, OSError) as exc:
             _fail(str(exc), EXIT_DATA)
         except NumericalError as exc:
             _fail(str(exc), EXIT_NUMERIC)

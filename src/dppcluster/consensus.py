@@ -194,11 +194,10 @@ def co_membership_counts(partitions, n: int) -> np.ndarray:
     one at the end.  The cost stays n² flops per cluster column, so runs
     with hundreds of clusters accumulate slower than by comparing labels.
 
-    A ``Partition``'s ids and k are used as they are, compact by
-    construction; raw label arrays go through ``compact_labels`` as their
-    run reaches the batch.  Partial counts from disjoint sets of runs can
-    be added together, in a type that holds their total, so accumulation
-    parallelizes and is order-invariant.
+    Every run is a ``Partition``, whose ids 0..k-1 index its columns as
+    they are; anything else raises ConfigError.  Partial counts from
+    disjoint sets of runs can be added together, in a type that holds their
+    total, so accumulation parallelizes and is order-invariant.
     """
     partitions = list(partitions)
     counts = np.zeros((n, n), dtype=np.min_scalar_type(len(partitions)))
@@ -213,10 +212,11 @@ def co_membership_counts(partitions, n: int) -> np.ndarray:
 
     every = np.arange(n)
     for part in partitions:
-        lab = np.asarray(getattr(part, "labels", part))
+        if not isinstance(part, Partition):
+            raise ConfigError(f"runs must be Partitions, got {type(part).__name__}")
+        lab, k = part.labels, part.k
         if lab.shape != (n,):
             raise ShapeMismatch(f"partition has {lab.shape} labels, expected ({n},)")
-        lab, k = (lab, part.k) if isinstance(part, Partition) else compact_labels(lab)
         first = 0  # the run's clusters below this id are in earlier batches
         while first < k:
             width = min(k - first, BATCH_COLUMNS - used)
@@ -297,7 +297,8 @@ def threshold_components(tree, theta: float) -> Partition:
 def merge_small(
     components, C: ConsensusMatrix, min_size: int, threshold: float | None = None
 ) -> Clustering:
-    """Absorb every undersized component into its strongest consensus link.
+    """Absorb every undersized component of the ``Partition`` ``components``
+    (ConfigError for any other type) into its strongest consensus link.
 
     Repeatedly: take the smallest component below ``min_size`` (ties: the one
     whose smallest member index is lowest), find the largest consensus entry
@@ -314,11 +315,13 @@ def merge_small(
     value but not the lexicographically smallest pair reaching it, and
     counts tie often, so the rows are scanned.
     """
+    if not isinstance(components, Partition):
+        raise ConfigError(f"components must be a Partition, got {type(components).__name__}")
     if min_size < 1:
         raise ConfigError("min_size must be at least 1")
     counts = C.counts
     scan_type = _signed(counts.dtype)
-    labels, k = compact_labels(np.asarray(getattr(components, "labels", components)))
+    labels, k = np.array(components.labels), components.k
     # sorted members of each component, from one stable sort of the labels
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     sizes = [len(idx) for idx in members]

@@ -39,6 +39,14 @@ def _is_number(token: str) -> bool:
         return False
 
 
+def _read_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 file less any byte-order mark; CsvFormatError if not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_data_csv(path) -> np.ndarray:
     """Read a numeric matrix from CSV.
 
@@ -47,8 +55,7 @@ def read_data_csv(path) -> np.ndarray:
     data cell is fatal, reported with its 1-based row and column.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8-sig").splitlines()
-    lines = [(i + 1, ln) for i, ln in enumerate(text) if ln.strip()]
+    lines = [(i + 1, ln) for i, ln in enumerate(_read_lines(path)) if ln.strip()]
     if not lines:
         raise CsvFormatError(f"{path}: file is empty")
     delimiter = _detect_delimiter(lines[0][1])
@@ -85,7 +92,7 @@ def read_labels_csv(path) -> np.ndarray:
     integer codes by first appearance."""
     path = Path(path)
     tokens = []
-    for raw in path.read_text(encoding="utf-8-sig").splitlines():
+    for raw in _read_lines(path):
         raw = raw.strip()
         if not raw:
             continue

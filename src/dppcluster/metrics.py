@@ -3,36 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateData, ShapeMismatch
 
-__all__ = ["ContingencyTable", "contingency", "ari", "rn"]
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Cross-tabulation of two labelings over the same n observations."""
-
-    counts: np.ndarray
-    row_sums: np.ndarray
-    col_sums: np.ndarray
-    n: int
-
-
-def contingency(labels_a, labels_b) -> ContingencyTable:
-    a = np.asarray(labels_a).ravel()
-    b = np.asarray(labels_b).ravel()
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"label lengths differ: {a.size} vs {b.size}")
-    _, ia = np.unique(a, return_inverse=True)
-    _, ib = np.unique(b, return_inverse=True)
-    ka = int(ia.max()) + 1
-    kb = int(ib.max()) + 1
-    counts = np.bincount(ia * kb + ib, minlength=ka * kb).reshape(ka, kb)
-    return ContingencyTable(counts, counts.sum(axis=1), counts.sum(axis=0), int(a.size))
+__all__ = ["ari", "rn"]
 
 
 def _pairs(c) -> int:
@@ -49,13 +25,21 @@ def ari(labels_a, labels_b) -> float:
     the chance-adjusted denominator vanishes (e.g. both labelings are a
     single cluster, or both are all singletons).
     """
-    t = contingency(labels_a, labels_b)
-    if t.n < 2:
+    la = np.asarray(labels_a).ravel()
+    lb = np.asarray(labels_b).ravel()
+    if la.shape != lb.shape:
+        raise ShapeMismatch(f"label lengths differ: {la.size} vs {lb.size}")
+    if la.size < 2:
         raise DegenerateData("need at least two observations")
-    sum_ij = sum(_pairs(c) for c in t.counts.flat)
-    a = sum(_pairs(c) for c in t.row_sums)
-    b = sum(_pairs(c) for c in t.col_sums)
-    total = _pairs(t.n)
+    _, ia = np.unique(la, return_inverse=True)
+    _, ib = np.unique(lb, return_inverse=True)
+    ka, kb = int(ia.max()) + 1, int(ib.max()) + 1
+    # the contingency table of the two labelings
+    counts = np.bincount(ia * kb + ib, minlength=ka * kb).reshape(ka, kb)
+    sum_ij = sum(_pairs(c) for c in counts.flat)
+    a = sum(_pairs(c) for c in counts.sum(axis=1))
+    b = sum(_pairs(c) for c in counts.sum(axis=0))
+    total = _pairs(la.size)
     num = 2 * (total * sum_ij - a * b)
     den = total * (a + b) - 2 * a * b
     if den == 0:

@@ -36,17 +36,13 @@ class Partition:
 
 
 def compact_labels(raw) -> tuple[np.ndarray, int]:
-    """Relabel to contiguous ids 0..k-1, preserving the order of the
-    original ids."""
-    uniq, labels = np.unique(np.asarray(raw), return_inverse=True)
-    return labels.astype(np.int64), int(uniq.size)
-
-
-def _compact_ids(raw: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """``compact_labels`` of ids in [0, k), from their counts."""
-    counts = np.bincount(raw, minlength=k)
+    """Relabel nonnegative integer ids to 0..k-1 in their order: each id
+    becomes the number of distinct ids below it, from one count of every id
+    up to the largest.  Ids already contiguous are returned as they are."""
+    raw = np.asarray(raw)
+    counts = np.bincount(raw)
     if counts.all():
-        return raw, k
+        return raw, counts.size
     kept = counts > 0
     return (np.cumsum(kept) - 1)[raw], int(kept.sum())
 
@@ -97,7 +93,7 @@ def voronoi_assign(data, gens) -> Partition:
     near = np.flatnonzero(count != 1.0)
     if near.size:
         best[near] = sq_dists_between(x[near], x[idx]).argmin(axis=1)
-    return Partition(*_compact_ids(best, k))
+    return Partition(*compact_labels(best))
 
 
 def lloyd_kmeans(data, init_centers, max_iter: int = 100, tol: float = 1e-6) -> Partition:
@@ -131,12 +127,9 @@ def lloyd_kmeans(data, init_centers, max_iter: int = 100, tol: float = 1e-6) -> 
         raw = np.argmin(d, axis=1)
         counts = np.bincount(raw, minlength=centers.shape[0])
         if (counts == 0).any():
-            keep = np.flatnonzero(counts > 0)
-            remap = np.full(centers.shape[0], -1, dtype=np.int64)
-            remap[keep] = np.arange(keep.size)
-            raw = remap[raw]
-            counts = counts[keep]
-            centers = centers[keep]
+            keep = counts > 0
+            raw = compact_labels(raw)[0]
+            counts, centers = counts[keep], centers[keep]
         k = centers.shape[0]
         # one bincount over the (cluster, feature) bins of every entry; each
         # bin still adds its terms in increasing row order
@@ -150,5 +143,4 @@ def lloyd_kmeans(data, init_centers, max_iter: int = 100, tol: float = 1e-6) -> 
         if unchanged or moved <= tol:
             break
 
-    labels, k = compact_labels(prev)
-    return Partition(labels, k)
+    return Partition(prev, k)

@@ -269,8 +269,8 @@ def select_clustering(
     """Thresholds -> merged candidates -> index-based choice.
 
     The candidates' scatter statistics come from one pass over blocks of
-    kernel rows (``scatter_reports``), so a ``KernelMatrix`` is never
-    materialised.
+    the rows of ``kernel`` (``scatter_reports``), a ``KernelMatrix`` that
+    is never materialised; any other type raises ConfigError.
     """
     cands = candidate_clusterings(consensus_matrix, cfg)
     return kvi(zip(cands, scatter_reports(kernel, cands)))

@@ -4,9 +4,9 @@ clusterings.
 All statistics reduce to sums over kernel entries, so the implicit feature
 map is never materialized: the squared distance between a point (or a
 cluster mean) and another mean expands into block averages of the kernel
-matrix.  Those averages come from the kernel's diagonal and its product
-with the cluster indicator columns of every candidate at once, built in
-one pass over blocks of kernel rows, so an implicit kernel is never
+matrix.  Those averages come from the kernel's unit diagonal and its
+product with the cluster indicator columns of every candidate at once,
+built in one pass over blocks of kernel rows, so the kernel is never
 materialized either.
 """
 
@@ -60,79 +60,69 @@ class ScatterReport:
     n: int
 
 
-def _scatter_pass(mat, n: int, parts) -> list[tuple[np.ndarray, np.ndarray]]:
+def _scatter_pass(L: KernelMatrix, n: int, parts) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each clustering's within-scatter per cluster and block means, from
-    one pass over the rows of ``mat`` with E = [E_1 | ... | E_m]."""
+    one pass over the rows of ``L`` with E = [E_1 | ... | E_m]."""
     every = np.arange(n)
     first = np.cumsum([0] + [k for _, k, _ in parts])  # column of each clustering's cluster 0
     E = np.zeros((n, first[-1]))
     for (labels, _, _), top in zip(parts, first):
         E[every, top + labels] = 1.0
-    diag = np.empty(n)
     KE = np.empty_like(E)
     for top in range(0, n, _SCATTER_ROWS):
-        if isinstance(mat, KernelMatrix):
-            rows = mat.expanded_block(top, top + _SCATTER_ROWS)
-        else:
-            rows = mat[top : top + _SCATTER_ROWS]
-        diag[top : top + rows.shape[0]] = rows.diagonal(top)
-        KE[top : top + rows.shape[0]] = rows @ E
+        KE[top : top + _SCATTER_ROWS] = L.expanded_block(top, top + _SCATTER_ROWS) @ E
 
     stats = []
     for (labels, k, sizes), top in zip(parts, first):
         cols = slice(top, top + k)
         # the average kernel value between clusters a and b
         means = (E[:, cols].T @ KE[:, cols]) / np.outer(sizes, sizes)
-        inside = diag - 2.0 * KE[every, top + labels] / sizes[labels] + means.diagonal()[labels]
+        inside = 1.0 - 2.0 * KE[every, top + labels] / sizes[labels] + means.diagonal()[labels]
         dist = np.sqrt(np.clip(inside, 0.0, None))
         stats.append((np.bincount(labels, weights=dist, minlength=k) / sizes, means))
     return stats
 
 
 def scatter_reports(L, clusterings) -> list[ScatterReport]:
-    """Scatter statistics of every clustering in ``clusterings`` under
-    kernel ``L``, from one pass over the rows of L per BATCH_COLUMNS
-    indicator columns.
+    """Scatter statistics of every ``Partition`` in ``clusterings`` under
+    the ``KernelMatrix`` ``L`` (ConfigError for other types, fewer than two
+    clusters or a length other than L.n), from one pass over the rows of L
+    per BATCH_COLUMNS indicator columns.
 
-    ``L`` is a ``KernelMatrix`` or any symmetric Gram matrix, so tests can
-    drive it with a plain dot-product kernel where every quantity has a
-    closed coordinate form.  A clustering is a ``Partition`` or raw labels,
-    which must use ids 0..k-1 with no empty cluster (ConfigError).  A
-    ``KernelMatrix`` is never materialised: its rows come _SCATTER_ROWS at
-    a time from ``KernelMatrix.expanded_block``, with an exact unit
-    diagonal and every entry within its rounding bound of the exact kernel.
-    Let E_c hold the 0/1 membership indicator of cluster a of clustering c
-    in column a.  The pass keeps the diagonal of L and the n x (1 + sum of
-    k_c) product KE = L [1 | E_1 | ... | E_m], the column of ones being the
-    whole sample as one cluster, and every statistic is read from those
-    two: the kernel block sums E_c^T KE_c, divided by the cluster sizes
-    into block means M_c, and member i's squared distance to its cluster
-    mean, L_ii - 2 KE_c[i, c_i] / |c_i| + M_c[c_i, c_i].  Sums are divided
-    by counts afterwards, as a mean is, rather than weighted by 1/|a| in
-    the products.  When 1 + sum of k_c exceeds ``consensus.BATCH_COLUMNS``,
-    the clusterings are split in order into passes of at most that many
-    columns, so E and KE take at most 16 n BATCH_COLUMNS bytes; a
-    clustering with more clusters than that has a pass of its own.  Each
-    pass reads every row of L again; the candidates of the n = 1500
-    benchmark dataset take 51 and 61 columns at seeds 0 and 1, one pass.
+    L is never materialised: its rows come _SCATTER_ROWS at a time from
+    ``KernelMatrix.expanded_block``, with an exact unit diagonal and every
+    entry within its rounding bound of the exact kernel.  Let E_c hold the
+    0/1 membership indicator of cluster a of clustering c in column a.  The
+    pass keeps the n x (1 + sum of k_c) product KE = L [1 | E_1 | ... |
+    E_m], the column of ones being the whole sample as one cluster, and
+    every statistic is read from it and the unit diagonal: the kernel block
+    sums E_c^T KE_c, divided by the cluster sizes into block means M_c, and
+    member i's squared distance to its cluster mean, 1 - 2 KE_c[i, c_i] /
+    |c_i| + M_c[c_i, c_i].  Sums are divided by counts afterwards, as a
+    mean is, rather than weighted by 1/|a| in the products.  When 1 + sum
+    of k_c exceeds ``consensus.BATCH_COLUMNS``, the clusterings are split
+    in order into passes of at most that many columns, so E and KE take at
+    most 16 n BATCH_COLUMNS bytes; a clustering with more clusters than
+    that has a pass of its own.  Each pass reads every row of L again; the
+    candidates of the n = 1500 benchmark dataset take 51 and 61 columns at
+    seeds 0 and 1, one pass.
 
     Warns (SingletonClusterWarning) for each clustering with a cluster of
     size one; its within-scattering is exactly zero.
     """
-    dense = not isinstance(L, KernelMatrix)
-    mat = np.asarray(L, dtype=float) if dense else L
-    shape = mat.shape if dense else (L.n, L.n)
+    if not isinstance(L, KernelMatrix):
+        raise ConfigError(f"scatter_reports takes a KernelMatrix, got {type(L).__name__}")
+    n = L.n
     parts = []
     for clustering in clusterings:
-        if not isinstance(clustering, Partition):  # raw ids: 0..k-1, none unused
-            clustering = Partition(clustering, int(np.max(clustering, initial=-1)) + 1)
+        if not isinstance(clustering, Partition):
+            raise ConfigError(f"clusterings must be Partitions, got {type(clustering).__name__}")
         labels, k = clustering.labels, clustering.k
-        if shape != (labels.size, labels.size):
-            raise ConfigError(f"kernel is {shape}, labels have length {labels.size}")
+        if labels.size != n:
+            raise ConfigError(f"kernel is {(n, n)}, labels have length {labels.size}")
         if k < 2:
             raise ConfigError("scatter statistics need at least two clusters")
         parts.append((labels, k, np.bincount(labels, minlength=k)))
-    n = shape[0]
     parts.insert(0, (np.zeros(n, dtype=np.int64), 1, np.array([n])))  # the whole sample
 
     # passes of at most BATCH_COLUMNS indicator columns, or one clustering
@@ -144,7 +134,7 @@ def scatter_reports(L, clusterings) -> list[ScatterReport]:
             width = 0
         passes[-1].append(part)
         width += part[1]
-    stats = [stat for group in passes for stat in _scatter_pass(mat, n, group)]
+    stats = [stat for group in passes for stat in _scatter_pass(L, n, group)]
     v_s = float(stats[0][0][0])
 
     reports = []

@@ -6,7 +6,8 @@ member lists, candidate clusterings from both at every threshold, the
 agreement index via raw pair counting with exact rationals, subset
 probabilities via dense determinant enumeration, exact DPP draws by
 re-orthonormalising the whole basis after every pick, scatter
-statistics via explicit coordinates under a dot-product kernel, and the
+statistics via explicit coordinates under a dot-product kernel and via
+direct block sums under any dense kernel, and the
 bandwidth as an exact rational mean over every pair.  scipy,
 which the package no longer imports on its clustering path, is the
 reference for distances and for the pivoted Cholesky factor.  Two rules
@@ -265,6 +266,42 @@ def linear_kernel_scatter(x: np.ndarray, labels: np.ndarray):
             num += sizes[i] * sizes[j] * np.sqrt(b[i, j])
             den += sizes[i] * sizes[j]
     return {"v_s": v_s, "w": w, "w_v": w_v, "b2": b, "b_v": num / den, "sizes": sizes}
+
+
+def kernel_scatter(entries, labels) -> ScatterReport:
+    """Scatter statistics of ``labels`` (ids 0..k-1, none empty) under any
+    dense symmetric kernel, every block sum added up directly from its
+    members' entries, with no matrix product: the block means M_ab = sum
+    of K[i, j] over i in a, j in b, divided by |a| |b|; member i's squared
+    distance to the mean of cluster a, K_ii - 2 mean_{j in a} K_ij + M_aa
+    (the whole sample as one cluster for V_S); and the squared distance
+    between the means of a and b, M_aa - 2 M_ab + M_bb, taken over a < b
+    and mirrored."""
+    K = np.asarray(entries, dtype=float)
+    labels = np.asarray(labels)
+    n, k = labels.size, int(labels.max()) + 1
+    members = [np.flatnonzero(labels == a) for a in range(k)]
+    sizes = np.array([idx.size for idx in members])
+    # the rows and columns grouped by cluster, each block summed in place
+    order, starts = np.concatenate(members), np.cumsum(sizes) - sizes
+    grouped = K[np.ix_(order, order)]
+    sums = np.add.reduceat(np.add.reduceat(grouped, starts, axis=0), starts, axis=1)
+    means = sums / np.outer(sizes, sizes)
+
+    def mean_distance(idx, block_mean):
+        sq = K[idx, idx] - 2.0 * K[np.ix_(idx, idx)].mean(axis=1) + block_mean
+        return float(np.sqrt(np.clip(sq, 0.0, None)).mean())
+
+    v_s = mean_distance(np.arange(n), K.mean())
+    w = np.array([mean_distance(idx, means[a, a]) for a, idx in enumerate(members)])
+    b2 = np.zeros((k, k))
+    num = den = 0.0
+    for a, b in itertools.combinations(range(k), 2):
+        b2[a, b] = b2[b, a] = max(0.0, means[a, a] - 2.0 * means[a, b] + means[b, b])
+        num += sizes[a] * sizes[b] * np.sqrt(b2[a, b])
+        den += sizes[a] * sizes[b]
+    w_v = float(w.sum() / (k * v_s)) if v_s > 0 else 0.0
+    return ScatterReport(v_s, w, w_v, b2, float(num / den), sizes, n)
 
 
 def wcss(x: np.ndarray, labels: np.ndarray) -> float:

@@ -17,11 +17,14 @@ from dppcluster import (
     accumulate,
     ari,
     build_artifacts,
+    candidate_clusterings,
     ensemble_runs,
     generate_mixture,
+    kvi,
 )
 from dppcluster import bench, pipeline
 from dppcluster.bench import benchmark, diversity_series, prefix_selection
+from oracles import kernel_scatter
 
 
 @pytest.fixture(scope="module")
@@ -259,12 +262,16 @@ class TestSharedPool:
 
 def test_selection_never_materialises_the_kernel(monkeypatch, mini_dataset):
     # select_clustering and prefix_consensus read the implicit kernel in row
-    # blocks, and choose what the dense kernel chooses
+    # blocks, and choose what the block sum oracle chooses on the dense kernel
     cfg = PipelineConfig(seed=5, consensus=ConsensusConfig(runs=30))
     arts = build_artifacts(mini_dataset.data)
     parts = ensemble_runs(arts, cfg).partitions
     consensus = accumulate(parts, arts.n)
-    dense = pipeline.select_clustering(arts.kernel.entries, consensus, cfg.consensus)
+    entries = arts.kernel.entries
+    dense = kvi(
+        (clus, kernel_scatter(entries, clus.labels))
+        for clus in candidate_clusterings(consensus, cfg.consensus)
+    )
 
     def materialised(*_args, **_kwargs):
         raise AssertionError("the dense kernel was built")

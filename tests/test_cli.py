@@ -107,6 +107,30 @@ class TestClusterCommand:
         result = runner.invoke(main, ["cluster", str(tmp_path / "nope.csv")])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("where", ["data", "labels", "out"])
+    def test_directory_in_place_of_a_file_exits_3(self, runner, blob_csv, tmp_path, where):
+        data_path, labels_path = blob_csv
+        paths = {"data": data_path, "labels": labels_path, "out": tmp_path / "report.json"}
+        paths[where] = tmp_path
+        result = runner.invoke(
+            main,
+            ["cluster", str(paths["data"]), "--labels", str(paths["labels"]),
+             "--runs", "10", "--out", str(paths["out"])],
+        )
+        assert result.exit_code == 3
+        assert "error:" in result.output and "Traceback" not in result.output
+
+    @pytest.mark.parametrize("flag", [None, "--labels"])
+    def test_undecodable_csv_exits_3(self, runner, blob_csv, tmp_path, flag):
+        data_path, labels_path = blob_csv
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"1,2\n\xff\xfe\x00\x81,3\n")
+        args = ["cluster", str(data_path), "--labels", str(labels_path), "--runs", "10"]
+        args[1 if flag is None else 3] = str(binary)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert "error:" in result.output and "not UTF-8" in result.output
+
     def test_degenerate_data_exits_3(self, runner, tmp_path):
         f = tmp_path / "const.csv"
         f.write_text("1,1\n1,1\n1,1\n")

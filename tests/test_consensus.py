@@ -41,9 +41,10 @@ from oracles import (
 DATA = Path(__file__).parent / "data"
 
 
-def _p(labels):
-    labels = np.asarray(labels)
-    return Partition(labels, int(labels.max()) + 1)
+def _p(raw):
+    # the partition of any ids, numbered 0..k-1 in their order
+    uniq, labels = np.unique(raw, return_inverse=True)
+    return Partition(labels, uniq.size)
 
 
 def _random_consensus(rng, n, runs=10):
@@ -53,8 +54,7 @@ def _random_consensus(rng, n, runs=10):
         k = int(rng.integers(1, 5))
         raw = rng.integers(0, k, size=n)
         raw[:k] = np.arange(k)  # keep every id nonempty
-        uniq, inv = np.unique(raw, return_inverse=True)
-        parts.append(Partition(inv, len(uniq)))
+        parts.append(_p(raw))
     return accumulate(parts, n)
 
 
@@ -110,7 +110,7 @@ def _tied_consensus(draw, max_n=40):
     n = draw(st.integers(1, max_n))
     runs = draw(st.integers(1, 5))
     ids = st.integers(0, draw(st.integers(0, n - 1)))
-    parts = [np.array(draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(runs)]
+    parts = [_p(draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(runs)]
     return accumulate(parts, n)
 
 
@@ -213,7 +213,7 @@ def _merge_inputs(draw):
     n = draw(st.integers(2, 64))
     runs = draw(st.integers(1, 4))
     ids = st.integers(0, n - 1)
-    parts = [np.array(draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(runs)]
+    parts = [_p(draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(runs)]
     c = accumulate(parts, n)
     kind = draw(st.sampled_from(["threshold", "random", "equal"]))
     if kind == "threshold":
@@ -225,7 +225,7 @@ def _merge_inputs(draw):
         size = draw(st.integers(1, max(1, n // 3)))
         comp = np.arange(n) // size
         comp[draw(st.permutations(range(n)))] = comp.copy()
-    return c, comp, draw(st.integers(1, n))
+    return c, _p(comp), draw(st.integers(1, n))
 
 
 class TestFastPathsAgainstOracles:
@@ -234,7 +234,7 @@ class TestFastPathsAgainstOracles:
     def test_merge_small_matches_oracle(self, inputs):
         c, comp, min_size = inputs
         out = merge_small(comp, c, min_size)
-        labels, k, merged = merge_small_oracle(comp, c, min_size)
+        labels, k, merged = merge_small_oracle(comp.labels, c, min_size)
         assert np.array_equal(out.labels, labels)
         assert (out.k, out.merged) == (k, merged)
 
@@ -258,14 +258,15 @@ class TestFastPathsAgainstOracles:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_counts_match_pair_counting(self, runs, data):
-        # raw ids: unordered, negative, gappy; few ids at large n put many
-        # runs in one batch, many ids at small n spill runs across batches
-        # of a small column budget
+        # partitions of raw ids (unordered, negative, gappy); few ids at
+        # large n put many runs in one batch, many ids at small n spill runs
+        # across batches of a small column budget
         n = data.draw(st.integers(1, 48))
         low = data.draw(st.integers(-3, 3))
         ids = st.integers(low, low + data.draw(st.integers(0, 8)))
-        parts = [np.array(data.draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(runs)]
-        brute = sum((p[:, None] == p[None, :]).astype(np.int64) for p in parts)
+        raws = [np.array(data.draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(runs)]
+        brute = sum((p[:, None] == p[None, :]).astype(np.int64) for p in raws)
+        parts = [_p(raw) for raw in raws]
         cut = data.draw(st.integers(0, runs))
         for budget in (consensus.BATCH_COLUMNS, data.draw(st.integers(1, 9))):
             with pytest.MonkeyPatch.context() as patch:
@@ -295,11 +296,12 @@ class TestFastPathsAgainstOracles:
     def test_counts_at_column_budget_edges(self, widths, monkeypatch):
         n = 12
         rng = np.random.default_rng(len(widths))
-        parts = []
+        raws = []
         for k in widths:
             raw = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
-            parts.append(3 * rng.permutation(raw) - 7)  # gappy, negative raw ids
-        brute = sum((p[:, None] == p[None, :]).astype(np.int64) for p in parts)
+            raws.append(3 * rng.permutation(raw) - 7)  # gappy, negative raw ids
+        brute = sum((p[:, None] == p[None, :]).astype(np.int64) for p in raws)
+        parts = [_p(raw) for raw in raws]
         for budget in (consensus.BATCH_COLUMNS, 5):
             monkeypatch.setattr(consensus, "BATCH_COLUMNS", budget)
             counts = co_membership_counts(parts, n)
@@ -501,7 +503,7 @@ def _counts_and_grid_thresholds(draw):
     n = draw(st.integers(2, 30))
     ids = st.integers(0, draw(st.integers(0, n - 1)))
     distinct = [
-        np.array(draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(draw(st.integers(1, 4)))
+        _p(draw(st.lists(ids, min_size=n, max_size=n))) for _ in range(draw(st.integers(1, 4)))
     ]
     parts = [p for p in distinct for _ in range(draw(st.integers(1, 120)))]
     if len(parts) < 2:
@@ -559,7 +561,7 @@ class TestCounts:
         # every pair shares a cluster in every run, so each count is runs:
         # uint8's largest value at 255, one past uint8 and uint16 at 256
         # and 65 536
-        c = accumulate([np.zeros(4, dtype=np.int64)] * runs, 4)
+        c = accumulate([_p(np.zeros(4, dtype=np.int64))] * runs, 4)
         assert c.counts.dtype == dtype
         assert (c.counts == runs).all()
         assert np.array_equal(c.entries, np.ones((4, 4)))
@@ -645,7 +647,7 @@ class TestCounts:
         # about 17 n².
         n = 1000
         rng = np.random.default_rng(0)
-        parts = [rng.integers(0, 8, size=n) for _ in range(200)]
+        parts = [Partition(rng.integers(0, 8, size=n), 8) for _ in range(200)]
         tracemalloc.start()
         try:
             accumulate(parts, n)
@@ -662,7 +664,7 @@ class TestCounts:
         # allocated took about 9 n²; the counts are the same either way.
         n = 1000
         rng = np.random.default_rng(0)
-        parts = [rng.integers(0, 8, size=n) for _ in range(200)]
+        parts = [Partition(rng.integers(0, 8, size=n), 8) for _ in range(200)]
         tracemalloc.start()
         try:
             c = accumulate(parts, n)
@@ -670,7 +672,7 @@ class TestCounts:
         finally:
             tracemalloc.stop()
         assert peak < 7.5 * n * n
-        head = sum((p[:60, None] == p[None, :60]).astype(int) for p in parts)
+        head = sum((p.labels[:60, None] == p.labels[None, :60]).astype(int) for p in parts)
         assert np.array_equal(c.counts[:60, :60], head)
 
     def test_counts_take_n_squared_bytes_and_linear_transients(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dppcluster import ShapeMismatch, ari, contingency, rn
+from dppcluster import DegenerateData, ShapeMismatch, ari, rn
 from oracles import ari_pair_oracle
 
 
@@ -62,16 +62,21 @@ class TestAri:
         with pytest.raises(ShapeMismatch):
             ari([0, 1], [0, 1, 2])
 
+    def test_cross_tabulated_pair_counts(self):
+        # table [[1, 1], [0, 2]]: 1 pair shared, 2 pairs in the first
+        # labeling (row sums 2, 2) and 3 in the second (column sums 1, 3)
+        # of 6; 2 * 3 / 6 = 1 shared pair expected by chance, so ARI is 0
+        a, b = [0, 0, 1, 1], [0, 1, 1, 1]
+        assert ari(a, b) == ari_pair_oracle(a, b) == 0.0
+        assert ari(a, [1, 0, 0, 0]) == 0.0
+
+    @pytest.mark.parametrize("labels", [[], [3]])
+    def test_fewer_than_two_observations(self, labels):
+        with pytest.raises(DegenerateData):
+            ari(labels, labels)
+
     def test_string_labels_accepted(self):
         assert ari(["a", "a", "b"], [0, 0, 1]) == 1.0
-
-
-class TestContingency:
-    def test_counts_sum_to_n(self):
-        t = contingency([0, 0, 1, 1], [0, 1, 1, 1])
-        assert t.counts.sum() == t.n == 4
-        assert t.row_sums.tolist() == [2, 2]
-        assert t.col_sums.tolist() == [1, 3]
 
 
 class TestRn:

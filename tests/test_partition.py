@@ -207,3 +207,16 @@ class TestPartitionType:
     def test_bad_labels_raise_package_errors(self, cls, labels, k, error):
         with pytest.raises(error):
             cls(np.array(labels), k)
+
+
+class TestCompactLabels:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 500), min_size=1, max_size=8), st.data())
+    def test_matches_unique_inverse(self, pool, data):
+        # nonnegative ids with gaps (or none), in any order and multiplicity
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
+        raw = np.array(pool)[picks]
+        labels, k = compact_labels(raw)
+        uniq, expected = np.unique(raw, return_inverse=True)
+        assert np.array_equal(labels, expected) and k == uniq.size
+        assert isinstance(k, int)

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,19 +9,32 @@ from hypothesis import strategies as st
 from dppcluster import (
     Clustering,
     ConfigError,
+    ConsensusConfig,
     DegenerateScatter,
     NoCandidates,
     SingletonClusterWarning,
+    accumulate,
     build_rbf_kernel,
     estimate_bandwidth,
     kvi,
+    merge_small,
     scatter,
+    select_clustering,
     similarity_ratio,
 )
 from dppcluster import validation
 from dppcluster.consensus import BATCH_COLUMNS
 from dppcluster.validation import CandidateScore, ScatterReport, scatter_reports
-from oracles import kvi_oracle, linear_kernel_scatter
+from oracles import kernel_scatter, kvi_oracle, linear_kernel_scatter
+
+
+# Tolerance of the package's scatter statistics against the block sum
+# oracle on the same entries (in [0, 1], n <= 150 here).  The two sum in
+# different orders, so their squared distances differ by up to about
+# 4 n u = 7e-14 (u = 2^-53), and the square roots of squared distances
+# near 0 by up to sqrt(4 n u) < 3e-7; 2e-9 was the largest difference seen
+# over 3000 random cases.
+ORACLE_ATOL = 3e-7
 
 
 def _clus(labels, threshold=None):
@@ -28,10 +42,20 @@ def _clus(labels, threshold=None):
     return Clustering(labels, int(labels.max()) + 1, threshold=threshold)
 
 
+def _kernel(x):
+    return build_rbf_kernel(x, estimate_bandwidth(x))
+
+
+def _read_entries(L):
+    # the kernel entries the scatter pass reads, in its blocks of rows
+    step = validation._SCATTER_ROWS
+    return np.vstack([L.expanded_block(top, top + step) for top in range(0, L.n, step)])
+
+
 class TestScatter:
     def test_all_identical_points(self):
         # all-ones kernel: zero spread everywhere
-        L = np.ones((6, 6))
+        L = build_rbf_kernel(np.zeros((6, 2)), 1.0)
         with pytest.warns(SingletonClusterWarning):
             rep = scatter(L, _clus([0, 0, 0, 0, 0, 1]))
         assert rep.v_s == 0.0
@@ -39,7 +63,8 @@ class TestScatter:
 
     def test_linear_kernel_matches_coordinates(self):
         # dot-product kernel: the feature map is the identity, so every
-        # statistic has a closed coordinate form
+        # statistic has a closed coordinate form, against which the block
+        # sum oracle is checked; the package is checked against that oracle
         rng = np.random.default_rng(0)
         for trial in range(5):
             n = int(rng.integers(10, 50))
@@ -47,17 +72,20 @@ class TestScatter:
             labels = rng.integers(0, 3, size=n)
             labels[:3] = [0, 1, 2]
             expected = linear_kernel_scatter(x, labels)
-            rep = scatter(x @ x.T, _clus(labels))
+            rep = kernel_scatter(x @ x.T, labels)
             assert rep.v_s == pytest.approx(expected["v_s"], abs=1e-9)
             assert rep.w_per_cluster == pytest.approx(expected["w"], abs=1e-9)
             assert rep.w_v == pytest.approx(expected["w_v"], abs=1e-9)
             assert rep.b_pairwise == pytest.approx(expected["b2"], abs=1e-9)
             assert rep.b_v == pytest.approx(expected["b_v"], abs=1e-9)
+            L = _kernel(x)
+            oracle = kernel_scatter(_read_entries(L), labels)
+            _assert_reports_close(scatter(L, _clus(labels)), oracle)
 
     def test_coinciding_cluster_means_give_zero_between(self):
-        # clusters {-1, 1} and {-2, 2} share the centroid 0
-        x = np.array([-1.0, 1.0, -2.0, 2.0])
-        rep = scatter(np.outer(x, x), _clus([0, 0, 1, 1]))
+        # clusters {0, 5} and {0, 5}: the same points, so the same mean
+        x = np.array([0.0, 5.0, 0.0, 5.0, 9.0, 9.5])
+        rep = scatter(_kernel(x), _clus([0, 0, 1, 1, 2, 2]))
         assert rep.b_pairwise[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_b_pairwise_symmetric_zero_diagonal(self):
@@ -80,34 +108,26 @@ class TestScatter:
 
     def test_requires_two_clusters(self):
         with pytest.raises(ConfigError):
-            scatter(np.eye(3), _clus([0, 0, 0]))
+            scatter(_kernel(np.arange(3.0)), _clus([0, 0, 0]))
 
-    def test_kernel_matrix_shape_mismatch_matches_dense(self):
-        x = np.random.default_rng(5).normal(size=(6, 2))
-        L = build_rbf_kernel(x, estimate_bandwidth(x))
-        short = _clus([0, 0, 1, 1, 1])
-        with pytest.raises(ConfigError) as implicit:
-            scatter(L, short)
-        with pytest.raises(ConfigError) as dense:
-            scatter(L.entries, short)
-        assert str(implicit.value) == str(dense.value) == "kernel is (6, 6), labels have length 5"
-
-    def test_raw_labels_score_as_their_clustering(self):
-        x = np.random.default_rng(6).normal(size=(6, 2))
-        L = build_rbf_kernel(x, estimate_bandwidth(x))
-        labels = [0, 1, 1, 0, 2, 2]
-        _assert_reports_close(scatter(L, labels), scatter(L, _clus(labels)), rtol=0)
+    def test_length_mismatch_names_both_sizes(self):
+        L = _kernel(np.random.default_rng(5).normal(size=(6, 2)))
+        with pytest.raises(ConfigError, match=r"^kernel is \(6, 6\), labels have length 5$"):
+            scatter(L, _clus([0, 0, 1, 1, 1]))
 
     @pytest.mark.parametrize("labels", [[0, 0, 2, 2], [0, 1, -1, -1]])
     def test_raw_labels_with_a_gap_or_a_negative_id_rejected(self, labels):
-        # a gap left an empty cluster with nan scatter; a negative id got
-        # numpy's ValueError from bincount
-        x = np.random.default_rng(7).normal(size=(4, 2))
+        # a gap once left an empty cluster with nan scatter, and a negative
+        # id numpy's ValueError from bincount; no clustering holds such ids,
+        # and raw labels are not scored at all
+        L = _kernel(np.random.default_rng(7).normal(size=(4, 2)))
+        with pytest.raises(ConfigError, match="contiguous ids"):
+            _clus(labels)
         for raw in (labels, np.array(labels)):
-            with pytest.raises(ConfigError, match="contiguous ids"):
-                scatter(x @ x.T, raw)
-            with pytest.raises(ConfigError, match="contiguous ids"):
-                scatter_reports(x @ x.T, [_clus([0, 1, 0, 1]), raw])
+            with pytest.raises(ConfigError, match="Partition"):
+                scatter(L, raw)
+            with pytest.raises(ConfigError, match="Partition"):
+                scatter_reports(L, [_clus([0, 1, 0, 1]), raw])
 
 
 @st.composite
@@ -127,10 +147,10 @@ def _scatter_inputs(draw, count=1):
     return x, clusterings
 
 
-def _assert_reports_close(a, b, rtol):
+def _assert_reports_close(a, b, rtol=0.0, atol=ORACLE_ATOL):
     assert a.n == b.n and np.array_equal(a.sizes, b.sizes)
     for field in ("v_s", "w_per_cluster", "w_v", "b_pairwise", "b_v"):
-        np.testing.assert_allclose(getattr(a, field), getattr(b, field), rtol=rtol, atol=0)
+        np.testing.assert_allclose(getattr(a, field), getattr(b, field), rtol=rtol, atol=atol)
 
 
 class TestStreamedScatterProperties:
@@ -138,14 +158,19 @@ class TestStreamedScatterProperties:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_scatter_inputs())
     def test_matches_coordinate_oracle(self, inputs):
+        # the block sum oracle against coordinates under the dot-product
+        # kernel, then the package against that oracle on a Gaussian kernel
         x, (clus,) = inputs
         scale = max(1.0, float((x**2).sum(axis=1).max()))  # kernel entries reach this
         expected = linear_kernel_scatter(x, clus.labels)
-        rep = scatter(x @ x.T, clus)
-        assert rep.v_s == pytest.approx(expected["v_s"], abs=1e-9 * scale)
-        assert rep.w_per_cluster == pytest.approx(expected["w"], abs=1e-9 * scale)
-        assert rep.b_pairwise == pytest.approx(expected["b2"], abs=1e-9 * scale)
-        assert rep.b_v == pytest.approx(expected["b_v"], abs=1e-9 * scale)
+        oracle = kernel_scatter(x @ x.T, clus.labels)
+        assert oracle.v_s == pytest.approx(expected["v_s"], abs=1e-9 * scale)
+        assert oracle.w_per_cluster == pytest.approx(expected["w"], abs=1e-9 * scale)
+        assert oracle.b_pairwise == pytest.approx(expected["b2"], abs=1e-9 * scale)
+        assert oracle.b_v == pytest.approx(expected["b_v"], abs=1e-9 * scale)
+        L = _kernel(x)
+        rep = scatter(L, clus)
+        _assert_reports_close(rep, kernel_scatter(_read_entries(L), clus.labels))
         assert np.all(rep.w_per_cluster[rep.sizes == 1] == 0.0)
 
     @pytest.mark.filterwarnings("ignore::dppcluster.errors.SingletonClusterWarning")
@@ -153,16 +178,16 @@ class TestStreamedScatterProperties:
     @given(_scatter_inputs(count=3))
     def test_implicit_kernel_and_batches_match_dense_single(self, inputs):
         # each candidate scored from the implicit kernel beside the others
-        # scores as it does alone on the dense kernel of the same entries,
-        # the expanded ones the scatter pass reads
+        # scores as it does alone, and as the block sum oracle scores it on
+        # the dense entries the scatter pass reads
         x, clusterings = inputs
-        L = build_rbf_kernel(x, estimate_bandwidth(x))
-        entries = np.vstack([L.expanded_block(top, top + 64) for top in range(0, L.n, 64)])
+        L = _kernel(x)
+        entries = _read_entries(L)
         for clus, rep in zip(clusterings, scatter_reports(L, clusterings)):
-            dense = scatter(entries, clus)
-            _assert_reports_close(scatter(L, clus), dense, rtol=1e-12)
-            _assert_reports_close(rep, dense, rtol=1e-12)
-            assert np.all(dense.w_per_cluster[dense.sizes == 1] == 0.0)
+            alone = scatter(L, clus)
+            _assert_reports_close(rep, alone, rtol=1e-12, atol=0)
+            _assert_reports_close(alone, kernel_scatter(entries, clus.labels))
+            assert np.all(alone.w_per_cluster[alone.sizes == 1] == 0.0)
 
 
     def test_many_clusters_split_into_bounded_passes(self):
@@ -185,9 +210,8 @@ class TestStreamedScatterProperties:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 2 * 8 * n * BATCH_COLUMNS
-        dense = L.entries
         for clus, rep in zip(cands, reports):
-            _assert_reports_close(rep, scatter(dense, clus), rtol=1e-12)
+            _assert_reports_close(rep, scatter(L, clus), rtol=1e-12, atol=0)
 
     @pytest.mark.filterwarnings("ignore::dppcluster.errors.SingletonClusterWarning")
     def test_clusterings_wider_than_the_budget_get_their_own_pass(self, monkeypatch):
@@ -217,11 +241,44 @@ class TestStreamedScatterProperties:
             _assert_reports_close(rep, single, rtol=1e-12)
 
 
+@pytest.fixture(scope="module")
+def six_points():
+    kernel = _kernel(np.random.default_rng(8).normal(size=(6, 2)))
+    clus = _clus([0, 0, 0, 1, 1, 1])
+    return SimpleNamespace(
+        kernel=kernel, dense=kernel.entries, raw=np.array(clus.labels), clus=clus,
+        consensus=accumulate([clus], 6), cfg=ConsensusConfig(runs=1, thresholds=(0.6,)),
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: accumulate([s.clus, s.raw], 6),
+        lambda s: merge_small(s.raw, s.consensus, 2),
+        lambda s: scatter(s.kernel, s.raw),
+        lambda s: scatter_reports(s.kernel, [s.clus, s.raw]),
+        lambda s: scatter(s.dense, s.clus),
+        lambda s: scatter_reports(s.dense, [s.clus]),
+        lambda s: select_clustering(s.dense, s.consensus, s.cfg),
+    ],
+    ids=[
+        "accumulate-labels", "merge_small-labels", "scatter-labels", "scatter_reports-labels",
+        "scatter-ndarray", "scatter_reports-ndarray", "select_clustering-ndarray",
+    ],
+)
+def test_only_partitions_and_kernel_matrices_accepted(six_points, call):
+    # consensus and selection take one label type and one kernel type:
+    # a raw label array or a dense kernel array is refused, not converted
+    with pytest.raises(ConfigError, match="Partition|KernelMatrix"):
+        call(six_points)
+
+
 class TestSimilarityRatio:
     def test_zero_within_gives_one(self):
         # two duplicate groups: perfectly compact clusters
         x = np.array([0.0, 0.0, 0.0, 10.0, 10.0, 10.0])
-        rep = scatter(np.outer(x, x), _clus([0, 0, 0, 1, 1, 1]))
+        rep = scatter(_kernel(x), _clus([0, 0, 0, 1, 1, 1]))
         assert rep.w_v == 0.0
         assert similarity_ratio(rep) == 1.0
 
@@ -241,7 +298,7 @@ class TestSimilarityRatio:
         # 1-D {0,1,2} vs {10,11,12} under the dot-product kernel:
         # V_S = 5, W_V = 2/15, B_V = 10, so SR = 1 - (6/5)(2/152) = 187/190
         x = np.array([0.0, 1.0, 2.0, 10.0, 11.0, 12.0])
-        rep = scatter(np.outer(x, x), _clus([0, 0, 0, 1, 1, 1]))
+        rep = kernel_scatter(np.outer(x, x), [0, 0, 0, 1, 1, 1])
         assert similarity_ratio(rep) == pytest.approx(187.0 / 190.0, abs=1e-12)
 
     def test_degenerate_scatter(self):
@@ -259,7 +316,8 @@ class TestSimilarityRatio:
 
 
 class TestKvi:
-    # 1-D fixture 0,1 | 4,5 | 8,9 | 12,13 under the dot-product kernel.
+    # 1-D fixture 0,1 | 4,5 | 8,9 | 12,13 under the dot-product kernel,
+    # scored by the block sum oracle.
     # Candidates: K=2 halves, K=3, K=4 pairs.  Hand arithmetic gives
     # alpha = B_tilde(K=4) = 4.0625 and index values 2.0625 / 2.2690972 /
     # 4.5703125, so the K=2 candidate wins.
@@ -270,7 +328,7 @@ class TestKvi:
         b = _clus([0, 0, 0, 0, 1, 1, 1, 1], threshold=0.6)
         c = _clus([0, 0, 1, 1, 2, 2, 2, 2], threshold=0.7)
         a = _clus([0, 0, 1, 1, 2, 2, 3, 3], threshold=0.9)
-        return [(cl, scatter(L, cl)) for cl in (b, c, a)]
+        return [(cl, kernel_scatter(L, cl.labels)) for cl in (b, c, a)]
 
     def test_frozen_hand_fixture(self):
         res = kvi(self._candidates())
@@ -317,7 +375,7 @@ class TestKvi:
         L = np.outer(x, x)
         degenerate = _clus([0, 0, 1, 1, 2, 2, 2, 2], threshold=0.6)
         healthy = _clus([0, 0, 0, 0, 1, 1, 1, 1], threshold=0.7)
-        res = kvi([(degenerate, scatter(L, degenerate)), (healthy, scatter(L, healthy))])
+        res = kvi([(cl, kernel_scatter(L, cl.labels)) for cl in (degenerate, healthy)])
         assert res.chosen is healthy
         excluded = [s for s in res.scores if s.excluded]
         assert len(excluded) == 1
@@ -328,12 +386,11 @@ class TestKvi:
         L = np.outer(x, x)
         degenerate = _clus([0, 0, 1, 1], threshold=0.6)
         with pytest.raises(NoCandidates):
-            kvi([(degenerate, scatter(L, degenerate))])
+            kvi([(degenerate, kernel_scatter(L, degenerate.labels))])
 
     def test_label_permutation_invariance(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(15, 2))
-        L = x @ x.T
+        L = _kernel(rng.normal(size=(15, 2)))
         labels = rng.integers(0, 3, size=15)
         labels[:6] = [0, 1, 2, 0, 1, 2]  # no singleton clusters
         rep1 = scatter(L, _clus(labels))
