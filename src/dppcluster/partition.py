@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ConfigError, ShapeMismatch
 from .kernel import KernelMatrix, as_data_matrix, expansion_error, sq_dists_between
 
-__all__ = ["Partition", "compact_labels", "voronoi_assign", "lloyd_kmeans"]
+__all__ = ["Partition", "voronoi_assign", "lloyd_kmeans"]
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,11 @@ class Partition:
 
 
 def compact_labels(raw) -> tuple[np.ndarray, int]:
-    """Relabel nonnegative integer ids to 0..k-1 in their order: each id
-    becomes the number of distinct ids below it, from one count of every id
-    up to the largest.  Ids already contiguous are returned as they are."""
+    """Relabel integer ids in [0, len(raw)) to 0..k-1 in their order: each
+    id becomes the number of distinct ids below it, from one count of every
+    id up to the largest.  The range is not checked, as every caller's ids
+    (nearest generators, component or cluster numbers) lie in it; a negative
+    id raises numpy's ValueError.  Contiguous ids are returned as they are."""
     raw = np.asarray(raw)
     counts = np.bincount(raw)
     if counts.all():
@@ -128,7 +130,7 @@ def lloyd_kmeans(data, init_centers, max_iter: int = 100, tol: float = 1e-6) -> 
         counts = np.bincount(raw, minlength=centers.shape[0])
         if (counts == 0).any():
             keep = counts > 0
-            raw = compact_labels(raw)[0]
+            raw = (np.cumsum(keep) - 1)[raw]
             counts, centers = counts[keep], centers[keep]
         k = centers.shape[0]
         # one bincount over the (cluster, feature) bins of every entry; each

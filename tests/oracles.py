@@ -304,6 +304,12 @@ def kernel_scatter(entries, labels) -> ScatterReport:
     return ScatterReport(v_s, w, w_v, b2, float(num / den), sizes, n)
 
 
+def unique_relabel(raw) -> tuple[np.ndarray, int]:
+    """Ids relabelled 0..k-1 in their order, and k, by ``np.unique``."""
+    ids, inverse = np.unique(np.asarray(raw), return_inverse=True)
+    return inverse, ids.size
+
+
 def wcss(x: np.ndarray, labels: np.ndarray) -> float:
     """Within-cluster sum of squared distances to cluster means."""
     total = 0.0

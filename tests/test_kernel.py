@@ -22,13 +22,13 @@ from dppcluster import (
 )
 from dppcluster import kernel as kernel_module
 from dppcluster.kernel import PIVOT_TOL, as_data_matrix, expansion_error, sq_dists_between
-from dppcluster.partition import compact_labels
 from oracles import (
     exact_mean_sq_dist,
     lapack_pivoted_spectrum,
     reconstruction_residual,
     scipy_sq_dists,
     scipy_sq_dists_between,
+    unique_relabel,
 )
 
 
@@ -690,7 +690,7 @@ class TestAgainstScipy:
         idx = np.random.default_rng(seed).choice(n, size=min(k, n), replace=False)
         ref = scipy_sq_dists_between(x[idx], x)
         assert np.array_equal(sq_dists_between(x[idx], x), ref)
-        expected, k_expected = compact_labels(np.argmin(ref, axis=0))
+        expected, k_expected = unique_relabel(np.argmin(ref, axis=0))
         part = voronoi_assign(x, idx)
         assert np.array_equal(part.labels, expected) and part.k == k_expected
 

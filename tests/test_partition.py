@@ -16,7 +16,7 @@ from dppcluster import (
 )
 from dppcluster.kernel import pairwise_sq_dists, sq_dists_between
 from dppcluster.partition import compact_labels
-from oracles import lloyd_oracle, wcss
+from oracles import lloyd_oracle, unique_relabel, wcss
 
 
 class TestVoronoiAssign:
@@ -48,7 +48,7 @@ class TestVoronoiAssign:
         x = rng.normal(size=(20, 3))
         d2 = pairwise_sq_dists(x)
         gens = GeneratorSet((1, 5, 9))
-        expected, k = compact_labels(np.argmin(d2[list(gens.indices)], axis=0))
+        expected, k = unique_relabel(np.argmin(d2[list(gens.indices)], axis=0))
         part = voronoi_assign(x, gens)
         assert np.array_equal(part.labels, expected) and part.k == k
 
@@ -61,7 +61,7 @@ class TestVoronoiAssign:
         for _ in range(20):
             idx = rng.choice(60, size=6, replace=False)
             first = [min(range(6), key=lambda g: (d2[i, idx[g]], g)) for i in range(60)]
-            expected, _ = compact_labels(first)
+            expected, _ = unique_relabel(first)
             assert np.array_equal(voronoi_assign(x, idx).labels, expected)
 
     def test_permutation_equivariance(self):
@@ -107,7 +107,7 @@ class TestVoronoiAssign:
             x[rng.integers(0, n, size=n // 2)] = x[rng.integers(0, n, size=n // 2)]
         x += offset
         idx = rng.choice(n, size=min(k, n), replace=False)
-        expected, k_expected = compact_labels(np.argmin(sq_dists_between(x[idx], x), axis=0))
+        expected, k_expected = unique_relabel(np.argmin(sq_dists_between(x[idx], x), axis=0))
         # on the data, and on a kernel's shared centred rows
         for data in (x, KernelMatrix(x, -1.0)):
             part = voronoi_assign(data, idx)
@@ -168,7 +168,7 @@ class TestLloydKmeans:
             x = np.asarray(rng.normal(size=(n, p)) * rng.uniform(0.1, 50.0, size=p), order=order)
             init = x[rng.choice(n, size=k, replace=False)]
             init[-1] += 1e3  # far away: drops out after the first assignment
-            labels, _ = compact_labels(lloyd_oracle(x, init))
+            labels, _ = unique_relabel(lloyd_oracle(x, init))
             assert np.array_equal(lloyd_kmeans(x, init).labels, labels)
 
     def test_bad_center_count_rejected(self):

@@ -28,12 +28,14 @@ from dppcluster.validation import CandidateScore, ScatterReport, scatter_reports
 from oracles import kernel_scatter, kvi_oracle, linear_kernel_scatter
 
 
-# Tolerance of the package's scatter statistics against the block sum
+# Tolerances of the package's scatter statistics against the block sum
 # oracle on the same entries (in [0, 1], n <= 150 here).  The two sum in
-# different orders, so their squared distances differ by up to about
-# 4 n u = 7e-14 (u = 2^-53), and the square roots of squared distances
-# near 0 by up to sqrt(4 n u) < 3e-7; 2e-9 was the largest difference seen
-# over 3000 random cases.
+# different orders, so their squared distances (b_pairwise) differ by up to
+# about 4 n u = 7e-14 (u = 2^-53), and the square roots of squared
+# distances near 0 (w, v_s, b_v) by up to sqrt(4 n u) < 3e-7.  Over 3000
+# random cases the largest differences seen were 1.9e-14 in b_pairwise and
+# 1.9e-9 in b_v.
+SQ_DIST_ATOL = 1e-12
 ORACLE_ATOL = 3e-7
 
 
@@ -80,7 +82,7 @@ class TestScatter:
             assert rep.b_v == pytest.approx(expected["b_v"], abs=1e-9)
             L = _kernel(x)
             oracle = kernel_scatter(_read_entries(L), labels)
-            _assert_reports_close(scatter(L, _clus(labels)), oracle)
+            _assert_matches_oracle(scatter(L, _clus(labels)), oracle)
 
     def test_coinciding_cluster_means_give_zero_between(self):
         # clusters {0, 5} and {0, 5}: the same points, so the same mean
@@ -147,10 +149,18 @@ def _scatter_inputs(draw, count=1):
     return x, clusterings
 
 
-def _assert_reports_close(a, b, rtol=0.0, atol=ORACLE_ATOL):
+def _assert_reports_close(a, b, rtol):
     assert a.n == b.n and np.array_equal(a.sizes, b.sizes)
     for field in ("v_s", "w_per_cluster", "w_v", "b_pairwise", "b_v"):
-        np.testing.assert_allclose(getattr(a, field), getattr(b, field), rtol=rtol, atol=atol)
+        np.testing.assert_allclose(getattr(a, field), getattr(b, field), rtol=rtol, atol=0)
+
+
+def _assert_matches_oracle(rep, oracle):
+    assert rep.n == oracle.n and np.array_equal(rep.sizes, oracle.sizes)
+    for field in ("v_s", "w_per_cluster", "w_v", "b_v"):
+        a, b = getattr(rep, field), getattr(oracle, field)
+        np.testing.assert_allclose(a, b, rtol=0, atol=ORACLE_ATOL)
+    np.testing.assert_allclose(rep.b_pairwise, oracle.b_pairwise, rtol=0, atol=SQ_DIST_ATOL)
 
 
 class TestStreamedScatterProperties:
@@ -170,7 +180,7 @@ class TestStreamedScatterProperties:
         assert oracle.b_v == pytest.approx(expected["b_v"], abs=1e-9 * scale)
         L = _kernel(x)
         rep = scatter(L, clus)
-        _assert_reports_close(rep, kernel_scatter(_read_entries(L), clus.labels))
+        _assert_matches_oracle(rep, kernel_scatter(_read_entries(L), clus.labels))
         assert np.all(rep.w_per_cluster[rep.sizes == 1] == 0.0)
 
     @pytest.mark.filterwarnings("ignore::dppcluster.errors.SingletonClusterWarning")
@@ -185,8 +195,8 @@ class TestStreamedScatterProperties:
         entries = _read_entries(L)
         for clus, rep in zip(clusterings, scatter_reports(L, clusterings)):
             alone = scatter(L, clus)
-            _assert_reports_close(rep, alone, rtol=1e-12, atol=0)
-            _assert_reports_close(alone, kernel_scatter(entries, clus.labels))
+            _assert_reports_close(rep, alone, rtol=1e-12)
+            _assert_matches_oracle(alone, kernel_scatter(entries, clus.labels))
             assert np.all(alone.w_per_cluster[alone.sizes == 1] == 0.0)
 
 
@@ -211,7 +221,7 @@ class TestStreamedScatterProperties:
             tracemalloc.stop()
         assert peak <= 1.5 * 2 * 8 * n * BATCH_COLUMNS
         for clus, rep in zip(cands, reports):
-            _assert_reports_close(rep, scatter(L, clus), rtol=1e-12, atol=0)
+            _assert_reports_close(rep, scatter(L, clus), rtol=1e-12)
 
     @pytest.mark.filterwarnings("ignore::dppcluster.errors.SingletonClusterWarning")
     def test_clusterings_wider_than_the_budget_get_their_own_pass(self, monkeypatch):
