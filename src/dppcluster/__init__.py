@@ -5,6 +5,15 @@ points are sampled by a determinantal point process over a Gaussian-kernel
 similarity matrix; includes uniform and k-means++ baselines, kernel-based
 model selection, external quality metrics, and a Gaussian-mixture benchmark
 generator.
+
+Every process pays for what ``import dppcluster`` loads.  It loads every
+submodule but ``io`` and ``cli``, and no process pool: ``pipeline``
+imports the pool, and with it ``multiprocessing``, ``socket`` and
+``logging``, only when a run asks for two or more workers.  ``bench`` and
+``simgen`` load here although a clustering run never calls them: the
+benchmark's tracer (``perfbench/tracing.py``) wraps only the modules
+loaded before it starts, and its sweep reads a scenario id inside the
+timed call.
 """
 
 from .bench import BenchmarkResult, benchmark, diversity_series

@@ -23,7 +23,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -209,6 +208,8 @@ def artifacts_pool(artifacts: KernelArtifacts, workers: int):
     """
     if workers <= 1:
         return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return ProcessPoolExecutor(
         max_workers=min(workers, max(2, cpus or 1)),
@@ -270,8 +271,11 @@ def select_clustering(
 
     The candidates' scatter statistics come from one pass over blocks of
     the rows of ``kernel`` (``scatter_reports``), a ``KernelMatrix`` that
-    is never materialised; any other type raises ConfigError.
+    is never materialised; any other type raises ConfigError before any
+    candidate is built.
     """
+    if not isinstance(kernel, KernelMatrix):
+        raise ConfigError(f"select_clustering takes a KernelMatrix, got {type(kernel).__name__}")
     cands = candidate_clusterings(consensus_matrix, cfg)
     return kvi(zip(cands, scatter_reports(kernel, cands)))
 
@@ -397,7 +401,8 @@ def run_pipeline(data, cfg: PipelineConfig, truth: Sequence[int] | None = None) 
     if truth is not None:
         truth_arr = np.asarray(truth)
         ari_val = ari(chosen.labels, truth_arr)
-        k_true = int(np.unique(truth_arr).size)
+        # counts keep np.unique off its hash path, which imports numpy.ma
+        k_true = int(np.unique(truth_arr, return_counts=True)[1].size)
         rn_val = rn(chosen.k, k_true)
         rn_abs_val = abs(rn_val)
 

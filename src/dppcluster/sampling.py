@@ -144,7 +144,9 @@ def sample_dpp_block(
     chosen: list[list[int]] = [[] for _ in streams]
     live = [j for j, idx in enumerate(kept) if idx.size]  # runs still drawing
     if live:
-        union = np.unique(np.concatenate([kept[j] for j in live]))
+        # the live runs' eigenindices, ascending and once each; a plain
+        # np.unique would import numpy.ma on its hash path
+        union = np.flatnonzero(np.bincount(np.concatenate([kept[j] for j in live])))
         E = spectral.eigenvectors[:, union]  # E_U, n x |U|
         Et = np.ascontiguousarray(E.T)
         masks = np.zeros((len(live), union.size))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import os
 from dataclasses import replace
@@ -216,7 +217,8 @@ class TestSharedPool:
         def forbidden(*_args, **_kwargs):
             raise AssertionError("a pool was opened at one worker")
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", forbidden)
+        # artifacts_pool imports the pool from concurrent.futures when it opens one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
         assert all(o.error is None for o in self._run(1, mini_dataset).outcomes)
 
     def test_prefix_error_lands_as_serially(self, mini_dataset):

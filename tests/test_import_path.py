@@ -1,6 +1,6 @@
 """The package, its CLI and the clustering path import only what they run:
 no scipy module until Box-Cox preprocessing or dataset generation asks for
-one."""
+one, and no process pool until a run asks for two or more workers."""
 
 import ast
 import json
@@ -109,7 +109,7 @@ def _unused_relative_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     bound = [
         alias.asname or alias.name
-        for node in tree.body
+        for node in ast.walk(tree)  # also inside functions and ``if TYPE_CHECKING:``
         if isinstance(node, ast.ImportFrom) and node.level > 0
         for alias in node.names
     ]
@@ -131,3 +131,111 @@ def test_no_unused_relative_imports(path):
 def test_unused_relative_import_detected():
     source = "from .errors import ConfigError, ShapeMismatch\n__all__ = []\nConfigError\n"
     assert _unused_relative_imports(source) == ["ShapeMismatch"]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f():\n    from .errors import ConfigError, ShapeMismatch\n    return ConfigError\n",
+        "if TYPE_CHECKING:\n    from .errors import ConfigError, ShapeMismatch\nx: ConfigError\n",
+    ],
+    ids=["in-function", "type-checking"],
+)
+def test_unused_nested_relative_import_detected(source):
+    assert _unused_relative_imports(source) == ["ShapeMismatch"]
+
+
+# Loaded on first use only: the process pool stack, which only a pool of
+# two or more workers uses; the file formats and the CLI, which the package
+# never imports; and numpy.ma, which a plain np.unique imports.
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+DEFERRED_MODULES = (*POOL_MODULES, "dppcluster.io", "dppcluster.cli", "numpy.ma")
+LOADED = "sorted(m for m in {modules!r} if m in sys.modules)"
+
+
+def test_run_at_one_worker_loads_no_deferred_module():
+    # the pool stack (multiprocessing, socket, selectors, logging) adds
+    # about 1.9 MB of RSS and 20 ms to an import, numpy.ma 1.25 MB and 10 ms
+    code = f"""
+import sys
+import numpy as np
+import dppcluster
+
+x = np.loadtxt({str(DATA / "iris.csv")!r}, delimiter=",")
+truth = np.loadtxt({str(DATA / "iris_labels.csv")!r}, dtype=np.int64)
+cfg = dppcluster.PipelineConfig(workers=1, consensus=dppcluster.ConsensusConfig(runs=20))
+assert dppcluster.run_pipeline(x, cfg, truth=truth).k_hat >= 2
+assert len(dppcluster.diversity_series(x, cfg)) == 40
+print({LOADED.format(modules=DEFERRED_MODULES)})
+"""
+    assert _run(code) == "[]"
+
+
+def test_cluster_command_leaves_the_pool_unloaded():
+    # the CLI's own imports, then a run at its default of one worker
+    code = f"""
+import sys
+from dppcluster.cli import main
+
+main(["cluster", {str(DATA / "iris.csv")!r}, "--runs", "10"], standalone_mode=False)
+print({LOADED.format(modules=POOL_MODULES)})
+"""
+    assert _run(code) == "[]"
+
+
+def test_benchmark_opens_its_pool_in_a_fresh_interpreter():
+    # the pool stack loads when the first pool opens, and the pooled
+    # outcomes are the serial ones
+    loaded = LOADED.format(modules=POOL_MODULES)
+    code = f"""
+import json, sys
+from dppcluster import ConsensusConfig, PipelineConfig, benchmark
+from dppcluster.simgen import parse_scenario_id
+
+spec = parse_scenario_id("n150-pmedium-klow")
+
+def outcomes(workers):
+    cfg = PipelineConfig(seed=2, workers=workers, consensus=ConsensusConfig(runs=20))
+    result = benchmark([spec], ["dpp", "uniform"], cfg, replicas=1, checkpoints=(10,))
+    return [
+        [o.method, o.error, o.k_hat, o.ari, o.trajectory[10], o.subset_sizes.tolist()]
+        for o in result.outcomes
+    ]
+
+serial = outcomes(1)
+before = {loaded}
+pooled = outcomes(2)
+print(json.dumps([before, {loaded}, serial == pooled, [o[1] for o in serial]]))
+"""
+    assert json.loads(_run(code)) == [[], sorted(POOL_MODULES), True, [None, None]]
+
+
+# The names ``from dppcluster import *`` binds.
+STAR_NAMES = [
+    "BenchmarkResult", "ClusterError", "Clustering", "ConfigError", "ConsensusConfig",
+    "ConsensusMatrix", "CsvFormatError", "DataError", "DegenerateData", "DegenerateScatter",
+    "GenerationExhausted", "GeneratorSet", "KernelArtifacts", "KernelMatrix", "LabeledDataset",
+    "MixtureModel", "NoCandidates", "NumericalError", "NumericalFailure", "Partition",
+    "PipelineConfig", "ResampleExhausted", "RngStream", "RunReport", "ScatterReport",
+    "ScenarioSpec", "SelectionResult", "ShapeMismatch", "SingletonClusterWarning",
+    "SpectralDecomposition", "accumulate", "ari", "bench", "benchmark", "boxcox_transform",
+    "build_artifacts", "build_rbf_kernel", "candidate_clusterings", "consensus",
+    "default_k_max", "diversity_series", "dpp_log_likelihood", "eigendecompose",
+    "ensemble_runs", "errors", "estimate_bandwidth", "estimate_overlap", "generate_mixture",
+    "generate_mixture_fixed", "kernel", "kvi", "lloyd_kmeans", "merge_small", "metrics",
+    "pairwise_sq_dists", "partition", "pipeline", "preprocess", "rn", "rng", "run_pipeline",
+    "sample_dpp", "sample_uniform", "sampling", "scatter", "scenario_grid",
+    "select_clustering", "simgen", "similarity_ratio", "spanning_tree", "standardize",
+    "threshold_components", "validation", "voronoi_assign",
+]
+
+
+def test_star_import_binds_every_exported_name():
+    code = """
+import json
+
+names = {}
+exec("from dppcluster import *", names)
+print(json.dumps(sorted(k for k in names if k != "__builtins__")))
+"""
+    assert json.loads(_run(code)) == sorted(STAR_NAMES)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import tracemalloc
 from concurrent.futures import Future
@@ -199,7 +200,8 @@ class TestPoolSize:
     # no real pool starts here: a pool of the requested size is the fault
     @pytest.fixture
     def stub(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _InlineExecutor)
+        # artifacts_pool imports the pool from concurrent.futures when it opens one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
         monkeypatch.setattr(pipeline, "_WORKER_ARTIFACTS", None)  # restored afterwards
         monkeypatch.setattr(_InlineExecutor, "sizes", [])
         return _InlineExecutor.sizes

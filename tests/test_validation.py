@@ -22,7 +22,7 @@ from dppcluster import (
     select_clustering,
     similarity_ratio,
 )
-from dppcluster import validation
+from dppcluster import pipeline, validation
 from dppcluster.consensus import BATCH_COLUMNS
 from dppcluster.validation import CandidateScore, ScatterReport, scatter_reports
 from oracles import kernel_scatter, kvi_oracle, linear_kernel_scatter
@@ -282,6 +282,16 @@ def test_only_partitions_and_kernel_matrices_accepted(six_points, call):
     # a raw label array or a dense kernel array is refused, not converted
     with pytest.raises(ConfigError, match="Partition|KernelMatrix"):
         call(six_points)
+
+
+def test_select_clustering_refuses_a_dense_kernel_before_any_candidate(six_points, monkeypatch):
+    # the kernel's type is checked first, and the error names the function called
+    def forbidden(*_args):
+        raise AssertionError("candidates built for a kernel that is refused")
+
+    monkeypatch.setattr(pipeline, "candidate_clusterings", forbidden)
+    with pytest.raises(ConfigError, match="^select_clustering takes a KernelMatrix, got ndarray$"):
+        select_clustering(six_points.dense, six_points.consensus, six_points.cfg)
 
 
 class TestSimilarityRatio:
