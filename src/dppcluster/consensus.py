@@ -30,15 +30,9 @@ __all__ = [
 # temporaries to a few hundred kilobytes at any n.
 _CHECK_ENTRIES = 1 << 16
 
-# Rows per block of a one-hot product: tall enough that the blocks together
-# run as fast as one symmetric product (measured at n = 1500 and 5000).
+# Rows per block of the label comparison and of merge_small's singleton
+# scan, whose buffers take n _PRODUCT_ROWS elements.
 _PRODUCT_ROWS = 256
-
-# Indicator columns per one-hot batch, so a batch takes 4 n BATCH_COLUMNS
-# bytes at any number of runs or clusters; 256 to 512 columns accumulated as
-# fast as batches of n columns at n = 1500.  Selection's scatter passes
-# share the budget.
-BATCH_COLUMNS = 256
 
 
 def _row_blocks(n: int):
@@ -177,62 +171,38 @@ def co_membership_counts(partitions, n: int) -> np.ndarray:
     smallest unsigned type that holds the number of runs R (uint8 for
     R <= 255, uint16 for R <= 65 535, then uint32), as a read-only array.
 
-    Built as batched one-hot products H Hᵀ.  H stacks one float32 0/1
-    indicator column per cluster of each run, in run order, and a batch
-    takes the next BATCH_COLUMNS of those columns, so a run's clusters may
-    spill into the next batch; the product sums over columns, so the split
-    changes no count.  A point has one 1 among a run's columns, so an entry
-    of a batch's product counts runs of that batch, at most
-    min(BATCH_COLUMNS, R): exact in float32 and in the count type.  One
-    batch buffer of 4 n BATCH_COLUMNS bytes is reused, and the product is
-    formed one row block of its upper trapezoid at a time (the flops of one
-    symmetric product, and 4 n _PRODUCT_ROWS bytes), so besides the counts
-    (n² bytes at R <= 255) the transients are O(n BATCH_COLUMNS) at any R
-    and any number of clusters.  Each block is cast to the count type
-    before it is added, so the sum is integer arithmetic; no entry exceeds
-    R, so it cannot overflow.  The lower triangle is copied from the upper
-    one at the end.  The cost stays n² flops per cluster column, so runs
-    with hundreds of clusters accumulate slower than by comparing labels.
+    Built by comparing labels, about n² R / 2 byte operations whatever the
+    number of clusters.  The runs' labels are stacked once as an R x n
+    array of the narrowest unsigned type that holds the largest id.  For
+    each _PRODUCT_ROWS-row block of the upper trapezoid and each run,
+    ``lab[rows, None] == lab[None, top:]`` fills one reused bool buffer,
+    added, viewed as uint8, to the count block in place: integer sums that
+    cannot overflow, as no entry exceeds R.  The lower triangle is copied
+    from the upper one at the end.  Besides the counts (n² bytes at
+    R <= 255), the transients are the label stack (R n bytes while ids fit
+    in uint8) and the buffer (n _PRODUCT_ROWS bytes).
 
-    Every run is a ``Partition``, whose ids 0..k-1 index its columns as
-    they are; anything else raises ConfigError.  Partial counts from
-    disjoint sets of runs can be added together, in a type that holds their
-    total, so accumulation parallelizes and is order-invariant.
+    Every run is a ``Partition``; anything else raises ConfigError.
+    Partial counts from disjoint sets of runs can be added together, in a
+    type that holds their total, so accumulation parallelizes and is
+    order-invariant.
     """
     partitions = list(partitions)
-    counts = np.zeros((n, n), dtype=np.min_scalar_type(len(partitions)))
-    hot = np.zeros((n, BATCH_COLUMNS), dtype=np.float32)
-    used = 0  # columns of hot filled
-
-    def add_batch():
-        for top in range(0, n, _PRODUCT_ROWS):
-            end = top + _PRODUCT_ROWS
-            counts[top:end, top:] += (hot[top:end, :used] @ hot[top:, :used].T).astype(counts.dtype)
-        hot[:, :used] = 0.0
-
-    every = np.arange(n)
     for part in partitions:
         if not isinstance(part, Partition):
             raise ConfigError(f"runs must be Partitions, got {type(part).__name__}")
-        lab, k = part.labels, part.k
-        if lab.shape != (n,):
-            raise ShapeMismatch(f"partition has {lab.shape} labels, expected ({n},)")
-        first = 0  # the run's clusters below this id are in earlier batches
-        while first < k:
-            width = min(k - first, BATCH_COLUMNS - used)
-            cols = hot[:, used : used + width]
-            if width == k:
-                cols[every, lab] = 1.0
-            else:  # clusters first .. first + width - 1 of a run that spills
-                rows = np.flatnonzero((lab >= first) & (lab < first + width))
-                cols[rows, lab[rows] - first] = 1.0
-            first += width
-            used += width
-            if used == BATCH_COLUMNS:
-                add_batch()
-                used = 0
-    if used:
-        add_batch()
+        if part.labels.shape != (n,):
+            raise ShapeMismatch(f"partition has {part.labels.shape} labels, expected ({n},)")
+    counts = np.zeros((n, n), dtype=np.min_scalar_type(len(partitions)))
+    top_id = max((part.k for part in partitions), default=1) - 1
+    lab = np.array([part.labels for part in partitions], np.min_scalar_type(top_id)).reshape(-1, n)
+    same = np.empty((_PRODUCT_ROWS, n), dtype=bool)
+    for top in range(0, n, _PRODUCT_ROWS):
+        end = min(top + _PRODUCT_ROWS, n)
+        block, eq = counts[top:end, top:], same[: end - top, : n - top]
+        for row in lab:
+            np.equal(row[top:end, None], row[None, top:], out=eq)
+            block += eq.view(np.uint8)
     for top in range(0, n, _PRODUCT_ROWS):
         end = top + _PRODUCT_ROWS
         counts[end:, top:end] = counts[top:end, end:].T
@@ -308,12 +278,19 @@ def merge_small(
     remains.  The surviving components are numbered 0..k-1 in the order of
     their input ids.
 
-    Cost per merge: one step of a heap of the undersized components and one
+    Singletons come first: the heap pops every one before any larger
+    component, in index order, and no merge changes a singleton's strongest
+    link, the argmax of its count row off its own column.  So one
+    ``argmax(axis=1)`` over chunks of _PRODUCT_ROWS singleton rows finds
+    every link, and a loop in index order merges each singleton into its
+    link's current component, skipping those an earlier merge has grown:
+    the heap's merges in the heap's order.  The heap is then built from the
+    sizes that remain; each later merge costs one heap step and one
     |inside| x n row block of the counts, in a signed integer type with -1
-    on the inside columns; the order of counts is the order of proportions.
-    The spanning tree's heaviest crossing edge gives the strongest link's
-    value but not the lexicographically smallest pair reaching it, and
-    counts tie often, so the rows are scanned.
+    on the inside columns (the order of counts is the order of
+    proportions).  The spanning tree's heaviest crossing edge gives the
+    strongest link's value but not the lexicographically smallest pair
+    reaching it, and counts tie often, so the rows are scanned.
     """
     if not isinstance(components, Partition):
         raise ConfigError(f"components must be a Partition, got {type(components).__name__}")
@@ -322,15 +299,34 @@ def merge_small(
     counts = C.counts
     scan_type = _signed(counts.dtype)
     labels, k = np.array(components.labels), components.k
+    sizes = np.bincount(labels)
+    merged = False
+    # the points of the undersized singletons (1 < min_size), in pop order
+    singles = np.flatnonzero(sizes[labels] < min(min_size, 2))
+    links = np.empty_like(singles)
+    for top in range(0, singles.size, _PRODUCT_ROWS):
+        rows = singles[top : top + _PRODUCT_ROWS]
+        link = counts[rows].astype(scan_type)
+        link[np.arange(rows.size), rows] = -1
+        links[top : top + _PRODUCT_ROWS] = link.argmax(axis=1)
+    sizes = sizes.tolist()
+    for point, j in zip(singles.tolist(), links.tolist()):
+        target = int(labels[point])
+        if k == 1 or sizes[target] > 1:  # one component left, or a singleton joined it
+            continue
+        dest = int(labels[j])
+        labels[point] = dest
+        sizes[dest] += 1
+        sizes[target] = 0
+        k -= 1
+        merged = True
     # sorted members of each component, from one stable sort of the labels
-    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-    sizes = [len(idx) for idx in members]
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
     # (size, smallest member, id) of the undersized components; an entry is
     # stale once its component's size has changed (absorbed ones read 0)
     heap = [(size, int(idx[0]), cid) for cid, (size, idx) in enumerate(zip(sizes, members))
-            if size < min_size]
+            if 0 < size < min_size]
     heapq.heapify(heap)
-    merged = False
     while heap and k > 1:
         size, _, target = heapq.heappop(heap)
         if size != sizes[target]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateData, ResampleExhausted, ShapeMismatch
-from .kernel import KernelMatrix, SpectralDecomposition, as_data_matrix
+from .kernel import KernelMatrix, SpectralDecomposition, _feature_sq_dists, as_data_matrix
 from .rng import RngStream, as_generator
 
 __all__ = [
@@ -206,7 +206,8 @@ def dpp_log_likelihood(L, subset, log_det_norm: float) -> float:
         return -log_det_norm
     if idx.min() < 0 or idx.max() >= L.n:
         raise ShapeMismatch(f"subset index out of range [0, {L.n})")
-    sub = L[np.ix_(idx, idx)]
+    f, k = L._features[:, idx], idx.size  # L[np.ix_(idx, idx)], bit for bit, less indexing
+    sub = np.exp(_feature_sq_dists(f[:, :, None], f[:, None, :], np.empty((k, k))) / L.scale)
     try:
         chol = np.linalg.cholesky(sub)
     except np.linalg.LinAlgError:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import BATCH_COLUMNS, Clustering
+from .consensus import Clustering
 from .errors import ConfigError, DegenerateScatter, NoCandidates, SingletonClusterWarning
 from .kernel import KernelMatrix
 from .partition import Partition
@@ -36,6 +36,9 @@ __all__ = [
 # are excluded from selection: the max/min ratio in the index explodes and the
 # configuration is degenerate.
 EPS_BETWEEN = 1e-12
+
+# Indicator columns per scatter pass (see scatter_reports).
+BATCH_COLUMNS = 256
 
 # Kernel rows per block of the scatter pass: no more than 64 n entries of a
 # KernelMatrix exist at a time.
@@ -100,10 +103,10 @@ def scatter_reports(L, clusterings) -> list[ScatterReport]:
     member i's squared distance to its cluster mean, 1 - 2 KE_c[i, c_i] /
     |c_i| + M_c[c_i, c_i].  Sums are divided by counts afterwards, as a
     mean is, rather than weighted by 1/|a| in the products.  When 1 + sum
-    of k_c exceeds ``consensus.BATCH_COLUMNS``, the clusterings are split
-    in order into passes of at most that many columns, so E and KE take at
-    most 16 n BATCH_COLUMNS bytes; a clustering with more clusters than
-    that has a pass of its own.  Each pass reads every row of L again; the
+    of k_c exceeds ``BATCH_COLUMNS``, the clusterings are split in order
+    into passes of at most that many columns, so E and KE take at most
+    16 n BATCH_COLUMNS bytes; a clustering with more clusters than that
+    has a pass of its own.  Each pass reads every row of L again; the
     candidates of the n = 1500 benchmark dataset take 51 and 61 columns at
     seeds 0 and 1, one pass.
 

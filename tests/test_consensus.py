@@ -228,10 +228,49 @@ def _merge_inputs(draw):
     return c, _p(comp), draw(st.integers(1, n))
 
 
+@st.composite
+def _singleton_inputs(draw):
+    # components that are mostly singletons, over counts of 1 to 1000 runs
+    # (uint16 past 255).  "tied" counts take two values, so links tie and
+    # the lexicographic pair decides; on a "rising" chain the strongest
+    # link of i is the later singleton i + 1, which an earlier merge may
+    # have grown; on a "falling" one it is i - 1, which an earlier merge
+    # may have absorbed into another component.  At n = 1 or 2, or with
+    # few components, k reaches 1 among the singletons.
+    n = draw(st.integers(1, 40))
+    runs = draw(st.sampled_from([1, 2, 7, 255, 256, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["tied", "rising", "falling"]))
+    if kind == "tied":
+        counts = rng.choice(rng.integers(0, runs + 1, size=2), size=(n, n))
+    else:
+        counts = rng.integers(0, runs // 2 + 1, size=(n, n))
+        i = np.arange(n - 1)
+        rise = i if kind == "rising" else i[::-1]
+        counts[i, i + 1] = np.minimum(runs // 2 + 1 + rise, runs)
+    counts = np.triu(counts, 1)
+    counts += counts.T
+    np.fill_diagonal(counts, runs)
+    comp = np.arange(n)
+    grouped = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.3]))
+    comp[grouped] = n + rng.integers(0, 3, size=int(grouped.sum()))
+    min_size = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, n + 1)))
+    return ConsensusMatrix(counts, runs), _p(comp), min_size
+
+
 class TestFastPathsAgainstOracles:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_merge_inputs())
     def test_merge_small_matches_oracle(self, inputs):
+        c, comp, min_size = inputs
+        out = merge_small(comp, c, min_size)
+        labels, k, merged = merge_small_oracle(comp.labels, c, min_size)
+        assert np.array_equal(out.labels, labels)
+        assert (out.k, out.merged) == (k, merged)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_singleton_inputs())
+    def test_singleton_pass_matches_oracle(self, inputs):
         c, comp, min_size = inputs
         out = merge_small(comp, c, min_size)
         labels, k, merged = merge_small_oracle(comp.labels, c, min_size)
@@ -258,9 +297,9 @@ class TestFastPathsAgainstOracles:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_counts_match_pair_counting(self, runs, data):
-        # partitions of raw ids (unordered, negative, gappy); few ids at
-        # large n put many runs in one batch, many ids at small n spill runs
-        # across batches of a small column budget
+        # partitions of raw ids (unordered, negative, gappy), counted in
+        # row blocks of the module's height, of one and five rows, and of
+        # n - 1, n and n + 1 rows around the whole matrix
         n = data.draw(st.integers(1, 48))
         low = data.draw(st.integers(-3, 3))
         ids = st.integers(low, low + data.draw(st.integers(0, 8)))
@@ -268,9 +307,9 @@ class TestFastPathsAgainstOracles:
         brute = sum((p[:, None] == p[None, :]).astype(np.int64) for p in raws)
         parts = [_p(raw) for raw in raws]
         cut = data.draw(st.integers(0, runs))
-        for budget in (consensus.BATCH_COLUMNS, data.draw(st.integers(1, 9))):
+        for height in (_PRODUCT_ROWS, 1, 5, max(1, n - 1), n, n + 1):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(consensus, "BATCH_COLUMNS", budget)
+                patch.setattr(consensus, "_PRODUCT_ROWS", height)
                 counts = co_membership_counts(parts, n)
                 split = co_membership_counts(parts[:cut], n) + co_membership_counts(parts[cut:], n)
             assert counts.dtype == np.uint8
@@ -280,21 +319,29 @@ class TestFastPathsAgainstOracles:
     @pytest.mark.parametrize(
         "widths",
         [
-            [4, 3, 5],  # 12 columns: the budget of 5 splits the second and third runs
-            [4, 3, 6],  # 13 columns: the second and third runs spill
-            [5, 7, 1],  # exactly 5, then a run over two batches, then one column
-            [12],  # a single run with k = n, over three batches of 5
+            [4, 3, 5],
+            [4, 3, 6],
+            [5, 7, 1],
+            [12],  # a single run with k = n
             [12, 12, 1, 12],  # full runs around a one-cluster run
-            [1] * 30,  # many one-cluster runs, six full batches of 5
-            [2, 3],  # exactly the budget of 5: one batch
-            [2, 3, 1],  # 5 + 1: the last run opens a second batch
-            [2, 4],  # 5 + 1 with the second run spilling one column
-            [1] * 256,  # R = 256: uint16 counts, exactly the module's budget
-            [3] * 200 + [1] * 57,  # R = 257: a run spills at both budgets
+            [1] * 30,  # many one-cluster runs
+            [2, 3],
+            [2, 3, 1],
+            [2, 4],
+            [1] * 256,  # R = 256: the first uint16 counts
+            [3] * 200 + [1] * 57,  # R = 257
+            [1] * 255,  # R = 255: the last uint8 counts
+            [256, 3],  # largest id 255: the last uint8 label stack
+            [257, 1],  # largest id 256: a uint16 label stack
+            [300, 2, 300],  # ids past 255 around a two-cluster run
         ],
     )
     def test_counts_at_column_budget_edges(self, widths, monkeypatch):
-        n = 12
+        # runs of the given numbers of clusters over n = max(12, widths)
+        # points, at the edges of the count type, the label type and the
+        # row blocks: blocks of the module's height (more than n up to
+        # n = 255), of one and five rows, and of n - 1, n and n + 1 rows
+        n = max(12, *widths)
         rng = np.random.default_rng(len(widths))
         raws = []
         for k in widths:
@@ -302,8 +349,8 @@ class TestFastPathsAgainstOracles:
             raws.append(3 * rng.permutation(raw) - 7)  # gappy, negative raw ids
         brute = sum((p[:, None] == p[None, :]).astype(np.int64) for p in raws)
         parts = [_p(raw) for raw in raws]
-        for budget in (consensus.BATCH_COLUMNS, 5):
-            monkeypatch.setattr(consensus, "BATCH_COLUMNS", budget)
+        for height in (_PRODUCT_ROWS, 1, 5, n - 1, n, n + 1):
+            monkeypatch.setattr(consensus, "_PRODUCT_ROWS", height)
             counts = co_membership_counts(parts, n)
             assert counts.dtype == (np.uint8 if len(parts) <= 255 else np.uint16)
             assert np.array_equal(counts, brute)
@@ -641,10 +688,10 @@ class TestCounts:
 
     def test_accumulate_holds_counts_and_one_batch(self):
         # n = 1000, R = 200 runs of 8 clusters: the uint8 counts (n² bytes),
-        # one float32 one-hot batch of BATCH_COLUMNS columns and one product
-        # block, 3.3 n² in all.  A batch of up to n columns took 6.7 n², and
-        # float64 counts beside a whole n x n float32 product of the batch
-        # about 17 n².
+        # the R x n uint8 label stack and one bool comparison block of
+        # _PRODUCT_ROWS rows, 1.5 n² in all.  Float32 one-hot batches of 256
+        # columns took 3.3 n², batches of up to n columns 6.7 n², and
+        # float64 counts beside a whole n x n float32 product about 17 n².
         n = 1000
         rng = np.random.default_rng(0)
         parts = [Partition(rng.integers(0, 8, size=n), 8) for _ in range(200)]
@@ -657,11 +704,12 @@ class TestCounts:
         assert peak < 12 * n * n
 
     def test_accumulate_copies_no_labels_and_holds_one_batch(self):
-        # the same runs: besides the uint8 counts, one batch and one product
-        # block; each run's labels are read where they are when the run
-        # reaches a batch.  Int64 ids, an int64 n x (runs in batch) index
-        # array and the previous batch still alive while the next was
-        # allocated took about 9 n²; the counts are the same either way.
+        # the same runs: besides the uint8 counts, each run's labels are
+        # copied once, into its uint8 row of the label stack, and every
+        # comparison reuses one bool block.  Int64 ids, an int64 n x (runs
+        # in batch) index array and a previous one-hot batch still alive
+        # while the next was allocated took about 9 n²; the counts are the
+        # same either way.
         n = 1000
         rng = np.random.default_rng(0)
         parts = [Partition(rng.integers(0, 8, size=n), 8) for _ in range(200)]
@@ -676,11 +724,14 @@ class TestCounts:
         assert np.array_equal(c.counts[:60, :60], head)
 
     def test_counts_take_n_squared_bytes_and_linear_transients(self):
-        # n = 2000, R = 200 runs of 8 clusters: the uint8 counts (n² bytes)
-        # beside one batch of BATCH_COLUMNS float32 columns, one product
-        # block of _PRODUCT_ROWS rows and its uint8 cast, measured at
-        # n² + 2.3 x 4 n BATCH_COLUMNS with 256 of each.  A batch of n
-        # columns (4 n² bytes) took n² + 7.9 of those units.
+        # n = 2000, R = 200 runs of 8 clusters: the uint8 counts (n² bytes),
+        # the R x n uint8 label stack and one n x _PRODUCT_ROWS bool block,
+        # plus numpy's buffers for the broadcast comparison (17-22 kB per
+        # call) and small objects: 26.5-28.3 kB above the three arrays at
+        # n = 500 to 3000 and R = 20 to 200.  The bound allows 64 kB.
+        # Float32 one-hot batches with a product block and its cast took
+        # n² + 2.3 x 4 n 256 bytes, a batch of n columns n² + 7.9 of those
+        # units.
         n = 2000
         rng = np.random.default_rng(0)
         parts = [Partition(rng.integers(0, 8, size=n), 8) for _ in range(200)]
@@ -690,5 +741,5 @@ class TestCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * n + 4 * n * (consensus.BATCH_COLUMNS + 2 * _PRODUCT_ROWS)
+        assert peak < n * n + 200 * n + n * _PRODUCT_ROWS + (64 << 10)
         assert counts.dtype == np.uint8 and not counts.flags.writeable

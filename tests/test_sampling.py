@@ -336,6 +336,32 @@ class TestLogLikelihood:
         val = dpp_log_likelihood(L, (), small_kernel_artifacts.log_det_norm)
         assert val == pytest.approx(-dense_norm)
 
+    @pytest.mark.parametrize(
+        "subset",
+        [
+            (3,),  # one index
+            (7, 2, 11),  # unsorted
+            (0, 5, 5, 9),  # duplicates
+            (14, 1, 8, 1, 3),
+            tuple(np.random.default_rng(2).permutation(300)[:250]),  # chunked differences
+        ],
+    )
+    def test_block_is_the_indexers_bit_for_bit(self, subset, monkeypatch):
+        # the k x k block factorised is L[np.ix_(idx, idx)], every bit
+        x = np.random.default_rng(4).normal(size=(300, 5))
+        L = build_rbf_kernel(x, 3.0)
+        blocks, cholesky = [], np.linalg.cholesky
+
+        def spy(a):
+            blocks.append(a.copy())
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        dpp_log_likelihood(L, subset, 0.5)
+        idx = np.array(subset)
+        (block,) = blocks
+        assert np.array_equal(block, L[np.ix_(idx, idx)])
+
     @pytest.mark.parametrize("as_array", [False, True])
     @pytest.mark.parametrize("subset", [(0, -1), (4, 5), (-6,)])
     def test_index_outside_the_points_is_rejected(self, small_kernel_artifacts, as_array, subset):

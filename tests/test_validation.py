@@ -23,8 +23,7 @@ from dppcluster import (
     similarity_ratio,
 )
 from dppcluster import pipeline, validation
-from dppcluster.consensus import BATCH_COLUMNS
-from dppcluster.validation import CandidateScore, ScatterReport, scatter_reports
+from dppcluster.validation import BATCH_COLUMNS, CandidateScore, ScatterReport, scatter_reports
 from oracles import kernel_scatter, kvi_oracle, linear_kernel_scatter
 
 
