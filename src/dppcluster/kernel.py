@@ -5,18 +5,20 @@ The kernel is the one similarity structure shared by the generator sampler,
 the consensus machinery and the validation indices, defined once per
 dataset by the data and the bandwidth and immutable afterwards, so any
 number of concurrent workers can read it.  No n x n array backs it:
-``KernelMatrix`` keeps the (n, p) data and computes each row, block or
-diagonal a caller asks for.
+``KernelMatrix`` keeps the (n, p) data and computes the entries a caller
+asks for.
 
 Entries come two ways; the bandwidth reads neither (one pass over the
-centred data gives it).  Exact entries add the squared feature differences
-in feature order, as scipy's ``pdist`` does, so each is bit-equal to
-exp(d2 / scale) over ``pairwise_sq_dists``; the pivoted factor and the
-likelihood's subset blocks read these.  Expanded entries take d2 = |x|^2 +
-|y|^2 - 2 x.y of the centred data from one matrix product per block, a
-tenth of the cost, within a rounding bound that grows with p
-(``expansion_error``); they serve the one pass over the whole kernel, the
-scatter statistics of the validation indices.
+centred data gives it).  Exact entries come from one accessor,
+``KernelMatrix.block(rows, cols)``, which adds the squared feature
+differences in feature order, as scipy's ``pdist`` does, so each is
+bit-equal to exp(d2 / scale) over ``pairwise_sq_dists``; the pivoted
+factor's rows, the likelihood's subset blocks and the dense ``entries``
+read these.  Expanded entries take d2 = |x|^2 + |y|^2 - 2 x.y of the
+centred data from one matrix product per block, a tenth of the cost,
+within a rounding bound that grows with p (``expansion_error``); they
+serve the one pass over the whole kernel, the scatter statistics of the
+validation indices.
 
 The Gaussian kernel of clustered data has low numerical rank, so its
 eigensystem comes from a pivoted Cholesky factor L ~ F F^T (Harbrecht,
@@ -113,31 +115,24 @@ def _add_squares(diff: np.ndarray, out: np.ndarray) -> None:
         out += diff[f]
 
 
-def _feature_sq_dists(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the squared distances between ``a`` and ``b`` to ``out``.
+def _feature_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The squared distances between the columns of the feature-major
+    ``a`` (p, m) and ``b`` (p, w), as a new (m, w) array.
 
-    ``a`` and ``b`` are feature-major, (p, ...), and their trailing axes
-    broadcast to ``out.shape``.  The squared differences are added feature
-    by feature in feature order, the summation of scipy's ``pdist`` and
-    ``cdist``, so every entry is bit-equal to theirs whatever the shape.
-    Past _CHUNK differences, runs in chunks along the first axis of
-    ``out``.  Overflow to infinity is left quiet.
+    The squared differences are added feature by feature in feature order,
+    the summation of scipy's ``pdist`` and ``cdist``, so every entry is
+    bit-equal to theirs.  Runs over chunks of rows of about _CHUNK
+    differences, at least one row each.  Overflow to infinity is left quiet.
     """
-    p = a.shape[0]
+    (p, m), w = a.shape, b.shape[1]
+    out = np.empty((m, w))
+    step = max(1, _CHUNK // (p * max(w, 1)))
+    diff = np.empty((p, min(step, m), w))
     with np.errstate(over="ignore"):
-        if p * out.size <= _CHUNK:  # one chunk; also a 0-d out
-            _add_squares(np.subtract(a, b), out)
-            return out
-        step = max(1, _CHUNK // (p * math.prod(out.shape[1:])))
-        diff = np.empty((p, step) + out.shape[1:])
-        for top in range(0, out.shape[0], step):
+        for top in range(0, m, step):
             acc = out[top : top + step]
             part = diff[:, : acc.shape[0]]
-            np.subtract(
-                a if a.shape[1] == 1 else a[:, top : top + step],
-                b if b.shape[1] == 1 else b[:, top : top + step],
-                out=part,
-            )
+            np.subtract(a[:, top : top + step, None], b[:, None, :], out=part)
             _add_squares(part, acc)
     return out
 
@@ -145,8 +140,7 @@ def _feature_sq_dists(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarr
 def sq_dists_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``a`` (m, p) and of
     ``b`` (w, p), as a new (m, w) array, bit-equal to scipy's ``cdist``."""
-    a, b = np.ascontiguousarray(np.transpose(a)), np.ascontiguousarray(np.transpose(b))
-    return _feature_sq_dists(a[:, :, None], b[:, None, :], np.empty((a.shape[1], b.shape[1])))
+    return _feature_sq_dists(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
 
 
 def pairwise_sq_dists(data) -> np.ndarray:
@@ -200,21 +194,6 @@ def estimate_bandwidth(data) -> float:
     return sigma2
 
 
-def _two_axes(index) -> tuple:
-    """The row and the column selector of an index into an n x n matrix."""
-    index = index if isinstance(index, tuple) else (index,)
-    if len(index) == 2 and index[0] is not Ellipsis and index[1] is not Ellipsis:
-        return index
-    for at, part in enumerate(index):
-        if part is Ellipsis:
-            index = index[:at] + (slice(None),) * (3 - len(index)) + index[at + 1 :]
-            break
-    index += (slice(None),) * (2 - len(index))
-    if len(index) != 2:
-        raise IndexError(f"too many indices for a kernel matrix: {len(index)}")
-    return index
-
-
 @dataclass(frozen=True)
 class KernelMatrix:
     """The Gaussian kernel exp(d2 / scale) of the rows of ``data``, d2 their
@@ -225,17 +204,14 @@ class KernelMatrix:
     must be finite (``as_data_matrix``) and is kept read-only: a read-only
     float64 array is shared, anything else is copied.
 
-    Indexing returns a new array of exact entries computed from the data:
-    a row ``K[i]``, row and column slices ``K[a:b, c:]``, a block
-    ``K[np.ix_(rows, cols)]``, pairs elementwise (``K[idx, idx]`` is a
-    diagonal) and ``K[...]``, with numpy's index semantics and the 0-d
-    array of one entry.  A result costs its own size plus a chunk of
-    per-feature differences, and every entry is bit-equal to
-    exp(pairwise_sq_dists(data) / scale) at the same index.  ``entries``
-    (and ``np.asarray``) materialise the dense n x n kernel, read-only,
-    anew on every access.  ``expanded_block`` gives row blocks from the
-    centred expansion instead, for passes over the whole kernel; its
-    centred rows (``expansion``) also serve ``voronoi_assign``.
+    ``block(rows, cols)`` returns the exact entries at rows x cols as a
+    new 2-d array computed from the data; it costs its own size plus a
+    chunk of per-feature differences, and every entry is bit-equal to
+    exp(pairwise_sq_dists(data) / scale) at the same place.  ``entries``
+    (and ``np.asarray``) materialise the dense n x n kernel through it,
+    read-only, anew on every access.  ``expanded_block`` gives row blocks
+    from the centred expansion instead, for passes over the whole kernel;
+    its centred rows (``expansion``) also serve ``voronoi_assign``.
     """
 
     data: np.ndarray
@@ -274,21 +250,13 @@ class KernelMatrix:
         right = np.column_stack([xc * (-2.0 / self.scale), ones, h])
         return left, right, sq
 
-    def __getitem__(self, index) -> np.ndarray:
-        rows, cols = _two_axes(index)
-        features = self._features
-        a, b = features[:, rows], features[:, cols]
-        ra, rb = a.ndim - 1, b.ndim - 1
-        if isinstance(rows, (slice, int, np.integer)) or isinstance(cols, (slice, int, np.integer)):
-            # an outer product: row axes first, then column axes
-            a = a.reshape(a.shape + (1,) * rb)
-            b = b.reshape(b.shape[:1] + (1,) * ra + b.shape[1:])
-        elif ra != rb:  # two index arrays, broadcast against each other
-            a = a.reshape(a.shape[:1] + (1,) * (rb - ra) + a.shape[1:])
-            b = b.reshape(b.shape[:1] + (1,) * (ra - rb) + b.shape[1:])
-        # axes of one broadcast to the other; a mismatch raises in the subtraction
-        shape = tuple(v if u == 1 else u for u, v in zip(a.shape[1:], b.shape[1:]))
-        out = _feature_sq_dists(a, b, np.empty(shape))
+    def block(self, rows, cols=slice(None)) -> np.ndarray:
+        """The exact entries at ``rows`` x ``cols`` as a new 2-d array.
+
+        Each of ``rows`` and ``cols`` is a 1-d index array or a slice, with
+        numpy's meaning, so ``block(idx, idx)`` is ``K[np.ix_(idx, idx)]``
+        and ``block(slice(i, i + 1))`` row i, all columns."""
+        out = _feature_sq_dists(self._features[:, rows], self._features[:, cols])
         np.divide(out, self.scale, out=out)
         return np.exp(out, out=out)
 
@@ -310,7 +278,7 @@ class KernelMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        e = self[...]
+        e = self.block(slice(None))
         e.setflags(write=False)
         return e
 
@@ -375,13 +343,13 @@ class SpectralDecomposition:
         return float(np.log1p(self.eigenvalues).sum())
 
 
-def _pivoted_cholesky(rows, n: int) -> np.ndarray:
-    """Pivoted Cholesky factor of the n x n PSD kernel ``rows``, stopped
-    once every residual diagonal entry is at most PIVOT_TOL.
+def _pivoted_cholesky(row, diagonal) -> np.ndarray:
+    """Pivoted Cholesky factor of an n x n PSD matrix, stopped once every
+    residual diagonal entry is at most PIVOT_TOL.
 
-    ``rows`` is a ``KernelMatrix``, or anything indexed as one (``rows[i]``
-    a row, ``rows[idx, idx]`` the diagonal); each step reads one row, so
-    the kernel is never materialised and no n x n work array is made.
+    ``row(i)`` returns row i of the matrix and ``diagonal`` is its
+    diagonal, n entries; each step reads one row, so the matrix is never
+    materialised and no n x n work array is made.
     Step t takes the largest residual diagonal entry d_i (the first, on
     ties) and computes column t of the factor as (L[i] - sum over s < t of
     G[s, i] G[s]) / sqrt(d_i), set to exactly 0 on the earlier pivots and
@@ -395,8 +363,8 @@ def _pivoted_cholesky(rows, n: int) -> np.ndarray:
     residual diagonal entry ends below -PSD_TOL * n, which no PSD matrix
     leaves, or is NaN.
     """
-    every = np.arange(n)
-    residual = np.array(rows[every, every], dtype=float)
+    residual = np.array(diagonal, dtype=float)
+    n = residual.size
     square = np.empty(n)
     g = np.empty((min(n, 64), n))  # row t: column t of the factor
     pivots = np.empty(n, dtype=np.intp)
@@ -412,7 +380,7 @@ def _pivoted_cholesky(rows, n: int) -> np.ndarray:
             g = grown
         col = g[t]
         np.dot(g[:t, i], g[:t], out=col)
-        np.subtract(rows[i], col, out=col)
+        np.subtract(row(i), col, out=col)
         root = math.sqrt(d)
         col *= 1.0 / root
         col[pivots[:t]] = 0.0
@@ -480,7 +448,8 @@ def eigendecompose(L) -> SpectralDecomposition:
     if not isinstance(L, KernelMatrix):
         raise ConfigError(f"eigendecompose takes a KernelMatrix, got {type(L).__name__}")
     n = L.n
-    factor = _pivoted_cholesky(L, n)
+    # row by row, on the kernel's exact unit diagonal
+    factor = _pivoted_cholesky(lambda i: L.block(slice(i, i + 1))[0], np.ones(n))
     # d = diag(L - F F^T), read before V is written over F
     gap = 1.0 - np.einsum("ij,ij->i", factor, factor)
     r = np.linalg.qr(factor, mode="r")

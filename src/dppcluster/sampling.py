@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateData, ResampleExhausted, ShapeMismatch
-from .kernel import KernelMatrix, SpectralDecomposition, _feature_sq_dists, as_data_matrix
+from .kernel import KernelMatrix, SpectralDecomposition, as_data_matrix
 from .rng import RngStream, as_generator
 
 __all__ = [
@@ -196,20 +196,26 @@ def dpp_log_likelihood(L, subset, log_det_norm: float) -> float:
     other type raises ConfigError), of which only the k x k block of the
     subset is computed; ``log_det_norm`` = log det(L + I) comes once per
     kernel (``SpectralDecomposition.log_det_plus_identity``).  An index
-    outside [0, n) raises ShapeMismatch.  A singular principal minor
-    (duplicate or linearly dependent rows) reports ``-inf``.
+    outside [0, n) raises ShapeMismatch and a repeated index ConfigError.
+    The value is ``-inf`` when the Cholesky factorisation of the block
+    fails; distinct points that coincide make the block singular, but
+    rounding may leave it factorisable, with a large negative log
+    determinant.
     """
     if not isinstance(L, KernelMatrix):
         raise ConfigError(f"dpp_log_likelihood takes a KernelMatrix, got {type(L).__name__}")
     idx = np.asarray(getattr(subset, "indices", subset), dtype=int)
     if idx.size == 0:
         return -log_det_norm
-    if idx.min() < 0 or idx.max() >= L.n:
+    # not np.sort: numpy's first integer sort faults in about 0.25 MB of its
+    # SIMD sort code, which nothing else on the diversity path loads
+    ordered = sorted(idx.tolist())
+    if ordered[0] < 0 or ordered[-1] >= L.n:
         raise ShapeMismatch(f"subset index out of range [0, {L.n})")
-    f, k = L._features[:, idx], idx.size  # L[np.ix_(idx, idx)], bit for bit, less indexing
-    sub = np.exp(_feature_sq_dists(f[:, :, None], f[:, None, :], np.empty((k, k))) / L.scale)
+    if any(a == b for a, b in zip(ordered, ordered[1:])):
+        raise ConfigError("subset indices must be distinct")
     try:
-        chol = np.linalg.cholesky(sub)
+        chol = np.linalg.cholesky(L.block(idx, idx))
     except np.linalg.LinAlgError:
         return float("-inf")
     logdet = 2.0 * float(np.log(np.diag(chol)).sum())

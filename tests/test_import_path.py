@@ -145,6 +145,62 @@ def test_unused_nested_relative_import_detected(source):
     assert _unused_relative_imports(source) == ["ShapeMismatch"]
 
 
+def _private_names(tree: ast.AST) -> set[str]:
+    """Underscore names a module binds anywhere: functions, classes and
+    their members, variables and attributes it assigns; dunders excepted."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def _foreign_private_reads(source: str, foreign: set[str]) -> list[str]:
+    """Underscore names that ``source`` imports from the package, or reads
+    as an attribute of anything, when only another module binds them."""
+    tree = ast.parse(source)
+    unowned = foreign - _private_names(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "dppcluster"
+        ):
+            found += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr in unowned:
+            found.append(node.attr)
+    return found
+
+
+PRIVATE = {
+    path: _private_names(ast.parse(path.read_text(encoding="utf-8")))
+    for path in PACKAGE.glob("*.py")
+}
+
+
+@pytest.mark.parametrize("path", sorted(PRIVATE), ids=lambda p: p.stem)
+def test_no_private_name_of_another_module_read(path):
+    # a module reaches another only through its public names, so a private
+    # helper can change with its own module
+    foreign = set().union(*(names for other, names in PRIVATE.items() if other != path))
+    assert _foreign_private_reads(path.read_text(encoding="utf-8"), foreign) == []
+
+
+def test_foreign_private_read_detected():
+    source = (
+        "from .kernel import KernelMatrix, _feature_sq_dists\n"
+        "from dppcluster.kernel import _CHUNK\n"
+        "def f(L):\n    return L._features, L._mine\n"
+        "class A:\n    def _mine(self):\n        pass\n"
+    )
+    assert _foreign_private_reads(source, {"_features", "_mine"}) == [
+        "_feature_sq_dists", "_CHUNK", "_features"
+    ]
+
+
 # Loaded on first use only: the process pool stack, which only a pool of
 # two or more workers uses; the file formats and the CLI, which the package
 # never imports; and numpy.ma, which a plain np.unique imports.

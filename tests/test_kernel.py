@@ -226,9 +226,9 @@ class TestRbfKernel:
         assert KernelMatrix(frozen, -1.0).data is frozen
         k = build_rbf_kernel(x, 1.0)
         assert x.flags.writeable and k.data is not x
-        before = k[0, 1]
+        before = k.block([0], [1])
         x[0, 1] = 7.0
-        assert k[0, 1] == before and k.data[0, 1] != 7.0
+        assert k.block([0], [1]) == before and k.data[0, 1] != 7.0
 
     def test_rows_and_blocks_bit_equal_to_the_dense_kernel(self):
         # against the dense kernel as it was built before it became implicit
@@ -238,10 +238,10 @@ class TestRbfKernel:
         dense = np.exp(pairwise_sq_dists(x) / (-2.0 * s * sigma2))
         np.fill_diagonal(dense, 1.0)
         for i in (0, 77, 149):
-            assert np.array_equal(k[i], dense[i])
-        assert np.array_equal(k[64:128, 64:], dense[64:128, 64:])
+            assert np.array_equal(k.block([i]), dense[i : i + 1])
+        assert np.array_equal(k.block(slice(64, 128), slice(64, None)), dense[64:128, 64:])
         idx = np.array([5, 140, 5 + 64, 3])
-        assert np.array_equal(k[np.ix_(idx, idx)], dense[np.ix_(idx, idx)])
+        assert np.array_equal(k.block(idx, idx), dense[np.ix_(idx, idx)])
         assert np.array_equal(np.asarray(k), dense) and np.array_equal(k.entries, dense)
 
     def test_dense_kernel_allocates_one_square_array(self):
@@ -282,37 +282,36 @@ class TestMatrixFreeKernel:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(x=_small_data(), s=st.floats(0.05, 4.0), seed=st.integers(0, 2**16))
     def test_every_index_form_bit_equal_to_the_dense_kernel(self, x, s, seed):
+        # unsorted, repeated and negative index arrays, and slices with
+        # negative bounds, steps and no entries, on either axis
         n = x.shape[0]
         scale = -2.0 * s * max(float(x.var(axis=0).sum()), 1e-3)
         k = KernelMatrix(x, scale)
-        dense = np.exp(pairwise_sq_dists(x) / scale)
+        dense = np.exp(scipy_sq_dists(x) / scale)
         rng = np.random.default_rng(seed)
-        i, j = (int(v) for v in rng.integers(0, n, size=2))
         a, b = sorted(int(v) for v in rng.integers(0, n + 1, size=2))
-        idx = rng.integers(0, n, size=rng.integers(1, 8))
-        jdx = rng.integers(0, n, size=idx.size)
-        every = np.arange(n)
-        indices = [
-            i,
-            -1,
-            (i, j),
+        idx = rng.integers(-n, n, size=rng.integers(1, 8))
+        jdx = rng.integers(0, n, size=rng.integers(1, 8))
+        selectors = [
+            idx,
+            jdx,
+            np.repeat(jdx, 2),
+            np.array([n - 1, -1]),
+            slice(None),
             slice(a, b),
-            (slice(a, b), slice(b, None)),
-            (slice(None), slice(a, b)),
-            (slice(a, b), j),
-            np.ix_(idx, idx),
-            np.ix_(idx, jdx),
-            (idx, jdx),
-            (every, every),
-            (idx, slice(a, b)),
-            (slice(a, b), idx),
-            ...,
+            slice(b, None),
+            slice(-b or None, None, -1),
+            slice(a, None, 3),
         ]
-        for index in indices:
-            got, want = k[index], dense[index]
-            assert got.shape == np.shape(want), index
-            assert np.array_equal(got, want), index
-        assert np.all(k[every, every] == 1.0)
+        every = np.arange(n)
+        for rows in selectors:
+            for cols in selectors:
+                got = k.block(rows, cols)
+                want = dense[np.ix_(every[rows], every[cols])]
+                assert got.shape == want.shape, (rows, cols)
+                assert np.array_equal(got, want), (rows, cols)
+        assert np.array_equal(k.block(idx), dense[every[idx]])
+        assert np.all(k.block(every, every).diagonal() == 1.0)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(x=_small_data(max_n=150), s=st.floats(0.05, 4.0), top=st.integers(0, 149))
@@ -326,7 +325,7 @@ class TestMatrixFreeKernel:
         reach = np.sqrt(sq[top : top + 64].max()) + np.sqrt(sq.max())
         bound = 2.0 * expansion_error(p) * reach**2 / -scale + expansion_error(p)
         block = k.expanded_block(top, top + 64)
-        exact = k[top : top + 64]
+        exact = k.block(slice(top, top + 64))
         assert block.shape == exact.shape
         assert np.abs(block - exact).max() <= bound
         assert bound < 1e-10
@@ -409,10 +408,10 @@ class TestMatrixFreeKernel:
             return read
 
         monkeypatch.setattr(kernel_module, "_pivoted_cholesky", factor_then_mark)
-        for name in ("__getitem__", "expanded_block"):
+        for name in ("block", "expanded_block"):
             monkeypatch.setattr(KernelMatrix, name, spy(name))
         eigendecompose(k)
-        assert reads[-1] == "factor" and "__getitem__" in reads
+        assert reads[-1] == "factor" and "block" in reads
 
     @staticmethod
     def _multiplier_growth(k) -> float:
@@ -420,13 +419,11 @@ class TestMatrixFreeKernel:
         # takes to be at most _GROWTH; the pivots are the single rows read
         pivots = []
 
-        class Rows:
-            def __getitem__(self, index):
-                if isinstance(index, int):
-                    pivots.append(index)
-                return k[index]
+        def row(i):
+            pivots.append(i)
+            return k.block([i])[0]
 
-        f = kernel_module._pivoted_cholesky(Rows(), k.n)
+        f = kernel_module._pivoted_cholesky(row, np.ones(k.n))
         return np.abs(np.linalg.solve(f[pivots].T, f.T)).sum(axis=0).max()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -488,7 +485,8 @@ class TestEigendecompose:
     def test_indefinite_matrix_rejected(self):
         # eigenvalues {3, -1}: far beyond the PSD tolerance
         with pytest.raises(NumericalFailure, match="not PSD"):
-            kernel_module._pivoted_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
+            mat = np.array([[1.0, 2.0], [2.0, 1.0]])
+            kernel_module._pivoted_cholesky(mat.__getitem__, mat.diagonal())
 
     def test_solver_failure_reported(self, monkeypatch):
         def boom(_):
@@ -623,7 +621,7 @@ class TestLowRankEigendecompose:
     )
     def test_non_psd_rejected(self, mat):
         with pytest.raises(NumericalFailure, match="not PSD"):
-            kernel_module._pivoted_cholesky(mat, mat.shape[0])
+            kernel_module._pivoted_cholesky(mat.__getitem__, mat.diagonal())
 
     def test_small_solver_failure_reported(self, monkeypatch):
         def boom(_):
@@ -694,6 +692,19 @@ class TestAgainstScipy:
         part = voronoi_assign(x, idx)
         assert np.array_equal(part.labels, expected) and part.k == k_expected
 
+    @pytest.mark.parametrize(
+        "m, w, p, step",
+        [
+            (5, 2000, 40, 1),  # p w > _CHUNK: one row per chunk
+            (21, 1000, 8, 8),  # 8 rows a chunk, which does not divide 21
+        ],
+    )
+    def test_sq_dists_between_chunks_bit_equal_to_cdist(self, m, w, p, step):
+        assert max(1, kernel_module._CHUNK // (p * w)) == step
+        rng = np.random.default_rng(m)
+        a, b = rng.normal(size=(m, p)), rng.normal(size=(w, p))
+        assert np.array_equal(sq_dists_between(a, b), scipy_sq_dists_between(a, b))
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(x=_point_sets(), s=st.floats(0.05, 4.0))
     def test_factor_matches_dpstrf(self, x, s):
@@ -702,9 +713,9 @@ class TestAgainstScipy:
         except DegenerateData:  # every row the same
             return
         k = build_rbf_kernel(x, sigma2, s)
-        n = k.n
-        rank = kernel_module._pivoted_cholesky(k, n).shape[1]
-        ref_rank, ref_lam = lapack_pivoted_spectrum(k.entries, PIVOT_TOL)
+        n, mat = k.n, k.entries
+        rank = kernel_module._pivoted_cholesky(mat.__getitem__, mat.diagonal()).shape[1]
+        ref_rank, ref_lam = lapack_pivoted_spectrum(mat, PIVOT_TOL)
         assert rank == ref_rank
         lam = eigendecompose(k).eigenvalues
         # each spectrum lies below the kernel's by at most its trace residual

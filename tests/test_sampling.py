@@ -341,13 +341,11 @@ class TestLogLikelihood:
         [
             (3,),  # one index
             (7, 2, 11),  # unsorted
-            (0, 5, 5, 9),  # duplicates
-            (14, 1, 8, 1, 3),
             tuple(np.random.default_rng(2).permutation(300)[:250]),  # chunked differences
         ],
     )
     def test_block_is_the_indexers_bit_for_bit(self, subset, monkeypatch):
-        # the k x k block factorised is L[np.ix_(idx, idx)], every bit
+        # the k x k block factorised is the dense kernel's [np.ix_(idx, idx)]
         x = np.random.default_rng(4).normal(size=(300, 5))
         L = build_rbf_kernel(x, 3.0)
         blocks, cholesky = [], np.linalg.cholesky
@@ -360,7 +358,17 @@ class TestLogLikelihood:
         dpp_log_likelihood(L, subset, 0.5)
         idx = np.array(subset)
         (block,) = blocks
-        assert np.array_equal(block, L[np.ix_(idx, idx)])
+        assert np.array_equal(block, L.entries[np.ix_(idx, idx)])
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("subset", [(0, 5, 5, 9), (14, 1, 8, 1, 3), (2, 2)])
+    def test_repeated_index_is_rejected(self, as_array, subset):
+        # adjacent or not, a repeated index is an error, not a value: a
+        # block with a repeated row may still factorise after rounding
+        L = build_rbf_kernel(np.random.default_rng(4).normal(size=(300, 5)), 3.0)
+        subset = np.array(subset) if as_array else subset
+        with pytest.raises(ConfigError, match="distinct"):
+            dpp_log_likelihood(L, subset, 0.5)
 
     @pytest.mark.parametrize("as_array", [False, True])
     @pytest.mark.parametrize("subset", [(0, -1), (4, 5), (-6,)])

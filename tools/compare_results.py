@@ -75,8 +75,6 @@ def _spectrum(artifacts) -> dict:
     import numpy as np
 
     lam, vec = artifacts.spectral.eigenvalues, artifacts.spectral.eigenvectors
-    every = np.arange(artifacts.n)
-    trace = artifacts.kernel[every, every].sum()  # the diagonal only, not the n x n kernel
 
     def digest(values):
         return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
@@ -85,7 +83,7 @@ def _spectrum(artifacts) -> dict:
         "n": artifacts.n,
         "rank": int(vec.shape[1]),
         "expected_size": float((lam / (1.0 + lam)).sum()),
-        "trace_residual": float(trace - lam.sum()),
+        "trace_residual": float(artifacts.n - lam.sum()),  # the unit diagonal's trace is n
         "log_det_norm": float(artifacts.log_det_norm),
         "sigma2_hat": float(artifacts.sigma2_hat).hex(),
         "eigenvalues_sha256": digest(lam),
