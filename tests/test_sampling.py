@@ -341,6 +341,8 @@ class TestLogLikelihood:
         [
             (3,),  # one index
             (7, 2, 11),  # unsorted
+            (0, 5, 9),  # sorted
+            (299, 0, 150),  # first and last points
             tuple(np.random.default_rng(2).permutation(300)[:250]),  # chunked differences
         ],
     )
