@@ -22,8 +22,9 @@ validation indices.
 
 The Gaussian kernel of clustered data has low numerical rank, so its
 eigensystem comes from a pivoted Cholesky factor L ~ F F^T (Harbrecht,
-Peters & Schneider 2012), one kernel row per pivot, and an r x r problem,
-r the rank of F, and is certified from F alone (``eigendecompose``).
+Peters & Schneider 2012), one kernel row per pivot until tr(L - F F^T),
+which bounds the DPP's error in total variation, is at most TRACE_TOL,
+then from F's column-scaled Gram matrix, with no QR (``eigendecompose``).
 That, the subset likelihoods and Voronoi assignment take a ``KernelMatrix``
 and no dense matrix.  Everything here is numpy, with no LAPACK ``dpstrf``
 and no n x n work copy, so scipy stays off the clustering path.
@@ -54,18 +55,17 @@ __all__ = [
 # upstream corruption rather than harmless rounding.
 PSD_TOL = 1e-8
 
-# Largest entry |L - V diag(lambda) V^T| a decomposition may leave.
+# Largest entry |F F^T - V diag(lambda) V^T| the eigen step may leave.
 RECONSTRUCTION_TOL = 1e-6
 
-# The pivoted Cholesky factor stops once every residual diagonal entry is at
-# or below this, which bounds every entry of the PSD residual: 4.95e-7 at
-# n = 1500 (rank 369), and 9.9e-7 at 1e-6, too near RECONSTRUCTION_TOL.
-PIVOT_TOL = 5e-7
+# The pivoted Cholesky factor stops once the residual trace tr(L - F F^T),
+# a bound on the DPP's error in total variation, is at most this.
+TRACE_TOL = 1e-3
 
 # Row 1-norm of W = F_2 F_1^-1 that ``eigendecompose`` allows; 28 the most measured.
 _GROWTH = 64.0
 
-# Rows per block of V = F (R^-1 U), written over the factor F: a multiple
+# Rows per block of V = F S, written over the factor F: a multiple
 # of 12 and of 64, so OpenBLAS's Haswell kernel (12-row tiles) rounds every
 # entry as one product over all rows does (checked at n = 150 to 3000).
 _VEC_ROWS = 192
@@ -303,7 +303,7 @@ def build_rbf_kernel(data, sigma2_hat: float, s: float = 1.0) -> KernelMatrix:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Orthonormal eigensystem of a PSD kernel matrix of rank r.
+    """Orthonormal eigensystem of a PSD matrix of rank r, such as a kernel's F F^T.
 
     ``eigenvalues`` holds all n eigenvalues, finite, nonnegative and
     descending, and every one past r is exactly 0; ``eigenvectors`` is
@@ -344,8 +344,8 @@ class SpectralDecomposition:
 
 
 def _pivoted_cholesky(row, diagonal) -> np.ndarray:
-    """Pivoted Cholesky factor of an n x n PSD matrix, stopped once every
-    residual diagonal entry is at most PIVOT_TOL.
+    """Pivoted Cholesky factor of an n x n PSD matrix, stopped once the
+    loop's tally of the residual trace is at most TRACE_TOL.
 
     ``row(i)`` returns row i of the matrix and ``diagonal`` is its
     diagonal, n entries; each step reads one row, so the matrix is never
@@ -369,19 +369,14 @@ def _pivoted_cholesky(row, diagonal) -> np.ndarray:
     g = np.empty((min(n, 64), n))  # row t: column t of the factor
     pivots = np.empty(n, dtype=np.intp)
     t = 0
-    while t < n:
+    while t < n and residual.sum() > TRACE_TOL:  # also stops on NaN
         i = int(residual.argmax())
-        d = float(residual[i])
-        if not d > PIVOT_TOL:  # also stops on NaN
-            break
-        if t == g.shape[0]:
-            grown = np.empty((min(n, 2 * t), n))
-            grown[:t] = g
-            g = grown
+        if t == g.shape[0]:  # grows the buffer, keeping rows [0, t)
+            g.resize((min(n, 2 * t), n), refcheck=False)
         col = g[t]
         np.dot(g[:t, i], g[:t], out=col)
         np.subtract(row(i), col, out=col)
-        root = math.sqrt(d)
+        root = math.sqrt(residual[i])
         col *= 1.0 / root
         col[pivots[:t]] = 0.0
         col[i] = root
@@ -403,76 +398,85 @@ def eigendecompose(L) -> SpectralDecomposition:
     pivoted Cholesky approximation F F^T.
 
     ``L`` is a ``KernelMatrix``, read one row at a time; anything else
-    raises ConfigError.  The (n, r) factor F (``_pivoted_cholesky``) has
-    the QR decomposition F = Q R, and the spectrum comes from the r x r
-    matrix R R^T = U Lam U^T, Lam = diag(lambda), giving V = Q U (the dual
-    representation of Kulesza & Taskar 2012, sec. 3.3).  Only R is formed:
-    V = F S for S = R^-1 U, one r x r solve and one n x r x r product
-    written over F, _VEC_ROWS rows at a time, so V takes F's Fortran-ordered
-    buffer and no second n x r array exists (building Q cost about 15 ms
-    more at n = 1500, rank 369).  A full-rank kernel takes the same path:
-    the factor, an n x n QR, the solve and the product, and the n x n eigh.
+    raises ConfigError.  The (n, r) factor F (``_pivoted_cholesky``) leaves
+    E = L - F F^T with trace at most TRACE_TOL.  With D the norms of F's
+    columns and D^-1 F^T F D^-1 = U Sigma^2 U^T, F = Q R for the orthonormal
+    Q = F D^-1 U Sigma^-1 and R = Sigma U^T D; R R^T = M = Z Lam Z^T then
+    gives V = Q Z = F S, S = D^-1 U Sigma^-1 Z (Kulesza & Taskar 2012, sec.
+    3.3), written over F _VEC_ROWS rows at a time; no QR runs.  Scaled, F's
+    columns have cond 200 at n = 5000, so the Gram path's u cond^2 loss of
+    orthonormality, u the unit roundoff, is 2e-13 there (6.5e-8 unscaled).
+    Eigenvalues in [-PSD_TOL * n, 0) are clamped to zero; lower ones, a
+    failed solver, a singular scaled Gram matrix, max |V^T V - I| > 1e-8
+    or a failed check raise NumericalFailure.  Both checks read F alone,
+    in O(n r + r^3), to first order in u, with g = (r + 3) u and d = 1 -
+    rowsum(F o F) as returned:
 
-    Eigenvalues in [-PSD_TOL * n, 0) are clamped to zero; anything more
-    negative aborts with NumericalFailure, as do a residual diagonal entry
-    of the factor below -PSD_TOL * n, a non-convergent solver, loss of
-    orthonormality (which bounds the effect of R's conditioning on V), or a
-    bound on max |L - V Lam V^T| above RECONSTRUCTION_TOL.
+    (a) tr E, which bounds the total variation between the DPPs of L and
+    F F^T by 1 - exp(-tr E) <= tr E for PSD E (Affandi, Kulesza, Fox &
+    Taskar 2013): TRACE_TOL per draw at every n, 2 TRACE_TOL / P(|Y| >= 2)
+    given |Y| >= 2, and R times that for an ensemble's R draws.  E is d on
+    its diagonal and the factor's backward error on the pivot rows, each
+    within g (Higham 2002, ch. 10); off the pivots it is the Schur
+    complement of F_1 F_1^T in A = L - E_P, E_P its pivot rows and
+    columns, so for y on two such rows y^T E y = z^T A z >= -c |z|_1^2 >=
+    -tau |y|^2, z = (y, -W^T y), W = F_2 F_1^-1 of largest row 1-norm
+    omega <= _GROWTH, c = (p + 6) u + g bounding A less the exact PSD
+    kernel, tau = 2 c (1 + omega)^2.  The check: min d >= -(g + tau) and
+    sum d <= TRACE_TOL + 2 n g.
 
-    That bound is certified from the factor in O(n r + r^3), with no kernel
-    entry read after the factor.  To first order in the unit roundoff u,
-    with g = (r + 3) u for an r-term inner product and d = 1 - rowsum(F o F)
-    from F as returned: E = L - F F^T has diagonal d within g, and pivot
-    rows that hold the backward error of the factor's columns, at most g
-    (Higham 2002, ch. 10).  Off the pivots, E is the Schur complement of the
-    pivot block F_1 F_1^T in A = L - E_P, E_P being E on the pivot rows and
-    columns; so for y on two such rows i, j, y^T E y = z^T A z with z =
-    (y, -W^T y), W = F_2 F_1^-1.  A = K + Psi for the exact kernel K, which
-    is PSD, and |Psi| <= c = (p + 6) u + g, (p + 6) u bounding the rounding
-    of exp(d2 / scale) over p features.  For omega the largest row 1-norm
-    of W, y^T E y >= -c |z|_1^2 >= -tau |y|^2, tau = 2 c (1 + omega)^2, so
-    |E_ij| <= max d + g + tau; omega would take an O(n r^2) pass, and the
-    bound takes it as at most _GROWTH.  Next, with Q = F R^-1, F S Lam S^T
-    F^T - F F^T = Q G Q^T for G = R (S Lam S^T - I) R^T: an entry is at
-    most |G|_F times two row norms of Q, which carry the QR's backward
-    error (Higham, ch. 19) and are within r 1e-8 of 1 as V's are.
-    Evaluated in that order, G rounds by at most g (sigma + 2 n |S Lam S^T
-    - I|_F), sigma = |S Lam^1/2|_F^2 (about r), where (R S) Lam (R S)^T -
-    R R^T may round by g n; and rounding V = F S adds 2 g sqrt(sigma).  So
-    max |L - V Lam V^T| <= max |d| + |G|_F + rho, rho the sum of these
-    terms (5e-10 at n = 5000, rank 509), and the check requires that to be
-    at most RECONSTRUCTION_TOL, and min d >= -rho.  As E is PSD up to rho,
-    the DPPs of L and F F^T differ in total variation by at most
-    1 - exp(-tr E) <= tr E = sum d (Affandi, Kulesza, Fox & Taskar 2013).
+    (b) The eigen step.  R S = Z, so F S Lam S^T F^T - F F^T = Q G Q^T for
+    G = Z Lam Z^T - M, each entry at most |G|_F times two row norms of Q,
+    within r 1e-8 of 1 as V's.  Rounding adds rho: 2 (g + 4 u) tr Lam in
+    G; 2 max(lambda) kappa (2 g + 3 u), kappa = cond(Sigma), as U's
+    departure from orthogonality and S's rounding move R S from Z; and
+    g (1 + sqrt(sigma))^2 in V = F S, sigma = |S Lam^1/2|_F^2 (about r).
+    The check: |G|_F + rho <= RECONSTRUCTION_TOL (rho 1.4e-7 at n = 5000).
+
+    Results moved with the stop rule: max |L - V Lam V^T| is up to max d,
+    2.5e-6 at n = 1500 and 2.7e-5 on iris; the sampler's bound is in TV.
     """
     if not isinstance(L, KernelMatrix):
         raise ConfigError(f"eigendecompose takes a KernelMatrix, got {type(L).__name__}")
     n = L.n
     # row by row, on the kernel's exact unit diagonal
     factor = _pivoted_cholesky(lambda i: L.block(slice(i, i + 1))[0], np.ones(n))
+    r = factor.shape[1]
     # d = diag(L - F F^T), read before V is written over F
     gap = 1.0 - np.einsum("ij,ij->i", factor, factor)
-    r = np.linalg.qr(factor, mode="r")
+    gram = factor.T @ factor
+    norm = np.sqrt(gram.diagonal())  # D
+    gram /= np.multiply.outer(norm, norm)
     try:
-        vals, u = np.linalg.eigh(r @ r.T)
+        sq, u = np.linalg.eigh(gram)  # Sigma^2 and U, ascending
+        if not sq[0] > 0.0:
+            raise NumericalFailure(f"scaled Gram matrix is singular: eigenvalue {sq[0]:.3e}")
+        sv = np.sqrt(sq)
+        gram = u * sv * norm[:, None]  # D U Sigma
+        m = gram.T @ gram
+        vals, z = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"symmetric eigensolver did not converge: {exc}") from exc
-    solve = np.linalg.solve(r, u[:, ::-1])  # largest eigenvalue first
-    vec = factor  # V = Q U = F solve, written over F one row block at a time
+    if vals[0] < -PSD_TOL * n:
+        raise NumericalFailure(f"matrix is not PSD within tolerance: eigenvalue {vals[0]:.3e}")
+    z = z[:, ::-1]  # largest eigenvalue first
+    lam = np.zeros(n)
+    lam[:r] = np.clip(vals[::-1], 0.0, None)
+    solve = (u / np.multiply.outer(norm, sv)) @ z
+    vec = factor  # V = F S, written over F one row block at a time
     for top in range(0, n, _VEC_ROWS):
         rows = slice(top, top + _VEC_ROWS)
         vec[rows] = vec[rows] @ solve
-    if vals.size and vals[0] < -PSD_TOL * n:
-        raise NumericalFailure(
-            f"matrix is not PSD within tolerance: min eigenvalue {vals[0]:.3e}"
-        )
-    lam = np.zeros(n)
-    lam[: vals.size] = np.clip(vals, 0.0, None)[::-1]
     gram = vec.T @ vec
     np.fill_diagonal(gram, gram.diagonal() - 1.0)
-    if not np.abs(gram).max(initial=0.0) <= 1e-8:
+    if not np.abs(gram).max() <= 1e-8:
         raise NumericalFailure("eigenvectors lost orthonormality")
-    residual = _certificate(gap, r, solve, lam[: vec.shape[1]], L.data.shape[1])
+    unit = np.finfo(float).eps / 2
+    gamma = (r + 3) * unit
+    tau = 2 * ((L.data.shape[1] + 6) * unit + gamma) * (1.0 + _GROWTH) ** 2
+    if not (gap.min() >= -(gamma + tau) and gap.sum() <= TRACE_TOL + 2 * n * gamma):
+        raise NumericalFailure(f"residual diagonal min {gap.min():.3e}, sum {gap.sum():.3e}")
+    residual = _eigen_step_bound(z, lam[:r], m, solve, sv[-1] / sv[0], gamma)
     if not residual <= RECONSTRUCTION_TOL:  # also fails on NaN
         raise NumericalFailure(
             f"spectral reconstruction residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:g}"
@@ -480,16 +484,12 @@ def eigendecompose(L) -> SpectralDecomposition:
     return SpectralDecomposition(lam, vec)
 
 
-def _certificate(gap, rfac, solve, lam, p: int) -> float:
-    """The bound max |d| + |G|_F + rho of ``eigendecompose`` for d = ``gap``,
-    R = ``rfac``, S = ``solve``, Lam = ``lam``; inf when min d < -rho."""
+def _eigen_step_bound(z, lam, m, solve, kappa: float, gamma: float) -> float:
+    """|G|_F + rho, the bound of ``eigendecompose``'s check (b)."""
     unit = np.finfo(float).eps / 2
-    gamma = (lam.size + 3) * unit
+    g = (z * lam) @ z.T
+    g -= m
     sigma = float(np.einsum("ij,ij,j->", solve, solve, lam))
-    x = (solve * lam) @ solve.T  # S Lam S^T - I
-    np.fill_diagonal(x, x.diagonal() - 1.0)
-    rho = gamma * ((1.0 + math.sqrt(sigma)) ** 2 + 2 * gap.size * float(np.linalg.norm(x)))
-    x = rfac @ x  # one r x r temporary at a time
-    g_norm = float(np.linalg.norm(x @ rfac.T))
-    rho += 2 * ((p + 6) * unit + gamma) * (1.0 + _GROWTH) ** 2 + lam.size * 1e-8 * g_norm
-    return float(np.abs(gap).max()) + g_norm + rho if gap.min() >= -rho else math.inf
+    rho = gamma * (1.0 + math.sqrt(sigma)) ** 2 + 2 * (gamma + 4 * unit) * float(lam.sum())
+    rho += 2 * float(lam[0]) * kappa * (2 * gamma + 3 * unit)
+    return (1.0 + lam.size * 1e-8) * float(np.linalg.norm(g)) + rho

@@ -370,16 +370,20 @@ def scipy_sq_dists_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cdist(a, b, metric="sqeuclidean")
 
 
-def lapack_pivoted_spectrum(mat: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
-    """Rank and descending eigenvalues of F F^T for LAPACK's pivoted
-    Cholesky factor F of ``mat`` (``dpstrf``, stopped at residual diagonal
-    ``tol``), the eigenvalues padded with zeros to n."""
-    c, _, rank, info = lapack.dpstrf(np.array(mat, order="F"), tol=tol, lower=1)
+def lapack_pivoted_spectrum(mat: np.ndarray, trace_tol: float):
+    """Rank, pivots and descending eigenvalues of F F^T for LAPACK's
+    pivoted Cholesky factor F of ``mat`` (``dpstrf`` at its default
+    tolerance), truncated at the first rank whose residual trace, tr(mat)
+    less the squared norms of the columns kept, is at most ``trace_tol``;
+    the eigenvalues are padded with zeros to n."""
+    c, piv, full, info = lapack.dpstrf(np.array(mat, order="F"), lower=1)
     assert info >= 0
-    factor = np.tril(c)[:, :rank]
+    factor = np.tril(c)[:, :full]
+    residual = np.trace(mat) - np.concatenate([[0.0], np.cumsum((factor**2).sum(axis=0))])
+    rank = int(np.flatnonzero(residual <= trace_tol)[0])
     lam = np.zeros(mat.shape[0])
-    lam[:rank] = np.linalg.svd(factor, compute_uv=False) ** 2
-    return int(rank), lam
+    lam[:rank] = np.linalg.svd(factor[:, :rank], compute_uv=False) ** 2
+    return rank, piv[:rank] - 1, lam
 
 
 def reconstruction_residual(entries, spectral) -> float:

@@ -21,8 +21,11 @@ from dppcluster import (
     voronoi_assign,
 )
 from dppcluster import kernel as kernel_module
-from dppcluster.kernel import PIVOT_TOL, as_data_matrix, expansion_error, sq_dists_between
+from dppcluster.kernel import TRACE_TOL, as_data_matrix, expansion_error, sq_dists_between
+from dppcluster.rng import RngStream
+from dppcluster.simgen import generate_mixture, parse_scenario_id
 from oracles import (
+    enumerate_dpp_probs,
     exact_mean_sq_dist,
     lapack_pivoted_spectrum,
     reconstruction_residual,
@@ -337,44 +340,62 @@ class TestMatrixFreeKernel:
     @given(x=_small_data(), s=st.floats(0.05, 4.0))
     @example(x=np.array([[0.0], [5.0], [10.0]]), s=0.05)  # full rank
     def test_certificate_bounds_the_exact_residual(self, x, s):
-        # duplicated rows, integer grids, 1e6 offsets and full rank: the
-        # bound that replaces the entry-by-entry check is never below the
-        # residual against the exact entries, and passes
+        # duplicated rows, integer grids, 1e6 offsets and full rank: each
+        # check holds against extended precision.  (a) E = L - F F^T is PSD
+        # with exact trace within TRACE_TOL plus the rounding the check
+        # allows; (b) the eigen step's bound is never below the exact
+        # max |F F^T - V Lam V^T|, and passes
         k = KernelMatrix(x, -2.0 * s * max(float(x.var(axis=0).sum()), 1e-3))
-        certificate, bounds = kernel_module._certificate, []
+        factor, bound, kept = kernel_module._pivoted_cholesky, kernel_module._eigen_step_bound, {}
 
-        def kept(*args):
-            bounds.append(certificate(*args))
-            return bounds[-1]
+        def keep_factor(*args):
+            out = factor(*args)
+            kept["f"] = out.copy()  # V is written over the factor
+            return out
+
+        def keep_bound(*args):
+            kept["bound"] = bound(*args)
+            return kept["bound"]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernel_module, "_certificate", kept)
+            mp.setattr(kernel_module, "_pivoted_cholesky", keep_factor)
+            mp.setattr(kernel_module, "_eigen_step_bound", keep_bound)
             spec = eigendecompose(k)
-        residual = reconstruction_residual(k.entries, spec)
-        assert residual <= bounds[0] <= kernel_module.RECONSTRUCTION_TOL
+        f = kept["f"].astype(np.longdouble)
+        n, r = f.shape
+        gamma = (r + 3) * np.finfo(float).eps / 2
+        residual = np.asarray(k.entries, dtype=np.longdouble) - f @ f.T
+        trace = float(np.trace(residual))
+        assert trace <= TRACE_TOL + 2 * n * gamma
+        assert np.linalg.eigvalsh(residual.astype(float)).min() >= -1e-9
+        assert reconstruction_residual(f @ f.T, spec) <= kept["bound"]
+        assert kept["bound"] <= kernel_module.RECONSTRUCTION_TOL
 
     def test_factor_perturbed_after_the_loop_fails_both_checks(self, monkeypatch):
         # d is read from the factor as returned, not from the loop's running
-        # tally, so +1e-5 on the first pivot's entry fails both checks of
-        # the certificate: max |d| = 2e-5 exceeds the tolerance, and min d
-        # falls below -rho
+        # tally, so a change after the loop fails either bound of check (a):
+        # +1e-5 on the first pivot's entry takes min d to -2e-5, below its
+        # rounding, and 0.9 times that row raises sum d by 0.19, above
+        # TRACE_TOL
         x = np.random.default_rng(18).normal(size=(150, 3))
         k = build_rbf_kernel(x, estimate_bandwidth(x))
         factor = kernel_module._pivoted_cholesky
+        for scale, shift in ((1.0, 1e-5), (0.9, 0.0)):
 
-        def perturbed(*args):
-            f = factor(*args)
-            f[0, 0] += 1e-5  # ties go to the first row: row 0 is the first pivot
-            return f
+            def perturbed(*args):
+                f = factor(*args)
+                f[0] *= scale  # ties go to the first row: row 0 is the first pivot
+                f[0, 0] += shift
+                return f
 
-        monkeypatch.setattr(kernel_module, "_pivoted_cholesky", perturbed)
-        with pytest.raises(NumericalFailure, match="reconstruction residual"):
-            eigendecompose(k)
+            monkeypatch.setattr(kernel_module, "_pivoted_cholesky", perturbed)
+            with pytest.raises(NumericalFailure, match="residual diagonal min"):
+                eigendecompose(k)
 
     def test_negative_residual_diagonal_fails_the_certificate(self, monkeypatch):
-        # +1e-8 leaves every entry of L - V Lam V^T within the tolerance,
-        # but d = diag(L - F F^T) falls to -2e-8, below its rounding, which
-        # no factor of a PSD kernel leaves
+        # +1e-8 leaves the residual trace within TRACE_TOL and the eigen
+        # step exact, but d = diag(L - F F^T) falls to -2e-8, below its
+        # rounding, which no factor of a PSD kernel leaves
         x = np.random.default_rng(18).normal(size=(150, 3))
         k = build_rbf_kernel(x, estimate_bandwidth(x))
         factor = kernel_module._pivoted_cholesky
@@ -385,7 +406,7 @@ class TestMatrixFreeKernel:
             return f
 
         monkeypatch.setattr(kernel_module, "_pivoted_cholesky", perturbed)
-        with pytest.raises(NumericalFailure, match="reconstruction residual"):
+        with pytest.raises(NumericalFailure, match="residual diagonal min"):
             eigendecompose(k)
 
     def test_no_kernel_entry_read_after_the_factor(self, monkeypatch):
@@ -442,6 +463,30 @@ class TestMatrixFreeKernel:
             k = build_rbf_kernel(x, estimate_bandwidth(x))
             assert self._multiplier_growth(k) <= kernel_module._GROWTH
 
+    def test_scaled_gram_conditioning_on_large_rank_data(self):
+        # the eigen step's Gram matrix loses orthonormality as u cond^2 for
+        # cond = cond(D^-1 F^T F D^-1)^1/2, F's columns scaled to unit norm,
+        # and eigendecompose requires max |V^T V - I| <= 1e-8.  The allowance
+        # of 1000 keeps u cond^2 at 1.1e-10, a hundredth of that; measured:
+        # 80 and 137 on the data above (ranks 455 and 711), 100 on the
+        # n = 1500 scenario (rank 273) and 198 at n = 5000 (rank 480), with
+        # max |V^T V - I| at most a tenth of u cond^2
+        rng = np.random.default_rng(0)
+        clusters = rng.normal(0.0, 3.0, size=(8, 8))[rng.integers(0, 8, 1500)]
+        spec = parse_scenario_id("n1500-pmedium-kmedium")
+        scenario = generate_mixture(spec, RngStream(0, (0, 0))).data
+        for x in (rng.random((1500, 5)), clusters + rng.normal(size=(1500, 8)), scenario):
+            k = build_rbf_kernel(x, estimate_bandwidth(x))
+            f = kernel_module._pivoted_cholesky(lambda i: k.block([i])[0], np.ones(k.n))
+            gram = f.T @ f
+            norm = np.sqrt(gram.diagonal())
+            sq = np.linalg.eigvalsh(gram / np.multiply.outer(norm, norm))
+            cond = np.sqrt(sq[-1] / sq[0])
+            assert cond <= 1000.0
+            vec = eigendecompose(k).eigenvectors
+            loss = np.abs(vec.T @ vec - np.eye(vec.shape[1])).max()
+            assert loss <= np.finfo(float).eps / 2 * cond**2
+
 
 def _far_apart(n: int) -> KernelMatrix:
     # n points 100 apart: every off-diagonal entry underflows to 0, so the
@@ -478,7 +523,8 @@ class TestEigendecompose:
         x = rng.normal(size=(40, 3))
         k = build_rbf_kernel(x, estimate_bandwidth(x))
         spec = eigendecompose(k)
-        assert spec.eigenvalues.sum() == pytest.approx(40.0, abs=1e-6)
+        # the sum is tr(F F^T) = 40 - tr E, and tr E is at most TRACE_TOL
+        assert 40.0 - TRACE_TOL - 1e-9 <= spec.eigenvalues.sum() <= 40.0 + 1e-9
         assert spec.eigenvalues.min() >= 0.0
         assert np.all(np.diff(spec.eigenvalues) <= 0)
 
@@ -497,21 +543,27 @@ class TestEigendecompose:
             eigendecompose(_far_apart(3))
 
     def test_implicit_kernel_checks_reconstruction(self, monkeypatch):
-        # two eigenvalues on the wrong vectors leave V orthonormal, and the
-        # certificate catches the swap through |G|_F, G = R (S Lam S^T - I)
-        # R^T, with no kernel row read after the factor
+        # two eigenvalues of M = R R^T on the wrong vectors leave V
+        # orthonormal, and check (b) catches the swap through |G|_F, G =
+        # Z Lam Z^T - M, with no kernel row read after the factor; the same
+        # swap in the scaled Gram matrix, the first eigenproblem, scales two
+        # columns of Q and fails orthonormality
         x = np.random.default_rng(17).normal(size=(150, 2))
         k = build_rbf_kernel(x, estimate_bandwidth(x))
         eigh = np.linalg.eigh
+        for call, match in ((2, "reconstruction residual"), (1, "orthonormality")):
+            calls = []
 
-        def swapped(m):
-            vals, vecs = eigh(m)
-            vals[[-1, -2]] = vals[[-2, -1]]
-            return vals, vecs
+            def swapped(m):
+                vals, vecs = eigh(m)
+                calls.append(m)
+                if len(calls) == call:
+                    vals[[-1, -2]] = vals[[-2, -1]]
+                return vals, vecs
 
-        monkeypatch.setattr(np.linalg, "eigh", swapped)
-        with pytest.raises(NumericalFailure, match="reconstruction residual"):
-            eigendecompose(k)
+            monkeypatch.setattr(np.linalg, "eigh", swapped)
+            with pytest.raises(NumericalFailure, match=match):
+                eigendecompose(k)
 
     def test_non_orthonormal_basis_fails_orthonormality(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -578,15 +630,37 @@ class TestLowRankEigendecompose:
         lam, vec = spec.eigenvalues, spec.eigenvectors
         r = vec.shape[1]
         # L = V diag(lam) V^T + R with R PSD, so by Weyl every eigenvalue
-        # moves by at most ||R|| <= trace R, which is at most n * PIVOT_TOL
+        # moves by at most ||R|| <= trace R, which is at most TRACE_TOL, and
+        # so does every entry, |R_ij| <= max R_ii
         trace_residual = np.trace(mat) - lam.sum()
-        assert -1e-9 <= trace_residual <= n * PIVOT_TOL + 1e-9
+        assert -1e-9 <= trace_residual <= TRACE_TOL + 1e-9
         dense = np.linalg.eigvalsh(mat)[::-1]
         assert np.abs(lam - dense).max() <= trace_residual + 1e-9
         assert np.all(lam[r:] == 0.0)
         gram = vec.T @ vec - np.eye(r)
         assert np.abs(gram).max(initial=0.0) <= 1e-8
-        assert np.abs((vec * lam[:r]) @ vec.T - mat).max() <= 1e-6
+        assert np.abs((vec * lam[:r]) @ vec.T - mat).max() <= trace_residual + 1e-9
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+    def test_total_variation_within_trace_residual(self, s):
+        # the DPP of V Lam V^T, over all 2^11 subsets of 11 points in two
+        # clusters, is within tr E = tr L - sum(lambda) of the kernel's in
+        # total variation, the factor truncated (rank 4 to 10 of 11); given
+        # |Y| >= 2, as the sampler draws, within 2 tr E / P(|Y| >= 2)
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.normal(0.0, 1.0, (6, 2)), rng.normal((4.0, 0.0), 1.0, (5, 2))])
+        k = build_rbf_kernel(x, estimate_bandwidth(x), s)
+        spec = eigendecompose(k)
+        vec, lam = spec.eigenvectors, spec.eigenvalues
+        assert vec.shape[1] < 11
+        trace = 11.0 - lam.sum()
+        exact = enumerate_dpp_probs(k.entries)
+        approx = enumerate_dpp_probs((vec * lam[: vec.shape[1]]) @ vec.T)
+        assert 0.5 * sum(abs(exact[y] - approx[y]) for y in exact) <= trace + 1e-12
+        big = [y for y in exact if len(y) >= 2]
+        p_big, q_big = sum(exact[y] for y in big), sum(approx[y] for y in big)
+        tv_big = 0.5 * sum(abs(exact[y] / p_big - approx[y] / q_big) for y in big)
+        assert tv_big <= 2.0 * trace / p_big + 1e-12
 
     def test_duplicated_points_give_rank_of_distinct_points(self):
         # 6 distinct points of 9: the factor stops at rank 6
@@ -599,8 +673,8 @@ class TestLowRankEigendecompose:
 
     @pytest.mark.parametrize("n, s", [(9, 1.0), (300, 0.02)])
     def test_full_rank_kernel(self, n, s):
-        # distinct points, or a narrow bandwidth: r = n, and the factor, the
-        # n x n QR and the n x n eigh still give the exact eigensystem
+        # distinct points, or a narrow bandwidth: r = n, and the factor and
+        # the two n x n eigenproblems still give the exact eigensystem
         if n == 9:
             k = _line_kernel(range(9))
         else:
@@ -708,15 +782,29 @@ class TestAgainstScipy:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(x=_point_sets(), s=st.floats(0.05, 4.0))
     def test_factor_matches_dpstrf(self, x, s):
+        # LAPACK's factor, truncated by the same residual trace rule, takes
+        # the same rank, and the same pivots up to the first near-tie of the
+        # two largest residual diagonal entries, where either may go first
         try:
             sigma2 = estimate_bandwidth(x)
         except DegenerateData:  # every row the same
             return
         k = build_rbf_kernel(x, sigma2, s)
-        n, mat = k.n, k.entries
-        rank = kernel_module._pivoted_cholesky(mat.__getitem__, mat.diagonal()).shape[1]
-        ref_rank, ref_lam = lapack_pivoted_spectrum(mat, PIVOT_TOL)
+        n, mat, pivots = k.n, k.entries, []
+
+        def row(i):
+            pivots.append(i)
+            return mat[i]
+
+        square = np.square(kernel_module._pivoted_cholesky(row, mat.diagonal()))
+        rank = square.shape[1]
+        ref_rank, ref_pivots, ref_lam = lapack_pivoted_spectrum(mat, TRACE_TOL)
         assert rank == ref_rank
+        for t in range(rank):
+            second, first = np.sort(mat.diagonal() - square[:, :t].sum(axis=1))[-2:]
+            if first - second <= 1e-9:
+                break
+            assert pivots[t] == ref_pivots[t]
         lam = eigendecompose(k).eigenvalues
         # each spectrum lies below the kernel's by at most its trace residual
         trace_r = max(n - lam.sum(), n - ref_lam.sum())

@@ -74,10 +74,10 @@ class TestRunPipeline:
         x = read_data_csv(DATA / "iris.csv")
         truth = read_labels_csv(DATA / "iris_labels.csv")
         report = run_pipeline(x, PipelineConfig(), truth=truth)
-        assert (report.k_hat, report.threshold) == (4, 0.9)
-        assert report.ari == pytest.approx(0.6855, abs=1e-4)
+        assert (report.k_hat, report.threshold) == (4, 0.85)
+        assert report.ari == pytest.approx(0.6956, abs=1e-4)
         table = [(c.threshold, c.k) for c in report.candidates]
-        assert table == [(0.6, 2), (0.85, 3), (0.9, 4), (0.95, 6)]
+        assert table == [(0.6, 2), (0.85, 4), (0.95, 6)]
 
     def test_two_blobs_recovered_exactly(self, blob_data):
         x, truth = blob_data
