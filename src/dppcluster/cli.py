@@ -17,7 +17,7 @@ import click
 from . import io as pkgio
 from .bench import benchmark, diversity_series
 from .consensus import ConsensusConfig
-from .errors import ConfigError, DataError, NoCandidates, NumericalError, checked_int
+from .errors import ConfigError, DataError, NumericalError, checked_int
 from .pipeline import METHODS, PipelineConfig, run_pipeline
 from .preprocess import PREPROCESSORS
 from .rng import RngStream
@@ -40,8 +40,6 @@ def _mapped_errors(fn):
             return fn(*args, **kwargs)
         except click.ClickException:
             raise
-        except NoCandidates as exc:
-            _fail(str(exc), EXIT_NUMERIC)
         except ConfigError as exc:
             _fail(str(exc), EXIT_CONFIG)
         except (DataError, OSError) as exc:
@@ -96,8 +94,6 @@ def cluster(data_csv, labels_csv, method, runs, tau, thresholds, min_size_exp, s
     """Cluster DATA_CSV and report the selected configuration."""
     data = pkgio.read_data_csv(data_csv)
     truth = pkgio.read_labels_csv(labels_csv) if labels_csv else None
-    if truth is not None and truth.size != data.shape[0]:
-        raise DataError(f"{truth.size} labels for {data.shape[0]} rows")
     cfg = PipelineConfig(
         method=method,
         consensus=ConsensusConfig(

@@ -278,19 +278,19 @@ def merge_small(
     remains.  The surviving components are numbered 0..k-1 in the order of
     their input ids.
 
-    Singletons come first: the heap pops every one before any larger
-    component, in index order, and no merge changes a singleton's strongest
-    link, the argmax of its count row off its own column.  So one
+    One heap of (size, smallest member, id) holds the undersized
+    components, singletons included; an entry is skipped once its
+    component has grown or been absorbed.  No merge changes a singleton's
+    strongest link, the argmax of its count row off its own column, so one
     ``argmax(axis=1)`` over chunks of _PRODUCT_ROWS singleton rows finds
-    every link, and a loop in index order merges each singleton into its
-    link's current component, skipping those an earlier merge has grown:
-    the heap's merges in the heap's order.  The heap is then built from the
-    sizes that remain; each later merge costs one heap step and one
-    |inside| x n row block of the counts, in a signed integer type with -1
-    on the inside columns (the order of counts is the order of
-    proportions).  The spanning tree's heaviest crossing edge gives the
-    strongest link's value but not the lexicographically smallest pair
-    reaching it, and counts tie often, so the rows are scanned.
+    every singleton's link up front.  A larger component takes its members
+    by comparing labels, in ascending order, and scans their |inside| x n
+    row block of the counts in a signed integer type with -1 on the inside
+    columns (the order of counts is the order of proportions), whose
+    row-major argmax is the lexicographic tie-break.  The spanning tree's
+    heaviest crossing edge gives the strongest link's value but not the
+    lexicographically smallest pair reaching it, and counts tie often, so
+    the rows are scanned.
     """
     if not isinstance(components, Partition):
         raise ConfigError(f"components must be a Partition, got {type(components).__name__}")
@@ -300,48 +300,38 @@ def merge_small(
     scan_type = _signed(counts.dtype)
     labels, k = np.array(components.labels), components.k
     sizes = np.bincount(labels)
-    merged = False
-    # the points of the undersized singletons (1 < min_size), in pop order
+    # the strongest link of each undersized singleton (1 < min_size)
     singles = np.flatnonzero(sizes[labels] < min(min_size, 2))
-    links = np.empty_like(singles)
+    links = np.empty_like(labels)
     for top in range(0, singles.size, _PRODUCT_ROWS):
         rows = singles[top : top + _PRODUCT_ROWS]
         link = counts[rows].astype(scan_type)
         link[np.arange(rows.size), rows] = -1
-        links[top : top + _PRODUCT_ROWS] = link.argmax(axis=1)
+        links[rows] = link.argmax(axis=1)
+    # the smallest member of each component, from one stable sort of the labels
+    first = np.argsort(labels, kind="stable")[np.cumsum(sizes) - sizes].tolist()
     sizes = sizes.tolist()
-    for point, j in zip(singles.tolist(), links.tolist()):
-        target = int(labels[point])
-        if k == 1 or sizes[target] > 1:  # one component left, or a singleton joined it
-            continue
-        dest = int(labels[j])
-        labels[point] = dest
-        sizes[dest] += 1
-        sizes[target] = 0
-        k -= 1
-        merged = True
-    # sorted members of each component, from one stable sort of the labels
-    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
-    # (size, smallest member, id) of the undersized components; an entry is
-    # stale once its component's size has changed (absorbed ones read 0)
-    heap = [(size, int(idx[0]), cid) for cid, (size, idx) in enumerate(zip(sizes, members))
-            if 0 < size < min_size]
+    heap = [(size, first[cid], cid) for cid, size in enumerate(sizes) if size < min_size]
     heapq.heapify(heap)
+    merged = False
     while heap and k > 1:
-        size, _, target = heapq.heappop(heap)
+        size, low, target = heapq.heappop(heap)
         if size != sizes[target]:
             continue
-        inside = members[target]
-        link = counts[inside].astype(scan_type)
-        link[:, inside] = -1
-        flat = int(np.argmax(link))  # row-major argmax = lexicographic tie-break
-        dest = int(labels[flat % labels.size])
+        if size == 1:
+            inside, dest = low, int(labels[links[low]])
+        else:
+            inside = np.flatnonzero(labels == target)
+            link = counts[inside].astype(scan_type)
+            link[:, inside] = -1
+            flat = int(np.argmax(link))  # row-major argmax = lexicographic tie-break
+            dest = int(labels[flat % labels.size])
         labels[inside] = dest
         sizes[dest] += size
         sizes[target] = 0
+        first[dest] = min(first[dest], low)
         if sizes[dest] < min_size:
-            members[dest] = np.sort(np.concatenate((members[dest], inside)))
-            heapq.heappush(heap, (sizes[dest], int(members[dest][0]), dest))
+            heapq.heappush(heap, (sizes[dest], first[dest], dest))
         k -= 1
         merged = True
     labels, k = compact_labels(labels)

@@ -37,7 +37,7 @@ from .consensus import (
     accumulate,
     candidate_clusterings,
 )
-from .errors import ConfigError, checked_int
+from .errors import ConfigError, ShapeMismatch, checked_int
 from .kernel import (
     KernelMatrix,
     SpectralDecomposition,
@@ -370,8 +370,13 @@ def run_pipeline(data, cfg: PipelineConfig, truth: Sequence[int] | None = None) 
     Builds the kernel and its decomposition once, runs R sampling+partition
     rounds, accumulates the consensus matrix, extracts candidates over the
     threshold grid, picks the index-minimizing clustering, and scores it
-    against ``truth`` when labels are supplied.
+    against ``truth`` when labels are supplied: one per row of ``data``,
+    else ShapeMismatch before any work.
     """
+    if truth is not None:
+        truth, rows = np.asarray(truth), np.shape(data)[:1]
+        if truth.shape != rows:
+            raise ShapeMismatch(f"truth has shape {truth.shape}, expected {rows}")
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     artifacts = build_artifacts(data, s=cfg.s, preprocessing=cfg.preprocessing)
@@ -399,10 +404,9 @@ def run_pipeline(data, cfg: PipelineConfig, truth: Sequence[int] | None = None) 
     ari_val = rn_val = rn_abs_val = None
     k_true = None
     if truth is not None:
-        truth_arr = np.asarray(truth)
-        ari_val = ari(chosen.labels, truth_arr)
+        ari_val = ari(chosen.labels, truth)
         # counts keep np.unique off its hash path, which imports numpy.ma
-        k_true = int(np.unique(truth_arr, return_counts=True)[1].size)
+        k_true = int(np.unique(truth, return_counts=True)[1].size)
         rn_val = rn(chosen.k, k_true)
         rn_abs_val = abs(rn_val)
 

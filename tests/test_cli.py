@@ -148,6 +148,15 @@ class TestClusterCommand:
         assert "overflow" in result.output
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_no_candidates_exits_4(self, runner, blob_csv):
+        # clusters of at least ceil(n^0.99) > n/2 points leave one cluster
+        data_path, _ = blob_csv
+        result = runner.invoke(
+            main, ["cluster", str(data_path), "--runs", "10", "--min-size-exp", "0.99"]
+        )
+        assert result.exit_code == 4, result.output
+        assert "every threshold produced a single cluster" in result.output
+
     def test_label_length_mismatch_exits_3(self, runner, blob_csv, tmp_path):
         data_path, _ = blob_csv
         short = tmp_path / "short.csv"

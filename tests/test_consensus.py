@@ -277,21 +277,40 @@ class TestFastPathsAgainstOracles:
         assert np.array_equal(out.labels, labels)
         assert (out.k, out.merged) == (k, merged)
 
-    def test_merge_small_matches_oracle_on_iris(self):
-        x = read_data_csv(DATA / "iris.csv")
-        cfg = PipelineConfig(consensus=ConsensusConfig(runs=10))
+    @staticmethod
+    def _merge_each_threshold(x, cfg, thresholds):
+        # merge_small against the oracle on each threshold's components of
+        # the pipeline's consensus; returns the components and the merges
         c = accumulate(ensemble_runs(build_artifacts(x), cfg).partitions, len(x))
         tree = spanning_tree(c)
         min_size = math.ceil(c.n**cfg.consensus.a)
-        merges = 0
-        for theta in cfg.consensus.thresholds:
+        comps, merges = [], 0
+        for theta in thresholds:
             comp = threshold_components(tree, theta)
             out = merge_small(comp, c, min_size, threshold=theta)
             labels, k, merged = merge_small_oracle(comp.labels, c, min_size)
             assert np.array_equal(out.labels, labels), theta
             assert (out.k, out.merged) == (k, merged)
+            comps.append(comp)
             merges += comp.k - k
+        return comps, merges
+
+    def test_merge_small_matches_oracle_on_iris(self):
+        x = read_data_csv(DATA / "iris.csv")
+        cfg = PipelineConfig(consensus=ConsensusConfig(runs=10))
+        _, merges = self._merge_each_threshold(x, cfg, cfg.consensus.thresholds)
         assert merges > 0
+
+    def test_merge_small_matches_oracle_past_one_row_chunk(self):
+        # uniform draws of up to 300 generators on 400 uniform points leave
+        # most points singletons at the high thresholds, so the singleton
+        # scan crosses its _PRODUCT_ROWS-row chunks
+        x = np.random.default_rng(0).random((400, 3))
+        cfg = PipelineConfig(method="uniform", k_max=300, consensus=ConsensusConfig(runs=10))
+        comps, merges = self._merge_each_threshold(x, cfg, (0.6, 0.8, 0.95))
+        assert merges > 0
+        singletons = [int((np.bincount(comp.labels) == 1).sum()) for comp in comps]
+        assert max(singletons) > _PRODUCT_ROWS, singletons
 
     @pytest.mark.parametrize("runs", [1, 15, 16, 17, 35])
     @settings(max_examples=30, deadline=None, derandomize=True)

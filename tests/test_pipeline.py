@@ -13,6 +13,7 @@ from dppcluster import (
     DegenerateData,
     PipelineConfig,
     RngStream,
+    ShapeMismatch,
     accumulate,
     build_artifacts,
     ensemble_runs,
@@ -78,6 +79,16 @@ class TestRunPipeline:
         assert report.ari == pytest.approx(0.6956, abs=1e-4)
         table = [(c.threshold, c.k) for c in report.candidates]
         assert table == [(0.6, 2), (0.85, 4), (0.95, 6)]
+
+    @pytest.mark.parametrize("truth", [np.zeros(10, int), np.zeros((150, 2), int)])
+    def test_truth_of_another_shape_fails_before_any_work(self, monkeypatch, truth):
+        def no_work(*args, **kwargs):
+            raise AssertionError("build_artifacts ran")
+
+        monkeypatch.setattr(pipeline, "build_artifacts", no_work)
+        x = read_data_csv(DATA / "iris.csv")
+        with pytest.raises(ShapeMismatch, match="truth has shape"):
+            run_pipeline(x, PipelineConfig(), truth=truth)
 
     def test_two_blobs_recovered_exactly(self, blob_data):
         x, truth = blob_data

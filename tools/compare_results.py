@@ -92,20 +92,13 @@ def _spectrum(artifacts) -> dict:
 
 
 def _draws(dc, artifacts, seed: int, runs: int) -> list[list[int]]:
-    """The DPP generator sets of runs 0..runs-1, drawn as the pipeline does:
-    in its fixed blocks of runs, or one run at a time in a tree from before
-    the lockstep sampler."""
-    sample_block = getattr(dc.sampling, "sample_dpp_block", None)
-    if sample_block is None:
-        return [
-            list(dc.sample_dpp(artifacts.spectral, dc.RngStream(seed, r)).indices)
-            for r in range(runs)
-        ]
+    """The DPP generator sets of runs 0..runs-1, drawn as the pipeline does,
+    in its fixed blocks of runs."""
     step = dc.pipeline.RUN_BLOCK
     return [
         list(gens.indices)
         for top in range(0, runs, step)
-        for gens in sample_block(
+        for gens in dc.sampling.sample_dpp_block(
             artifacts.spectral, [dc.RngStream(seed, r) for r in range(top, min(top + step, runs))]
         )
     ]
