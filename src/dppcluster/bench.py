@@ -180,8 +180,10 @@ def _prefix_task(partitions, artifacts: KernelArtifacts, cfg: PipelineConfig, tr
 
 def _start_cell(artifacts: KernelArtifacts, cfg: PipelineConfig, prefixes, truth, pool):
     """One method's runs, then one deferred ``(k_hat, ARI)`` per prefix
-    (``defer_tasks``).  A ClusterError of the runs is returned in place of
-    the ensemble."""
+    (``defer_tasks``).  Each prefix is a slice of the runs'
+    ``PartitionStack``, a view that a pool task receives as its own labels
+    alone.  A ClusterError of the runs is returned in place of the
+    ensemble."""
     try:
         ens = ensemble_runs(artifacts, cfg, pool)
     except ClusterError as exc:

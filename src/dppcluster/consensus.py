@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoCandidates, ShapeMismatch, checked_int
-from .partition import Partition, compact_labels
+from .partition import Partition, PartitionStack, compact_labels
 
 __all__ = [
     "ConsensusConfig",
@@ -172,30 +172,38 @@ def co_membership_counts(partitions, n: int) -> np.ndarray:
     R <= 255, uint16 for R <= 65 535, then uint32), as a read-only array.
 
     Built by comparing labels, about n² R / 2 byte operations whatever the
-    number of clusters.  The runs' labels are stacked once as an R x n
-    array of the narrowest unsigned type that holds the largest id.  For
-    each _PRODUCT_ROWS-row block of the upper trapezoid and each run,
-    ``lab[rows, None] == lab[None, top:]`` fills one reused bool buffer,
-    added, viewed as uint8, to the count block in place: integer sums that
-    cannot overflow, as no entry exceeds R.  The lower triangle is copied
-    from the upper one at the end.  Besides the counts (n² bytes at
-    R <= 255), the transients are the label stack (R n bytes while ids fit
-    in uint8) and the buffer (n _PRODUCT_ROWS bytes).
+    number of clusters.  The runs' labels form an R x n array of an
+    unsigned type: a ``PartitionStack``'s own labels, read in place, or
+    else the runs' labels stacked once in the narrowest unsigned type that
+    holds the largest id.  For each _PRODUCT_ROWS-row block of the upper
+    trapezoid and each run, ``lab[rows, None] == lab[None, top:]`` fills
+    one reused bool buffer, added, viewed as uint8, to the count block in
+    place: integer sums that cannot overflow, as no entry exceeds R.  The
+    lower triangle is copied from the upper one at the end.  Besides the
+    counts (n² bytes at R <= 255), the transients are the buffer (n
+    _PRODUCT_ROWS bytes) and, for runs that are not a ``PartitionStack``,
+    the label stack (R n bytes while ids fit in uint8).
 
-    Every run is a ``Partition``; anything else raises ConfigError.
-    Partial counts from disjoint sets of runs can be added together, in a
-    type that holds their total, so accumulation parallelizes and is
-    order-invariant.
+    Every run is a ``Partition``, or the runs are a ``PartitionStack``;
+    anything else raises ConfigError.  Partial counts from disjoint sets of
+    runs can be added together, in a type that holds their total, so
+    accumulation parallelizes and is order-invariant.
     """
-    partitions = list(partitions)
-    for part in partitions:
-        if not isinstance(part, Partition):
-            raise ConfigError(f"runs must be Partitions, got {type(part).__name__}")
-        if part.labels.shape != (n,):
-            raise ShapeMismatch(f"partition has {part.labels.shape} labels, expected ({n},)")
-    counts = np.zeros((n, n), dtype=np.min_scalar_type(len(partitions)))
-    top_id = max((part.k for part in partitions), default=1) - 1
-    lab = np.array([part.labels for part in partitions], np.min_scalar_type(top_id)).reshape(-1, n)
+    if isinstance(partitions, PartitionStack):
+        lab = partitions.labels
+        if lab.shape[1] != n:
+            raise ShapeMismatch(f"partitions have {lab.shape[1]} labels, expected {n}")
+    else:
+        partitions = list(partitions)
+        for part in partitions:
+            if not isinstance(part, Partition):
+                raise ConfigError(f"runs must be Partitions, got {type(part).__name__}")
+            if part.labels.shape != (n,):
+                raise ShapeMismatch(f"partition has {part.labels.shape} labels, expected ({n},)")
+        top_id = max((part.k for part in partitions), default=1) - 1
+        lab = np.array([part.labels for part in partitions], np.min_scalar_type(top_id))
+        lab = lab.reshape(-1, n)
+    counts = np.zeros((n, n), dtype=np.min_scalar_type(len(lab)))
     same = np.empty((_PRODUCT_ROWS, n), dtype=bool)
     for top in range(0, n, _PRODUCT_ROWS):
         end = min(top + _PRODUCT_ROWS, n)
@@ -212,9 +220,13 @@ def co_membership_counts(partitions, n: int) -> np.ndarray:
 
 def accumulate(partitions, n: int) -> ConsensusMatrix:
     """Consensus matrix of the runs: the integer co-membership counts and
-    their number, with no float pass over the n x n counts."""
-    partitions = list(partitions)
-    if not partitions:
+    their number, with no float pass over the n x n counts.  The runs are
+    ``Partition``s or a ``PartitionStack``; the transients are those of
+    ``co_membership_counts``, so a ``PartitionStack`` adds no copy of its
+    labels."""
+    if not isinstance(partitions, PartitionStack):
+        partitions = list(partitions)
+    if not len(partitions):
         raise ConfigError("need at least one partition to accumulate")
     return ConsensusMatrix(co_membership_counts(partitions, n), len(partitions))
 

@@ -70,6 +70,10 @@ _GROWTH = 64.0
 # entry as one product over all rows does (checked at n = 150 to 3000).
 _VEC_ROWS = 192
 
+# Rows by which the factor's buffer grows; ``ndarray.resize`` zero-fills
+# the added rows, so at most this many are filled and never used.
+_GROW_ROWS = 64
+
 # Doubles per chunk of per-feature differences in exact distances: chunks
 # of about 10 rows of 8 features at n = 1500 stay in cache and ran fastest.
 _CHUNK = 2**16
@@ -357,22 +361,23 @@ def _pivoted_cholesky(row, diagonal) -> np.ndarray:
     holds; its squares then lower the residual diagonal.
 
     Returns the (n, r) factor F, rows in natural order and Fortran-ordered,
-    with L ~ F F^T; the rows of F^T grow by doubling, and the spare ones
-    are given back at the end (``ndarray.resize`` shrinks the buffer in
-    place), so F takes exactly 8 n r bytes.  Raises NumericalFailure when a
+    with L ~ F F^T; the rows of F^T grow _GROW_ROWS at a time, and the
+    spare ones are given back at the end (``ndarray.resize`` shrinks the
+    buffer in place), so F takes exactly 8 n r bytes, and at most
+    8 n (r + _GROW_ROWS) while it grows.  Raises NumericalFailure when a
     residual diagonal entry ends below -PSD_TOL * n, which no PSD matrix
     leaves, or is NaN.
     """
     residual = np.array(diagonal, dtype=float)
     n = residual.size
     square = np.empty(n)
-    g = np.empty((min(n, 64), n))  # row t: column t of the factor
+    g = np.empty((min(n, _GROW_ROWS), n))  # row t: column t of the factor
     pivots = np.empty(n, dtype=np.intp)
     t = 0
     while t < n and residual.sum() > TRACE_TOL:  # also stops on NaN
         i = int(residual.argmax())
         if t == g.shape[0]:  # grows the buffer, keeping rows [0, t)
-            g.resize((min(n, 2 * t), n), refcheck=False)
+            g.resize((min(n, t + _GROW_ROWS), n), refcheck=False)
         col = g[t]
         np.dot(g[:t, i], g[:t], out=col)
         np.subtract(row(i), col, out=col)
@@ -403,7 +408,9 @@ def eigendecompose(L) -> SpectralDecomposition:
     columns and D^-1 F^T F D^-1 = U Sigma^2 U^T, F = Q R for the orthonormal
     Q = F D^-1 U Sigma^-1 and R = Sigma U^T D; R R^T = M = Z Lam Z^T then
     gives V = Q Z = F S, S = D^-1 U Sigma^-1 Z (Kulesza & Taskar 2012, sec.
-    3.3), written over F _VEC_ROWS rows at a time; no QR runs.  Scaled, F's
+    3.3), written over F _VEC_ROWS rows at a time; no QR runs.  Besides F
+    (8 n r bytes), at most four r x r arrays are alive at a time, as each
+    is deleted once dead.  Scaled, F's
     columns have cond 200 at n = 5000, so the Gram path's u cond^2 loss of
     orthonormality, u the unit roundoff, is 2e-13 there (6.5e-8 unscaled).
     Eigenvalues in [-PSD_TOL * n, 0) are clamped to zero; lower ones, a
@@ -449,11 +456,14 @@ def eigendecompose(L) -> SpectralDecomposition:
     gram /= np.multiply.outer(norm, norm)
     try:
         sq, u = np.linalg.eigh(gram)  # Sigma^2 and U, ascending
+        del gram
         if not sq[0] > 0.0:
             raise NumericalFailure(f"scaled Gram matrix is singular: eigenvalue {sq[0]:.3e}")
         sv = np.sqrt(sq)
-        gram = u * sv * norm[:, None]  # D U Sigma
-        m = gram.T @ gram
+        dus = u * sv  # D U Sigma
+        dus *= norm[:, None]
+        m = dus.T @ dus
+        del dus
         vals, z = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"symmetric eigensolver did not converge: {exc}") from exc
@@ -462,21 +472,26 @@ def eigendecompose(L) -> SpectralDecomposition:
     z = z[:, ::-1]  # largest eigenvalue first
     lam = np.zeros(n)
     lam[:r] = np.clip(vals[::-1], 0.0, None)
-    solve = (u / np.multiply.outer(norm, sv)) @ z
+    u /= np.multiply.outer(norm, sv)  # D^-1 U Sigma^-1
+    solve = u @ z
+    del u
     vec = factor  # V = F S, written over F one row block at a time
     for top in range(0, n, _VEC_ROWS):
         rows = slice(top, top + _VEC_ROWS)
         vec[rows] = vec[rows] @ solve
+    sigma = float(np.einsum("ij,ij,j->", solve, solve, lam[:r]))  # |S Lam^1/2|_F^2
+    del solve
     gram = vec.T @ vec
     np.fill_diagonal(gram, gram.diagonal() - 1.0)
-    if not np.abs(gram).max() <= 1e-8:
+    if not np.abs(gram, out=gram).max() <= 1e-8:  # a NaN fails too
         raise NumericalFailure("eigenvectors lost orthonormality")
+    del gram
     unit = np.finfo(float).eps / 2
     gamma = (r + 3) * unit
     tau = 2 * ((L.data.shape[1] + 6) * unit + gamma) * (1.0 + _GROWTH) ** 2
     if not (gap.min() >= -(gamma + tau) and gap.sum() <= TRACE_TOL + 2 * n * gamma):
         raise NumericalFailure(f"residual diagonal min {gap.min():.3e}, sum {gap.sum():.3e}")
-    residual = _eigen_step_bound(z, lam[:r], m, solve, sv[-1] / sv[0], gamma)
+    residual = _eigen_step_bound(z, lam[:r], m, sigma, sv[-1] / sv[0], gamma)
     if not residual <= RECONSTRUCTION_TOL:  # also fails on NaN
         raise NumericalFailure(
             f"spectral reconstruction residual {residual:.3e} exceeds {RECONSTRUCTION_TOL:g}"
@@ -484,12 +499,11 @@ def eigendecompose(L) -> SpectralDecomposition:
     return SpectralDecomposition(lam, vec)
 
 
-def _eigen_step_bound(z, lam, m, solve, kappa: float, gamma: float) -> float:
+def _eigen_step_bound(z, lam, m, sigma: float, kappa: float, gamma: float) -> float:
     """|G|_F + rho, the bound of ``eigendecompose``'s check (b)."""
     unit = np.finfo(float).eps / 2
     g = (z * lam) @ z.T
     g -= m
-    sigma = float(np.einsum("ij,ij,j->", solve, solve, lam))
     rho = gamma * (1.0 + math.sqrt(sigma)) ** 2 + 2 * (gamma + 4 * unit) * float(lam.sum())
     rho += 2 * float(lam[0]) * kappa * (2 * gamma + 3 * unit)
     return (1.0 + lam.size * 1e-8) * float(np.linalg.norm(g)) + rho

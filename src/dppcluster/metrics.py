@@ -23,12 +23,15 @@ def ari(labels_a, labels_b) -> float:
     All pair counts use Python integers before the single final division, so
     the value is exact for any n.  Returns 1.0 in the degenerate case where
     the chance-adjusted denominator vanishes (e.g. both labelings are a
-    single cluster, or both are all singletons).
+    single cluster, or both are all singletons).  Each labeling is one
+    label per observation: a labeling that is not 1-d, or of another
+    length, raises ShapeMismatch.
     """
-    la = np.asarray(labels_a).ravel()
-    lb = np.asarray(labels_b).ravel()
-    if la.shape != lb.shape:
-        raise ShapeMismatch(f"label lengths differ: {la.size} vs {lb.size}")
+    la, lb = np.asarray(labels_a), np.asarray(labels_b)
+    if la.ndim != 1 or la.shape != lb.shape:
+        raise ShapeMismatch(
+            f"labels must be 1-d of one length, got shapes {la.shape} and {lb.shape}"
+        )
     if la.size < 2:
         raise DegenerateData("need at least two observations")
     _, ia = np.unique(la, return_inverse=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy as np
 from .errors import ConfigError, ShapeMismatch
 from .kernel import KernelMatrix, as_data_matrix, expansion_error, sq_dists_between
 
-__all__ = ["Partition", "voronoi_assign", "lloyd_kmeans"]
+__all__ = ["Partition", "PartitionStack", "voronoi_assign", "lloyd_kmeans"]
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,33 @@ class Partition:
     @property
     def n(self) -> int:
         return self.labels.size
+
+
+class PartitionStack(Sequence):
+    """R partitions of the same n points as one (R, n) array of labels in
+    an unsigned type, with each run's k: a ``Sequence`` of ``Partition``.
+
+    Item i is ``Partition(labels[i], ks[i])``, a new int64 copy of row i,
+    whose ids are checked then.  A slice is a ``PartitionStack`` whose
+    labels are a view of these, so it copies no label and pickles as its
+    own rows alone, r n bytes in uint8.  As slices share the labels, they
+    are kept read-only (``ensemble_runs`` freezes them).
+    """
+
+    __slots__ = ("labels", "ks")
+
+    def __init__(self, labels: np.ndarray, ks: tuple[int, ...]):
+        if labels.ndim != 2 or labels.dtype.kind != "u" or labels.shape[0] != len(ks):
+            raise ShapeMismatch(f"need one unsigned row per k, got {labels.dtype} {labels.shape}")
+        self.labels, self.ks = labels, ks
+
+    def __len__(self) -> int:
+        return len(self.ks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PartitionStack(self.labels[index], self.ks[index])
+        return Partition(self.labels[index], self.ks[index])
 
 
 def compact_labels(raw) -> tuple[np.ndarray, int]:

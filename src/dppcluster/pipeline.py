@@ -46,7 +46,7 @@ from .kernel import (
     estimate_bandwidth,
 )
 from .metrics import ari, rn
-from .partition import Partition, lloyd_kmeans, voronoi_assign
+from .partition import PartitionStack, lloyd_kmeans, voronoi_assign
 from .preprocess import PREPROCESSORS, apply_preprocessing
 from .rng import RngStream
 from .sampling import (
@@ -136,9 +136,15 @@ def build_artifacts(data, s: float = 1.0, preprocessing: str = "none") -> Kernel
 
 @dataclass
 class EnsembleResult:
-    """Partitions plus per-run diagnostics, ordered by run index."""
+    """Partitions plus per-run diagnostics, ordered by run index.
 
-    partitions: list[Partition]
+    ``partitions`` is a ``PartitionStack``: the R runs' labels in one
+    read-only R x n array of the narrowest unsigned type that holds every
+    id, R n bytes while ids fit in uint8.  Taking item i makes a new int64
+    ``Partition`` (8 n bytes); a slice is a view, which copies nothing.
+    """
+
+    partitions: PartitionStack
     subset_sizes: np.ndarray
     log_likelihoods: np.ndarray
 
@@ -171,15 +177,19 @@ def _block_draws(runs: range, artifacts: KernelArtifacts, method, seed, k_max):
 
 
 def _block_runs(runs: range, artifacts: KernelArtifacts, method, seed, k_max):
-    out = []
+    """The runs' labels as one (len(runs), n) array of the narrowest
+    unsigned type that holds their ids, and each run's (k, subset size,
+    log-likelihood)."""
+    labels, out = [], []
     data = artifacts.data
     for gens, loglik in _block_draws(runs, artifacts, method, seed, k_max):
         if method == "kmeans":  # Lloyd refinement from the k-means++ seeds
             part = lloyd_kmeans(data, data[list(gens.indices)])
         else:  # on the kernel's centred rows, shared by the runs
             part = voronoi_assign(artifacts.kernel, gens)
-        out.append((part.labels, part.k, len(gens), loglik))
-    return out
+        labels.append(part.labels.astype(np.min_scalar_type(part.k - 1)))
+        out.append((part.k, len(gens), loglik))
+    return np.array(labels, np.result_type(*labels)), out
 
 
 _WORKER_ARTIFACTS: KernelArtifacts | None = None
@@ -228,9 +238,9 @@ def defer_tasks(pool, fn, tasks, artifacts: KernelArtifacts, *args) -> list:
     return [pool.submit(_on_worker, fn, task, *args).result for task in tasks]
 
 
-def _map_runs(fn, artifacts: KernelArtifacts, cfg: PipelineConfig, pool=None) -> list:
+def _map_blocks(fn, artifacts: KernelArtifacts, cfg: PipelineConfig, pool=None):
     """``fn(block, artifacts, method, seed, k_max)`` for every block of
-    RUN_BLOCK runs, flattened in run order, on ``pool`` or, when none is
+    RUN_BLOCK runs, yielded in run order, on ``pool`` or, when none is
     given, on an ``artifacts_pool`` of ``cfg.workers`` of its own."""
     runs = cfg.consensus.runs
     n = artifacts.n
@@ -239,18 +249,33 @@ def _map_runs(fn, artifacts: KernelArtifacts, cfg: PipelineConfig, pool=None) ->
         raise ConfigError(f"k_max={k_max} exceeds n={n}")
     blocks = [range(top, min(top + RUN_BLOCK, runs)) for top in range(0, runs, RUN_BLOCK)]
     with nullcontext(pool) if pool else artifacts_pool(artifacts, cfg.workers) as pool:
-        calls = defer_tasks(pool, fn, blocks, artifacts, cfg.method, cfg.seed, k_max)
-        return [run for call in calls for run in call()]
+        for call in defer_tasks(pool, fn, blocks, artifacts, cfg.method, cfg.seed, k_max):
+            yield call()
+
+
+def _map_runs(fn, artifacts: KernelArtifacts, cfg: PipelineConfig, pool=None) -> list:
+    """The runs of every block of ``_map_blocks``, flattened in run order."""
+    return [run for block in _map_blocks(fn, artifacts, cfg, pool) for run in block]
 
 
 def ensemble_runs(artifacts: KernelArtifacts, cfg: PipelineConfig, pool=None) -> EnsembleResult:
     """Execute R independent partition runs over the shared artifacts, on
-    ``pool`` when one is given (see ``_map_runs``)."""
-    results = _map_runs(_block_runs, artifacts, cfg, pool)
-    partitions = [Partition(lab, k) for lab, k, _, _ in results]
-    sizes = np.array([r[2] for r in results], dtype=np.int64)
-    logliks = np.array([r[3] for r in results], dtype=float)
-    return EnsembleResult(partitions, sizes, logliks)
+    ``pool`` when one is given (see ``_map_blocks``).
+
+    Each block's labels are copied into the R x n label stack as the block
+    arrives; the stack widens only when a run has more than 256 clusters.
+    Serially the peak is the stack plus one block's transients.
+    """
+    stack = np.empty((cfg.consensus.runs, artifacts.n), np.uint8)
+    runs = []
+    for labels, block in _map_blocks(_block_runs, artifacts, cfg, pool):
+        stack = stack.astype(np.promote_types(stack.dtype, labels.dtype), copy=False)
+        stack[len(runs) : len(runs) + len(block)] = labels
+        runs += block
+    stack.setflags(write=False)
+    sizes = np.array([size for _, size, _ in runs], dtype=np.int64)
+    logliks = np.array([ll for _, _, ll in runs], dtype=float)
+    return EnsembleResult(PartitionStack(stack, tuple(k for k, _, _ in runs)), sizes, logliks)
 
 
 def ensemble_draws(
@@ -395,6 +420,9 @@ def run_pipeline(data, cfg: PipelineConfig, truth: Sequence[int] | None = None) 
     t0 = time.perf_counter()
     consensus_matrix = accumulate(ens.partitions, n)
     timings["consensus"] = time.perf_counter() - t0
+    # nothing after accumulation reads the runs' labels
+    sizes, logliks = ens.subset_sizes, ens.log_likelihoods
+    del ens
 
     t0 = time.perf_counter()
     selection = select_clustering(kernel, consensus_matrix, cfg.consensus)
@@ -428,8 +456,8 @@ def run_pipeline(data, cfg: PipelineConfig, truth: Sequence[int] | None = None) 
         rn_signed=rn_val,
         rn_abs=rn_abs_val,
         k_true=k_true,
-        subset_sizes=ens.subset_sizes,
-        log_likelihoods=ens.log_likelihoods,
+        subset_sizes=sizes,
+        log_likelihoods=logliks,
         consensus=consensus_matrix,
         timings=timings,
     )

@@ -226,7 +226,9 @@ class TestSharedPool:
         bad = replace(mini_dataset, true_labels=mini_dataset.true_labels[:-1])
         outs = [self._run(w, bad) for w in (1, 2)]
         assert _outcome_fields(outs[1]) == _outcome_fields(outs[0])
-        assert {o.error for o in outs[0].outcomes} == {"label lengths differ: 150 vs 149"}
+        assert {o.error for o in outs[0].outcomes} == {
+            "labels must be 1-d of one length, got shapes (150,) and (149,)"
+        }
         assert multiprocessing.active_children() == []
 
     @needs_fork

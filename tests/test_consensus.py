@@ -31,6 +31,7 @@ from dppcluster.consensus import (
     default_threshold_grid,
 )
 from dppcluster.io import read_data_csv
+from dppcluster.partition import PartitionStack
 from oracles import (
     bfs_components,
     candidate_clusterings_oracle,
@@ -762,3 +763,27 @@ class TestCounts:
             tracemalloc.stop()
         assert peak < n * n + 200 * n + n * _PRODUCT_ROWS + (64 << 10)
         assert counts.dtype == np.uint8 and not counts.flags.writeable
+
+    def test_stack_is_counted_in_place(self):
+        # the same runs as one uint8 PartitionStack: its labels are read as
+        # they are, so the R x n label stack leaves the bound above, and the
+        # counts equal those of the Partitions
+        n = 2000
+        rng = np.random.default_rng(0)
+        parts = [Partition(rng.integers(0, 8, size=n), 8) for _ in range(200)]
+        lab = np.array([p.labels for p in parts], dtype=np.uint8)
+        lab.setflags(write=False)
+        stack = PartitionStack(lab, [8] * 200)
+        tracemalloc.start()
+        try:
+            c = accumulate(stack, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n + n * _PRODUCT_ROWS + (64 << 10)
+        assert c.runs == 200
+        assert np.array_equal(c.counts, co_membership_counts(parts, n))
+        with pytest.raises(ShapeMismatch):
+            accumulate(stack, n - 1)
+        with pytest.raises(ConfigError):
+            accumulate(stack[:0], n)

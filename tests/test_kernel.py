@@ -603,6 +603,26 @@ class TestEigendecompose:
         assert spec.eigenvectors.shape[1] < n // 10
         assert peak < 4 * n * n
 
+    def test_peak_is_the_factor_and_a_few_rank_squared_arrays(self):
+        # rank 387 at n = 1000: the factor (8 n r bytes), which V is written
+        # over, and at most four r x r float64 arrays beside it at any time;
+        # with the small vectors the excess measured 4.17 such arrays, and
+        # the bound allows five.  While
+        # the factor grows, its buffer holds at most 8 n (r + 64) bytes, far
+        # below.  A buffer grown by doubling (512 rows) and the dead r x r
+        # arrays the eigen step kept took 7.06.
+        x = np.random.default_rng(0).random((1000, 5))
+        k = build_rbf_kernel(x, estimate_bandwidth(x))
+        tracemalloc.start()
+        try:
+            spec = eigendecompose(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, r = spec.eigenvectors.shape
+        assert r >= 250
+        assert peak < 8 * n * r + 5 * 8 * r * r
+
 
 def _line_kernel(points) -> KernelMatrix:
     # points 3 apart on a line: distinct points give a well-conditioned

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,22 @@ class TestAri:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             ari([0, 1], [0, 1, 2])
+
+    def test_lengths_differ_names_both_shapes(self):
+        with pytest.raises(ShapeMismatch, match=r"\(150,\) and \(149,\)"):
+            ari(np.zeros(150, dtype=int), np.zeros(149, dtype=int))
+
+    @pytest.mark.parametrize("shape", [(150, 2), (300, 1), (1, 300)])
+    def test_labels_not_one_dimensional(self, shape):
+        # raveled, a (150, 2) array has 300 labels and scored 1.0 against them
+        labels = np.arange(300) % 3
+        table = labels.reshape(shape)
+        with pytest.raises(ShapeMismatch, match=rf"{re.escape(str(shape))} and \(300,\)"):
+            ari(table, labels)
+        with pytest.raises(ShapeMismatch, match=rf"\(300,\) and {re.escape(str(shape))}"):
+            ari(labels, table)
+        with pytest.raises(ShapeMismatch):
+            ari(table, table)
 
     def test_cross_tabulated_pair_counts(self):
         # table [[1, 1], [0, 2]]: 1 pair shared, 2 pairs in the first

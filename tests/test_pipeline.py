@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import pickle
 import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
@@ -11,6 +12,7 @@ from dppcluster import (
     ConfigError,
     ConsensusConfig,
     DegenerateData,
+    Partition,
     PipelineConfig,
     RngStream,
     ShapeMismatch,
@@ -19,11 +21,13 @@ from dppcluster import (
     ensemble_runs,
     generate_mixture_fixed,
     run_pipeline,
+    voronoi_assign,
 )
 from dppcluster.bench import diversity_series
 from dppcluster.io import read_data_csv, read_labels_csv, render_report_text
 from dppcluster import pipeline
 from dppcluster.pipeline import METHODS, RUN_BLOCK, _map_runs, artifacts_pool, defer_tasks
+from dppcluster.sampling import default_k_max
 
 
 class TestConfig:
@@ -183,6 +187,87 @@ class TestEnsemble:
         assert [p.k for p in pooled.partitions] == [p.k for p in serial.partitions]
         assert np.array_equal(pooled.subset_sizes, serial.subset_sizes)
         assert np.array_equal(pooled.log_likelihoods, serial.log_likelihoods)
+
+
+def _traced_peak(call):
+    """``call()`` and the tracemalloc peak it reached above the bytes
+    allocated before it; tracemalloc must be tracing."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    out = call()
+    return out, tracemalloc.get_traced_memory()[1] - before
+
+
+class TestLabelStack:
+    n, runs = 1000, 200
+
+    @pytest.fixture(scope="class")
+    def arts(self):
+        # four tight clusters, rank 24
+        rng = np.random.default_rng(0)
+        centers = ((0, 0), (3, 0), (0, 3), (3, 3))
+        x = np.concatenate([rng.normal(c, 0.3, size=(self.n // 4, 2)) for c in centers])
+        arts = build_artifacts(x)
+        arts.kernel.expansion  # the centred rows, cached once for every Voronoi run
+        return arts
+
+    @pytest.mark.parametrize("method", ["dpp", "uniform"])
+    def test_runs_take_r_n_bytes_beside_one_block(self, arts, method):
+        # the stack holds R n uint8 labels; besides it, the peak is that of
+        # the largest block (its draws, Voronoi keys and labels: 0.8-1.0 MB
+        # here) plus the previous block's labels and the per-run tuples,
+        # 67-83 kB measured, which the 128 kB slack covers.  200 int64
+        # Partitions beside their int64 re-wrap took about 16.5 R n
+        # (3.3 MB), more than this bound.
+        k_max = default_k_max(self.n)
+        cfg = PipelineConfig(method=method, seed=0, consensus=ConsensusConfig(runs=self.runs))
+        tracemalloc.start()
+        try:
+            block = max(
+                _traced_peak(lambda: pipeline._block_runs(
+                    range(top, top + RUN_BLOCK), arts, method, cfg.seed, k_max
+                ))[1]
+                for top in range(0, self.runs, RUN_BLOCK)
+            )
+            ens, peak = _traced_peak(lambda: ensemble_runs(arts, cfg))
+        finally:
+            tracemalloc.stop()
+        assert peak < self.runs * self.n + block + (128 << 10)
+        assert ens.partitions.labels.dtype == np.uint8
+
+    def test_prefix_slices_share_the_stack_and_pickle_as_their_labels(self, arts):
+        cfg = PipelineConfig(seed=0, consensus=ConsensusConfig(runs=self.runs))
+        ens = ensemble_runs(arts, cfg)
+        stack = ens.partitions.labels
+        assert stack.shape == (self.runs, self.n) and not stack.flags.writeable
+        for r in (10, 100, self.runs):
+            prefix = ens.partitions[:r]
+            assert np.shares_memory(prefix.labels, stack)
+            blob = pickle.dumps(prefix)
+            assert len(blob) < r * self.n + 4096
+            back = pickle.loads(blob)
+            assert np.array_equal(back.labels, prefix.labels) and back.ks == prefix.ks
+
+    def test_uint16_stack_yields_the_partitions_of_the_runs(self):
+        # uniform draws of up to 300 generators at n = 400: runs with more
+        # than 256 clusters widen the stack to uint16
+        n = 400
+        arts = build_artifacts(np.random.default_rng(0).random((n, 3)))
+        cfg = PipelineConfig(
+            method="uniform", k_max=300, seed=0, consensus=ConsensusConfig(runs=20)
+        )
+        ens = ensemble_runs(arts, cfg)
+        assert ens.partitions.labels.dtype == np.uint16
+        # each run's Voronoi partition, as the runs were kept before the stack
+        parts = [
+            voronoi_assign(arts.kernel, gens)
+            for gens, _ in _map_runs(pipeline._block_draws, arts, cfg)
+        ]
+        assert max(p.k for p in parts) > 256
+        got = list(ens.partitions)
+        assert all(type(p) is Partition and p.labels.dtype == np.int64 for p in got)
+        assert [(p.labels.tolist(), p.k) for p in got] == [(p.labels.tolist(), p.k) for p in parts]
+        assert np.array_equal(accumulate(ens.partitions, n).counts, accumulate(parts, n).counts)
 
 
 class _InlineExecutor:
