@@ -140,7 +140,8 @@ def prefix_consensus(
     partitions,
     cfg: PipelineConfig,
 ):
-    """Consensus over a prefix of the run list, then selection.
+    """Consensus over the labels of a prefix of the runs, their first r
+    rows, then selection.
 
     Returns ``(labels, k_hat, selection)``.  When every threshold collapses
     to one cluster the prefix is taken as the trivial single-cluster
@@ -180,10 +181,9 @@ def _prefix_task(partitions, artifacts: KernelArtifacts, cfg: PipelineConfig, tr
 
 def _start_cell(artifacts: KernelArtifacts, cfg: PipelineConfig, prefixes, truth, pool):
     """One method's runs, then one deferred ``(k_hat, ARI)`` per prefix
-    (``defer_tasks``).  Each prefix is a slice of the runs'
-    ``PartitionStack``, a view that a pool task receives as its own labels
-    alone.  A ClusterError of the runs is returned in place of the
-    ensemble."""
+    (``defer_tasks``).  Each prefix is the first r rows of the runs' label
+    array, a view that a pool task receives as its own rows alone.  A
+    ClusterError of the runs is returned in place of the ensemble."""
     try:
         ens = ensemble_runs(artifacts, cfg, pool)
     except ClusterError as exc:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoCandidates, ShapeMismatch, checked_int
-from .partition import Partition, PartitionStack, compact_labels
+from .partition import Partition, compact_labels
 
 __all__ = [
     "ConsensusConfig",
@@ -166,49 +166,38 @@ class Clustering(Partition):
     merged: bool = False
 
 
-def co_membership_counts(partitions, n: int) -> np.ndarray:
+def co_membership_counts(labels, n: int) -> np.ndarray:
     """Per-pair count of the runs in which the pair co-clusters, in the
     smallest unsigned type that holds the number of runs R (uint8 for
     R <= 255, uint16 for R <= 65 535, then uint32), as a read-only array.
 
-    Built by comparing labels, about n² R / 2 byte operations whatever the
-    number of clusters.  The runs' labels form an R x n array of an
-    unsigned type: a ``PartitionStack``'s own labels, read in place, or
-    else the runs' labels stacked once in the narrowest unsigned type that
-    holds the largest id.  For each _PRODUCT_ROWS-row block of the upper
-    trapezoid and each run, ``lab[rows, None] == lab[None, top:]`` fills
-    one reused bool buffer, added, viewed as uint8, to the count block in
-    place: integer sums that cannot overflow, as no entry exceeds R.  The
-    lower triangle is copied from the upper one at the end.  Besides the
-    counts (n² bytes at R <= 255), the transients are the buffer (n
-    _PRODUCT_ROWS bytes) and, for runs that are not a ``PartitionStack``,
-    the label stack (R n bytes while ids fit in uint8).
+    ``labels`` is an integer ``np.ndarray`` of shape (R, n), one row of ids
+    per run, read in place: any ids will do, as only their equality counts.
+    Another type or a non-integer dtype raises ConfigError, another shape
+    ShapeMismatch.  Built by comparing labels, about n² R / 2 element
+    operations whatever the number of clusters.  For each
+    _PRODUCT_ROWS-row block of the upper trapezoid and each run,
+    ``row[rows, None] == row[None, top:]`` fills one reused bool buffer,
+    added, viewed as uint8, to the count block in place: integer sums that
+    cannot overflow, as no entry exceeds R.  The lower triangle is copied
+    from the upper one at the end.  Besides the counts (n² bytes at
+    R <= 255), the one transient is the buffer (n _PRODUCT_ROWS bytes).
 
-    Every run is a ``Partition``, or the runs are a ``PartitionStack``;
-    anything else raises ConfigError.  Partial counts from disjoint sets of
-    runs can be added together, in a type that holds their total, so
-    accumulation parallelizes and is order-invariant.
+    Partial counts from disjoint sets of runs (R = 0 gives zeros) can be
+    added together, in a type that holds their total, so accumulation
+    parallelizes and is order-invariant.
     """
-    if isinstance(partitions, PartitionStack):
-        lab = partitions.labels
-        if lab.shape[1] != n:
-            raise ShapeMismatch(f"partitions have {lab.shape[1]} labels, expected {n}")
-    else:
-        partitions = list(partitions)
-        for part in partitions:
-            if not isinstance(part, Partition):
-                raise ConfigError(f"runs must be Partitions, got {type(part).__name__}")
-            if part.labels.shape != (n,):
-                raise ShapeMismatch(f"partition has {part.labels.shape} labels, expected ({n},)")
-        top_id = max((part.k for part in partitions), default=1) - 1
-        lab = np.array([part.labels for part in partitions], np.min_scalar_type(top_id))
-        lab = lab.reshape(-1, n)
-    counts = np.zeros((n, n), dtype=np.min_scalar_type(len(lab)))
+    if not isinstance(labels, np.ndarray) or labels.dtype.kind not in "ui":
+        kind = getattr(labels, "dtype", type(labels).__name__)
+        raise ConfigError(f"runs must be an integer array of labels, got {kind}")
+    if labels.ndim != 2 or labels.shape[1] != n:
+        raise ShapeMismatch(f"runs' labels have shape {labels.shape}, expected (R, {n})")
+    counts = np.zeros((n, n), dtype=np.min_scalar_type(len(labels)))
     same = np.empty((_PRODUCT_ROWS, n), dtype=bool)
     for top in range(0, n, _PRODUCT_ROWS):
         end = min(top + _PRODUCT_ROWS, n)
         block, eq = counts[top:end, top:], same[: end - top, : n - top]
-        for row in lab:
+        for row in labels:
             np.equal(row[top:end, None], row[None, top:], out=eq)
             block += eq.view(np.uint8)
     for top in range(0, n, _PRODUCT_ROWS):
@@ -218,17 +207,12 @@ def co_membership_counts(partitions, n: int) -> np.ndarray:
     return counts
 
 
-def accumulate(partitions, n: int) -> ConsensusMatrix:
-    """Consensus matrix of the runs: the integer co-membership counts and
-    their number, with no float pass over the n x n counts.  The runs are
-    ``Partition``s or a ``PartitionStack``; the transients are those of
-    ``co_membership_counts``, so a ``PartitionStack`` adds no copy of its
-    labels."""
-    if not isinstance(partitions, PartitionStack):
-        partitions = list(partitions)
-    if not len(partitions):
-        raise ConfigError("need at least one partition to accumulate")
-    return ConsensusMatrix(co_membership_counts(partitions, n), len(partitions))
+def accumulate(labels, n: int) -> ConsensusMatrix:
+    """Consensus matrix of the R runs whose (R, n) integer labels are
+    ``labels``, checked and read in place by ``co_membership_counts``: the
+    integer co-membership counts and R, with no float pass over the n x n
+    counts.  ``ConsensusMatrix`` refuses R = 0 with ConfigError."""
+    return ConsensusMatrix(co_membership_counts(labels, n), len(labels))
 
 
 def spanning_tree(C: ConsensusMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +264,8 @@ def merge_small(
     components, C: ConsensusMatrix, min_size: int, threshold: float | None = None
 ) -> Clustering:
     """Absorb every undersized component of the ``Partition`` ``components``
-    (ConfigError for any other type) into its strongest consensus link.
+    (ConfigError for any other type; ShapeMismatch unless it labels the
+    n points of ``C``) into its strongest consensus link.
 
     Repeatedly: take the smallest component below ``min_size`` (ties: the one
     whose smallest member index is lowest), find the largest consensus entry
@@ -306,6 +291,8 @@ def merge_small(
     """
     if not isinstance(components, Partition):
         raise ConfigError(f"components must be a Partition, got {type(components).__name__}")
+    if components.n != C.n:
+        raise ShapeMismatch(f"components have {components.n} labels, consensus matrix n={C.n}")
     if min_size < 1:
         raise ConfigError("min_size must be at least 1")
     counts = C.counts

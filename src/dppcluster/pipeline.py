@@ -9,10 +9,11 @@ R, and a block is one task whether it runs serially or on a worker: the DPP
 draws of a block run in lockstep, and their rounding depends on the block's
 runs only.  ``defer_tasks`` alone decides where a task runs: it turns
 each task into a callable that returns the task's result, computed in
-this process or on a worker.  ``bench.benchmark`` opens one pool per
+this process or on a worker.  The ensemble is the runs' labels, one
+(R, n) array with a row per run.  ``bench.benchmark`` opens one pool per
 dataset (``artifacts_pool``) that runs both the run blocks and the prefix
 selections of every method; a prefix selection reads only its prefix's
-partitions.  So results are byte-identical at every worker count and in
+rows.  So results are byte-identical at every worker count and in
 whichever order the tasks finish, and a run in a complete block draws the
 same at every R.
 """
@@ -46,7 +47,7 @@ from .kernel import (
     estimate_bandwidth,
 )
 from .metrics import ari, rn
-from .partition import PartitionStack, lloyd_kmeans, voronoi_assign
+from .partition import lloyd_kmeans, voronoi_assign
 from .preprocess import PREPROCESSORS, apply_preprocessing
 from .rng import RngStream
 from .sampling import (
@@ -136,15 +137,15 @@ def build_artifacts(data, s: float = 1.0, preprocessing: str = "none") -> Kernel
 
 @dataclass
 class EnsembleResult:
-    """Partitions plus per-run diagnostics, ordered by run index.
+    """The runs' labels plus per-run diagnostics, ordered by run index.
 
-    ``partitions`` is a ``PartitionStack``: the R runs' labels in one
-    read-only R x n array of the narrowest unsigned type that holds every
-    id, R n bytes while ids fit in uint8.  Taking item i makes a new int64
-    ``Partition`` (8 n bytes); a slice is a view, which copies nothing.
+    ``partitions`` is the R runs' labels in one read-only R x n array of
+    the narrowest unsigned type that holds every id, R n bytes while ids
+    fit in uint8: row r holds run r's ids 0..k_r - 1.  The prefix of the
+    first r runs is ``partitions[:r]``, a view, which copies nothing.
     """
 
-    partitions: PartitionStack
+    partitions: np.ndarray
     subset_sizes: np.ndarray
     log_likelihoods: np.ndarray
 
@@ -178,7 +179,7 @@ def _block_draws(runs: range, artifacts: KernelArtifacts, method, seed, k_max):
 
 def _block_runs(runs: range, artifacts: KernelArtifacts, method, seed, k_max):
     """The runs' labels as one (len(runs), n) array of the narrowest
-    unsigned type that holds their ids, and each run's (k, subset size,
+    unsigned type that holds their ids, and each run's (subset size,
     log-likelihood)."""
     labels, out = [], []
     data = artifacts.data
@@ -188,7 +189,7 @@ def _block_runs(runs: range, artifacts: KernelArtifacts, method, seed, k_max):
         else:  # on the kernel's centred rows, shared by the runs
             part = voronoi_assign(artifacts.kernel, gens)
         labels.append(part.labels.astype(np.min_scalar_type(part.k - 1)))
-        out.append((part.k, len(gens), loglik))
+        out.append((len(gens), loglik))
     return np.array(labels, np.result_type(*labels)), out
 
 
@@ -262,9 +263,9 @@ def ensemble_runs(artifacts: KernelArtifacts, cfg: PipelineConfig, pool=None) ->
     """Execute R independent partition runs over the shared artifacts, on
     ``pool`` when one is given (see ``_map_blocks``).
 
-    Each block's labels are copied into the R x n label stack as the block
-    arrives; the stack widens only when a run has more than 256 clusters.
-    Serially the peak is the stack plus one block's transients.
+    Each block's labels are copied into the R x n label array as the block
+    arrives; the array widens only when a run has more than 256 clusters.
+    Serially the peak is the array plus one block's transients.
     """
     stack = np.empty((cfg.consensus.runs, artifacts.n), np.uint8)
     runs = []
@@ -273,9 +274,9 @@ def ensemble_runs(artifacts: KernelArtifacts, cfg: PipelineConfig, pool=None) ->
         stack[len(runs) : len(runs) + len(block)] = labels
         runs += block
     stack.setflags(write=False)
-    sizes = np.array([size for _, size, _ in runs], dtype=np.int64)
-    logliks = np.array([ll for _, _, ll in runs], dtype=float)
-    return EnsembleResult(PartitionStack(stack, tuple(k for k, _, _ in runs)), sizes, logliks)
+    sizes = np.array([size for size, _ in runs], dtype=np.int64)
+    logliks = np.array([ll for _, ll in runs], dtype=float)
+    return EnsembleResult(stack, sizes, logliks)
 
 
 def ensemble_draws(

@@ -7,7 +7,6 @@ from dppcluster import (
     ConsensusMatrix,
     accumulate,
     CsvFormatError,
-    Partition,
     PipelineConfig,
     RngStream,
     ScenarioSpec,
@@ -114,7 +113,7 @@ class TestConsensusExport:
     def test_bytes_match_dense_proportions(self, tmp_path):
         # the rows of counts / runs, in the format of a dense float64 export
         rng = np.random.default_rng(3)
-        c = accumulate([Partition(rng.integers(0, 4, size=30), 4) for _ in range(7)], 30)
+        c = accumulate(np.array([rng.integers(0, 4, size=30) for _ in range(7)]), 30)
         out = tmp_path / "c.csv"
         write_consensus_csv(c, out)
         dense = "".join(",".join(f"{v:.6g}" for v in row) + "\n" for row in c.entries)

@@ -15,7 +15,7 @@ from dppcluster import (
     voronoi_assign,
 )
 from dppcluster.kernel import pairwise_sq_dists, sq_dists_between
-from dppcluster.partition import PartitionStack, compact_labels
+from dppcluster.partition import compact_labels
 from oracles import lloyd_oracle, unique_relabel, wcss
 
 
@@ -207,47 +207,6 @@ class TestPartitionType:
     def test_bad_labels_raise_package_errors(self, cls, labels, k, error):
         with pytest.raises(error):
             cls(np.array(labels), k)
-
-
-def _stack(rows, ks):
-    lab = np.array(rows, dtype=np.uint8)
-    lab.setflags(write=False)
-    return PartitionStack(lab, ks)
-
-
-class TestPartitionStack:
-    def test_items_are_int64_partitions_and_slices_views(self):
-        stack = _stack([[0, 1, 1], [0, 0, 0], [2, 1, 0]], (2, 1, 3))
-        assert len(stack) == 3
-        items = list(stack)
-        assert [(p.labels.tolist(), p.k) for p in items] == [
-            ([0, 1, 1], 2), ([0, 0, 0], 1), ([2, 1, 0], 3)
-        ]
-        assert all(type(p) is Partition and p.labels.dtype == np.int64 for p in items)
-        assert stack[-1].labels.tolist() == [2, 1, 0]
-        with pytest.raises(IndexError):
-            stack[3]
-        tail = stack[1:]
-        assert isinstance(tail, PartitionStack) and tail.ks == (1, 3)
-        assert np.shares_memory(tail.labels, stack.labels)
-        assert [p.k for p in stack[::-2]] == [3, 2]
-
-    def test_items_are_checked_as_partitions(self):
-        with pytest.raises(ConfigError):
-            _stack([[0, 2, 2]], (3,))[0]  # id 1 empty
-
-    @pytest.mark.parametrize(
-        "labels, ks, error",
-        [
-            (np.zeros((2, 3), np.uint8), (1,), ShapeMismatch),
-            (np.zeros(3, np.uint8), (1,), ShapeMismatch),
-            (np.zeros((1, 3), np.int64), (1,), ShapeMismatch),
-        ],
-        ids=["ks-per-row", "1-d", "signed"],
-    )
-    def test_bad_stacks_raise(self, labels, ks, error):
-        with pytest.raises(error):
-            PartitionStack(labels, ks)
 
 
 class TestCompactLabels:

@@ -12,7 +12,6 @@ from dppcluster import (
     ConfigError,
     ConsensusConfig,
     DegenerateData,
-    Partition,
     PipelineConfig,
     RngStream,
     ShapeMismatch,
@@ -160,7 +159,7 @@ class TestEnsemble:
         full = accumulate(ens.partitions, arts.n)
         for r in (5, 10, 20):
             prefix = accumulate(ens.partitions[:r], arts.n)
-            recomputed = accumulate(list(ens.partitions[:r]), arts.n)
+            recomputed = accumulate(ens.partitions[:r].astype(np.int64), arts.n)
             assert np.array_equal(prefix.entries, recomputed.entries)
         assert full.runs == 20
 
@@ -170,8 +169,7 @@ class TestEnsemble:
         arts = build_artifacts(x)
         short = ensemble_runs(arts, PipelineConfig(seed=4, consensus=ConsensusConfig(runs=5)))
         long = ensemble_runs(arts, PipelineConfig(seed=4, consensus=ConsensusConfig(runs=15)))
-        for a, b in zip(short.partitions, long.partitions[:5]):
-            assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(short.partitions, long.partitions[:5])
 
     @pytest.mark.parametrize("method", METHODS)
     def test_pool_matches_serial(self, blob_data, method):
@@ -181,10 +179,8 @@ class TestEnsemble:
         base = dict(method=method, seed=6, k_max=5, consensus=ConsensusConfig(runs=12))
         serial = ensemble_runs(arts, PipelineConfig(workers=1, **base))
         pooled = ensemble_runs(arts, PipelineConfig(workers=2, **base))
-        assert [p.labels.tolist() for p in pooled.partitions] == [
-            p.labels.tolist() for p in serial.partitions
-        ]
-        assert [p.k for p in pooled.partitions] == [p.k for p in serial.partitions]
+        assert pooled.partitions.dtype == serial.partitions.dtype
+        assert np.array_equal(pooled.partitions, serial.partitions)
         assert np.array_equal(pooled.subset_sizes, serial.subset_sizes)
         assert np.array_equal(pooled.log_likelihoods, serial.log_likelihoods)
 
@@ -216,7 +212,7 @@ class TestLabelStack:
         # the stack holds R n uint8 labels; besides it, the peak is that of
         # the largest block (its draws, Voronoi keys and labels: 0.8-1.0 MB
         # here) plus the previous block's labels and the per-run tuples,
-        # 67-83 kB measured, which the 128 kB slack covers.  200 int64
+        # 46-59 kB measured, which the 128 kB slack covers.  200 int64
         # Partitions beside their int64 re-wrap took about 16.5 R n
         # (3.3 MB), more than this bound.
         k_max = default_k_max(self.n)
@@ -233,20 +229,20 @@ class TestLabelStack:
         finally:
             tracemalloc.stop()
         assert peak < self.runs * self.n + block + (128 << 10)
-        assert ens.partitions.labels.dtype == np.uint8
+        assert ens.partitions.dtype == np.uint8
 
     def test_prefix_slices_share_the_stack_and_pickle_as_their_labels(self, arts):
         cfg = PipelineConfig(seed=0, consensus=ConsensusConfig(runs=self.runs))
         ens = ensemble_runs(arts, cfg)
-        stack = ens.partitions.labels
+        stack = ens.partitions
         assert stack.shape == (self.runs, self.n) and not stack.flags.writeable
         for r in (10, 100, self.runs):
-            prefix = ens.partitions[:r]
-            assert np.shares_memory(prefix.labels, stack)
+            prefix = stack[:r]
+            assert np.shares_memory(prefix, stack)
             blob = pickle.dumps(prefix)
             assert len(blob) < r * self.n + 4096
             back = pickle.loads(blob)
-            assert np.array_equal(back.labels, prefix.labels) and back.ks == prefix.ks
+            assert back.dtype == np.uint8 and np.array_equal(back, prefix)
 
     def test_uint16_stack_yields_the_partitions_of_the_runs(self):
         # uniform draws of up to 300 generators at n = 400: runs with more
@@ -257,17 +253,16 @@ class TestLabelStack:
             method="uniform", k_max=300, seed=0, consensus=ConsensusConfig(runs=20)
         )
         ens = ensemble_runs(arts, cfg)
-        assert ens.partitions.labels.dtype == np.uint16
+        assert ens.partitions.dtype == np.uint16
         # each run's Voronoi partition, as the runs were kept before the stack
         parts = [
             voronoi_assign(arts.kernel, gens)
             for gens, _ in _map_runs(pipeline._block_draws, arts, cfg)
         ]
         assert max(p.k for p in parts) > 256
-        got = list(ens.partitions)
-        assert all(type(p) is Partition and p.labels.dtype == np.int64 for p in got)
-        assert [(p.labels.tolist(), p.k) for p in got] == [(p.labels.tolist(), p.k) for p in parts]
-        assert np.array_equal(accumulate(ens.partitions, n).counts, accumulate(parts, n).counts)
+        assert ens.partitions.tolist() == [p.labels.tolist() for p in parts]
+        int64 = np.array([p.labels for p in parts])
+        assert np.array_equal(accumulate(ens.partitions, n).counts, accumulate(int64, n).counts)
 
 
 class _InlineExecutor:
@@ -324,9 +319,7 @@ class TestPoolSize:
         serial = ensemble_runs(arts, PipelineConfig(workers=1, **base))
         huge = ensemble_runs(arts, PipelineConfig(workers=10**6, **base))
         assert stub == [max(2, len(os.sched_getaffinity(0)))]
-        assert [p.labels.tolist() for p in huge.partitions] == [
-            p.labels.tolist() for p in serial.partitions
-        ]
+        assert np.array_equal(huge.partitions, serial.partitions)
         assert np.array_equal(huge.log_likelihoods, serial.log_likelihoods)
 
 
@@ -363,8 +356,8 @@ class TestRunBlocks:
     @staticmethod
     def _runs(ens):
         return [
-            (p.labels.tolist(), p.k, int(size), float(ll))
-            for p, size, ll in zip(ens.partitions, ens.subset_sizes, ens.log_likelihoods)
+            (row.tolist(), int(size), float(ll))
+            for row, size, ll in zip(ens.partitions, ens.subset_sizes, ens.log_likelihoods)
         ]
 
     def test_workers_do_not_change_any_run(self, by_runs):

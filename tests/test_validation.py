@@ -256,14 +256,15 @@ def six_points():
     clus = _clus([0, 0, 0, 1, 1, 1])
     return SimpleNamespace(
         kernel=kernel, dense=kernel.entries, raw=np.array(clus.labels), clus=clus,
-        consensus=accumulate([clus], 6), cfg=ConsensusConfig(runs=1, thresholds=(0.6,)),
+        consensus=accumulate(clus.labels[None], 6), cfg=ConsensusConfig(runs=1, thresholds=(0.6,)),
     )
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda s: accumulate([s.clus, s.raw], 6),
+        lambda s: accumulate([s.clus, s.clus], 6),
+        lambda s: accumulate(s.raw[None] + 0.0, 6),
         lambda s: merge_small(s.raw, s.consensus, 2),
         lambda s: scatter(s.kernel, s.raw),
         lambda s: scatter_reports(s.kernel, [s.clus, s.raw]),
@@ -272,14 +273,17 @@ def six_points():
         lambda s: select_clustering(s.dense, s.consensus, s.cfg),
     ],
     ids=[
-        "accumulate-labels", "merge_small-labels", "scatter-labels", "scatter_reports-labels",
-        "scatter-ndarray", "scatter_reports-ndarray", "select_clustering-ndarray",
+        "accumulate-labels", "accumulate-floats", "merge_small-labels", "scatter-labels",
+        "scatter_reports-labels", "scatter-ndarray", "scatter_reports-ndarray",
+        "select_clustering-ndarray",
     ],
 )
 def test_only_partitions_and_kernel_matrices_accepted(six_points, call):
-    # consensus and selection take one label type and one kernel type:
-    # a raw label array or a dense kernel array is refused, not converted
-    with pytest.raises(ConfigError, match="Partition|KernelMatrix"):
+    # accumulation takes the runs as one integer label array, merging and
+    # scatter a Partition, selection a KernelMatrix: a list of Partitions,
+    # a float label array, a raw label array or a dense kernel array is
+    # refused, not converted
+    with pytest.raises(ConfigError, match="integer array|Partition|KernelMatrix"):
         call(six_points)
 
 
